@@ -284,7 +284,7 @@ def run_trial(
     for k in receivers:
         if k in controlled:
             continue
-        inbox = {j: (outbox[j].get(k) if outbox[j].get(k) is not None else BOT) for j in receivers}
+        inbox = {j: BOT if (msg := outbox[j].get(k)) is None else msg for j in receivers}
         decisions[k] = decide(inbox, lists[k], receivers=receivers, rule=cfg.decide_rule)
     if 1 not in controlled:
         decisions[1] = sender_decision(cfg.sender_input)

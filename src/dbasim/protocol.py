@@ -11,6 +11,7 @@ an explicit abort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from .listgen import CombinedList, positions_of
@@ -75,13 +76,20 @@ def check_claim(claim: Claim, own_list: CombinedList) -> bool:
     """
     if claim.bit not in (0, 1):
         return False
-    total = len(own_list.entries)
+    entries = own_list.entries
+    total = len(entries)
     pos = claim.positions
-    if len(pos) != total // 3 or len(set(pos)) != len(pos):
+    n = len(pos)
+    if n != total // 3 or len(set(pos)) != n:
         return False
-    if any(x < 0 or x >= total for x in pos):
+    if n == 0:
+        return True  # a list shorter than 3 asks for no positions
+    if min(pos) < 0 or max(pos) >= total:
         return False
-    return all(own_list.entries[x] == claim.bit for x in pos)
+    values = itemgetter(*pos)(entries)
+    if n == 1:  # itemgetter of one index returns the value itself
+        return values == claim.bit
+    return values.count(claim.bit) == n
 
 
 def relay_step(received: Optional[Message], own_list: CombinedList) -> Message:
@@ -131,7 +139,19 @@ def decide(
         if missing:
             raise ValueError(f"inbox is missing messages from receivers {missing}")
 
-    consistent = {j: msg for j, msg in inbox.items() if isinstance(msg, Claim) and check_claim(msg, own_list)}
+    # Relayers usually forward one shared claim object, so each distinct
+    # object is checked once; equal claims in distinct objects are simply
+    # checked again.  Every message lives as long as the inbox, so ids are
+    # unique for the whole call.
+    verdicts: dict[int, bool] = {}
+    consistent: dict[int, Claim] = {}
+    for j, msg in inbox.items():
+        if isinstance(msg, Claim):
+            ok = verdicts.get(id(msg))
+            if ok is None:
+                ok = verdicts[id(msg)] = check_claim(msg, own_list)
+            if ok:
+                consistent[j] = msg
     if len(consistent) < 2:
         return ABORT
     bits = {c.bit for c in consistent.values()}

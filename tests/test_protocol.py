@@ -65,6 +65,64 @@ def test_check_claim_rejects_non_bits():
     assert not check_claim(Claim(2, (1, 3)), OWN)
 
 
+def reference_check_claim(claim, own_list):
+    """The rule spelled out position by position, as the reference for check_claim."""
+    if claim.bit not in (0, 1):
+        return False
+    total = len(own_list.entries)
+    pos = claim.positions
+    if len(pos) != total // 3 or len(set(pos)) != len(pos):
+        return False
+    if any(x < 0 or x >= total for x in pos):
+        return False
+    return all(own_list.entries[x] == claim.bit for x in pos)
+
+
+OWN3 = CombinedList(party=2, entries=(0, 1, 0), boundaries=(0,))
+EMPTY = CombinedList(party=2, entries=(), boundaries=())
+SENDER6 = CombinedList(party=1, entries=(2, 0, 2, 1, 0, 1), boundaries=(0,))
+
+
+@pytest.mark.parametrize(
+    "claim, own, expected",
+    [
+        # one position: the values lookup yields a scalar, not a tuple
+        (Claim(1, (1,)), OWN3, True),
+        (Claim(0, (0,)), OWN3, True),
+        (Claim(0, (1,)), OWN3, False),
+        # an empty list asks for no positions, so only the empty claim fits
+        (Claim(0, ()), EMPTY, True),
+        (Claim(0, (0,)), EMPTY, False),
+        # negative positions are out of range even where Python would wrap
+        # them onto a matching value
+        (Claim(0, (-1,)), OWN3, False),
+        (Claim(1, (-1, 3)), OWN, False),
+        # a position equal to the list length
+        (Claim(0, (3,)), OWN3, False),
+        (Claim(1, (3, 6)), OWN, False),
+        # duplicates fail even when the repeated position carries the bit
+        (Claim(1, (3, 3)), OWN, False),
+        # bit 2 fails even against a list holding 2 at every claimed position
+        (Claim(2, (0, 2)), SENDER6, False),
+        (Claim(1, (3, 5)), SENDER6, True),
+    ],
+)
+def test_check_claim_edge_cases(claim, own, expected):
+    assert check_claim(claim, own) is expected
+    assert reference_check_claim(claim, own) is expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), total=st.sampled_from([0, 1, 3, 6, 12]), bit=st.integers(-1, 2))
+def test_check_claim_matches_the_positionwise_reference(data, total, bit):
+    entries = tuple(data.draw(st.lists(st.integers(0, 2), min_size=total, max_size=total)))
+    own = CombinedList(party=2, entries=entries, boundaries=(0,))
+    size = data.draw(st.integers(max(0, total // 3 - 1), total // 3 + 1))
+    positions = tuple(data.draw(st.lists(st.integers(-2, total + 1), min_size=size, max_size=size)))
+    claim = Claim(bit, positions)
+    assert check_claim(claim, own) == reference_check_claim(claim, own)
+
+
 def test_relay_passes_consistent_claims_and_flags_the_rest():
     assert relay_step(GOOD_1, OWN) is GOOD_1
     assert relay_step(BAD_1, OWN) is BOT
@@ -156,6 +214,76 @@ def test_unanimous_consistent_inbox_decides_that_bit(bit, size):
     claim = GOOD_1 if bit else GOOD_0
     inbox = {k: claim for k in range(2, 2 + size)}
     assert decide(inbox, OWN) == Decision(bit)
+
+
+def reference_decide(inbox, own_list, rule):
+    """The decision rule with every message checked on its own, as the reference for decide."""
+    consistent = {j: m for j, m in inbox.items() if isinstance(m, Claim) and check_claim(m, own_list)}
+    if len(consistent) < 2:
+        return ABORT
+    bits = {c.bit for c in consistent.values()}
+    if len(bits) > 1:
+        return ABORT
+    complement = [m for j, m in inbox.items() if j not in consistent]
+    if rule == "merged" or all(isinstance(m, Claim) for m in complement) or all(m is BOT for m in complement):
+        return Decision(bits.pop())
+    return ABORT
+
+
+def _claim_from(rng, own_list, bit, wrong=0):
+    """A claim for ``bit`` with ``wrong`` positions that do not carry it on ``own_list``."""
+    need = len(own_list.entries) // 3
+    right = [x for x, v in enumerate(own_list.entries) if v == bit]
+    other = [x for x, v in enumerate(own_list.entries) if v != bit]
+    return Claim(bit, tuple(sorted(rng.sample(right, need - wrong) + rng.sample(other, wrong))))
+
+
+# what each relayer forwards: the shared claim object, a fresh object equal to
+# it, the shared opposite-bit claim or a fresh copy of it, a failing claim, or
+# the flag
+_RELAY_KINDS = ("shared", "copy", "shared-other", "copy-other", "failing", "flag")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([6, 12]),
+    d=st.integers(1, 2),
+    kinds=st.lists(st.sampled_from(_RELAY_KINDS), min_size=1, max_size=12),
+    rule=st.sampled_from(["literal", "merged"]),
+)
+def test_decide_matches_the_recheck_everything_reference(seed, m, d, kinds, rule):
+    rng = random.Random(seed)
+    own = combined_lists_from_segments([generate_segment(m, 2, rng) for _ in range(d)])[2]
+    shared = _claim_from(rng, own, 1)
+    shared_other = _claim_from(rng, own, 0)
+    make = {
+        "shared": lambda: shared,
+        "copy": lambda: Claim(shared.bit, shared.positions),
+        "shared-other": lambda: shared_other,
+        "copy-other": lambda: Claim(shared_other.bit, shared_other.positions),
+        "failing": lambda: _claim_from(rng, own, rng.randrange(2), wrong=1),
+        "flag": lambda: BOT,
+    }
+    inbox = {j: make[kind]() for j, kind in enumerate(kinds, start=2)}
+    assert decide(inbox, own, rule=rule) == reference_decide(inbox, own, rule)
+
+
+def test_decide_checks_each_distinct_claim_object_once(monkeypatch):
+    import dbasim.protocol as protocol
+
+    checked = []
+
+    def counting_check(claim, own_list):
+        checked.append(id(claim))
+        return check_claim(claim, own_list)
+
+    monkeypatch.setattr(protocol, "check_claim", counting_check)
+    copies = [Claim(GOOD_1.bit, GOOD_1.positions) for _ in range(2)]
+    inbox = {j: GOOD_1 for j in range(2, 12)}
+    inbox.update({12: copies[0], 13: copies[1], 14: BAD_1, 15: BOT, 16: BAD_1})
+    assert decide(inbox, OWN, rule="merged") == Decision(1)
+    assert sorted(checked) == sorted({id(GOOD_1), id(copies[0]), id(copies[1]), id(BAD_1)})
 
 
 def test_render_message_forms():
