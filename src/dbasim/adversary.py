@@ -365,26 +365,29 @@ class ActResult:
     forged: tuple[int, ...] = ()
 
 
-def _sender_honest(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    claim = make_claim(ctx.sender_input, ctx.own_list)
-    return ActResult({k: claim for k in ctx.receivers})
+# Strategies that act the same from either role sit in both tables below.
 
 
-def _sender_silent(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
+def _silent(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
     return ActResult({k: None for k in ctx.receivers})
 
 
-def _sender_flag_always(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
+def _flag_always(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
     return ActResult({k: BOT for k in ctx.receivers})
 
 
-def _sender_random_junk(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
+def _random_junk(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
     total = len(ctx.own_list.entries)
     msgs: dict[int, Optional[Message]] = {}
     for k in ctx.receivers:  # ascending, so the rng stream is reproducible
         bit = rng.randrange(2)
         msgs[k] = Claim(bit, tuple(sorted(rng.sample(range(total), total // 3))))
     return ActResult(msgs)
+
+
+def _sender_honest(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
+    claim = make_claim(ctx.sender_input, ctx.own_list)
+    return ActResult({k: claim for k in ctx.receivers})
 
 
 def _sender_equivocate(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
@@ -402,23 +405,6 @@ def _sender_equivocate(ctx: ActContext, spec: AdversarySpec, rng: Random) -> Act
 def _receiver_honest(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
     msg = relay_step(ctx.received, ctx.own_list)
     return ActResult({k: msg for k in ctx.receivers})
-
-
-def _receiver_silent(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    return ActResult({k: None for k in ctx.receivers})
-
-
-def _receiver_flag_always(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    return ActResult({k: BOT for k in ctx.receivers})
-
-
-def _receiver_random_junk(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    total = len(ctx.own_list.entries)
-    msgs: dict[int, Optional[Message]] = {}
-    for k in ctx.receivers:
-        bit = rng.randrange(2)
-        msgs[k] = Claim(bit, tuple(sorted(rng.sample(range(total), total // 3))))
-    return ActResult(msgs)
 
 
 def _receiver_forge(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
@@ -465,19 +451,19 @@ def _receiver_omniscient_forge(ctx: ActContext, spec: AdversarySpec, rng: Random
 
 SENDER_STRATEGIES = {
     "honest-mimic": _sender_honest,
-    "silent": _sender_silent,
-    "random-junk": _sender_random_junk,
+    "silent": _silent,
+    "random-junk": _random_junk,
     "equivocate": _sender_equivocate,
-    "flag-always": _sender_flag_always,
+    "flag-always": _flag_always,
 }
 
 RECEIVER_STRATEGIES = {
     "honest-mimic": _receiver_honest,
-    "silent": _receiver_silent,
-    "random-junk": _receiver_random_junk,
+    "silent": _silent,
+    "random-junk": _random_junk,
     "forge": _receiver_forge,
     "omniscient-forge": _receiver_omniscient_forge,
-    "flag-always": _receiver_flag_always,
+    "flag-always": _flag_always,
 }
 
 
