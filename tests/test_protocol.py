@@ -96,12 +96,8 @@ SENDER6 = CombinedList(party=1, entries=(2, 0, 2, 1, 0, 1), boundaries=(0,))
         # negative positions are out of range even where Python would wrap
         # them onto a matching value
         (Claim(0, (-1,)), OWN3, False),
-        (Claim(1, (-1, 3)), OWN, False),
         # a position equal to the list length
         (Claim(0, (3,)), OWN3, False),
-        (Claim(1, (3, 6)), OWN, False),
-        # duplicates fail even when the repeated position carries the bit
-        (Claim(1, (3, 3)), OWN, False),
         # bit 2 fails even against a list holding 2 at every claimed position
         (Claim(2, (0, 2)), SENDER6, False),
         (Claim(1, (3, 5)), SENDER6, True),
