@@ -55,6 +55,48 @@ OUTPUT_MODES = ("human", "machine", "both")
 BUILTIN_SCENARIOS = ("all-honest", "equivocating-sender", "forging-receiver", "bribery", "forge-curve")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int_list(value: object) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
+
+
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+#: the type each simulation field must have, as a test and its description;
+#: bools are not numbers here, and nothing is coerced
+FIELD_TYPES = {
+    "name": (_is_str, "a string"),
+    "receivers": (_is_int, "an integer"),
+    "distributors": (_is_int, "an integer"),
+    "segment_length": (_is_int, "an integer"),
+    "sender_input": (_is_int, "an integer"),
+    "trials": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "p": (_is_real, "a number"),
+    "controlled": (_is_int_list, "a list of integers"),
+    "bribed": (lambda v: v == "all" or _is_int_list(v), 'a list of integers or "all"'),
+    "sender_strategy": (_is_str, "a string"),
+    "receiver_strategy": (_is_str, "a string"),
+    "decide_rule": (_is_str, "a string"),
+    "output": (_is_str, "a string"),
+}
+
+
+def _check_type(key: str, value: object, what: str = "") -> None:
+    test, expected = FIELD_TYPES[key]
+    if not test(value):
+        raise ValueError(f"{what or repr(key)} must be {expected}, got {value!r}")
+
+
 @dataclass
 class Scenario:
     """A validated scenario: base fields, sweep grid, and requirements."""
@@ -116,10 +158,13 @@ def build_config(point: Mapping) -> SimConfig:
 def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scenario:
     """Validate a scenario document (plus flag overrides) into a Scenario.
 
-    Unknown keys, unsweepable fields, unknown requirement names, and any
-    sweep point that fails SimConfig validation are all rejected with the
-    offending name in the message.
+    A document that is not an object, unknown keys, fields or sweep values
+    of the wrong type, unsweepable fields, unknown requirement names, and
+    any sweep point that fails SimConfig validation are all rejected with
+    the offending name in the message.
     """
+    if not isinstance(document, Mapping):
+        raise ValueError(f"a scenario must be a JSON object, got {type(document).__name__}")
     doc = dict(document)
     doc.pop("schema_version", None)
     unknown = sorted(set(doc) - set(DEFAULTS))
@@ -130,18 +175,32 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
 
-    sweep = dict(merged.pop("sweep") or {})
+    sweep = merged.pop("sweep")
+    if not isinstance(sweep, Mapping):
+        raise ValueError(f"'sweep' must be an object mapping fields to value lists, got {sweep!r}")
+    sweep = dict(sweep)
     bad = sorted(set(sweep) - set(SWEEPABLE))
     if bad:
         raise ValueError(f"cannot sweep over {bad}; sweepable fields: {list(SWEEPABLE)}")
     for key, values in sweep.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"sweep values for {key!r} must be a non-empty list")
+        for value in values:
+            _check_type(key, value, f"each sweep value for {key!r}")
 
-    require = dict(merged.pop("require") or {})
+    require = merged.pop("require")
+    if not isinstance(require, Mapping):
+        raise ValueError(f"'require' must be an object mapping rate names to minima, got {require!r}")
+    require = dict(require)
     bad = sorted(set(require) - set(REQUIRABLE))
     if bad:
         raise ValueError(f"unknown requirement names {bad}; requirable rates: {list(REQUIRABLE)}")
+    for rate_name, minimum in require.items():
+        if not _is_real(minimum):
+            raise ValueError(f"required minimum for {rate_name!r} must be a number, got {minimum!r}")
+
+    for key, value in merged.items():
+        _check_type(key, value)
 
     output = merged.pop("output")
     if output not in OUTPUT_MODES:
@@ -273,6 +332,18 @@ def run_scenario(
     return 1 if failures else 0
 
 
+def _indices(text: str) -> list[int]:
+    """A ``--controlled``/``--bribed`` value; argparse exits 2 on a non-integer."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _indices_or_all(text: str) -> list[int] | str:
+    return "all" if text == "all" else _indices(text)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dbasim",
@@ -289,8 +360,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--trials", type=int, help="trials per batch")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--p", type=float, help="per-distributor disclosure probability")
-    parser.add_argument("--controlled", help="comma-separated controlled participant indices")
-    parser.add_argument("--bribed", help="comma-separated bribed distributor indices, or 'all'")
+    parser.add_argument("--controlled", type=_indices, help="comma-separated controlled participant indices")
+    parser.add_argument("--bribed", type=_indices_or_all, help="comma-separated bribed distributor indices, or 'all'")
     parser.add_argument("--sender-strategy", dest="sender_strategy", choices=sorted(SENDER_STRATEGIES))
     parser.add_argument("--receiver-strategy", dest="receiver_strategy", choices=sorted(RECEIVER_STRATEGIES))
     parser.add_argument("--decide-rule", dest="decide_rule", choices=["literal", "merged"])
@@ -303,9 +374,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(name)
         return 0
 
-    def parse_indices(text: str) -> list[int]:
-        return [int(v) for v in text.split(",") if v.strip()]
-
     overrides = {
         "receivers": args.receivers,
         "distributors": args.distributors,
@@ -314,8 +382,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "p": args.p,
-        "controlled": parse_indices(args.controlled) if args.controlled is not None else None,
-        "bribed": "all" if args.bribed == "all" else parse_indices(args.bribed) if args.bribed is not None else None,
+        "controlled": args.controlled,
+        "bribed": args.bribed,
         "sender_strategy": args.sender_strategy,
         "receiver_strategy": args.receiver_strategy,
         "decide_rule": args.decide_rule,

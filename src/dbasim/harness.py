@@ -15,9 +15,8 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import sqrt
 from typing import Collection, Mapping, Optional
-
-from scipy.stats import binomtest
 
 from .adversary import (
     ActContext,
@@ -44,6 +43,11 @@ from .protocol import (
 )
 
 SCHEMA_VERSION = 1
+
+#: two-sided 95% normal quantile, the double ``scipy.special.ndtri(0.975)``
+#: returns; ``statistics.NormalDist().inv_cdf(0.975)`` is one ulp lower and
+#: would move the last bits of every interval in the machine output
+WILSON_Z_95 = 1.959963984540054
 
 
 def derive_rng(master_seed: int, *labels: object) -> random.Random:
@@ -279,13 +283,14 @@ def run_trial(
     if transcript is not None:
         transcript.extend(f"2 {j} {k} {render_message(outbox[j].get(k))}" for j in receivers for k in receivers)
 
-    # Silence is consumed as the inconsistency flag.
+    # Silence is consumed as the inconsistency flag.  Each inbox is built
+    # over every receiver, so decide's completeness check is not asked for.
     decisions: dict[int, Optional[Decision]] = {p: None for p in range(1, cfg.participants + 1)}
     for k in receivers:
         if k in controlled:
             continue
         inbox = {j: BOT if (msg := outbox[j].get(k)) is None else msg for j in receivers}
-        decisions[k] = decide(inbox, lists[k], receivers=receivers, rule=cfg.decide_rule)
+        decisions[k] = decide(inbox, lists[k], rule=cfg.decide_rule)
     if 1 not in controlled:
         decisions[1] = sender_decision(cfg.sender_input)
 
@@ -305,12 +310,25 @@ def run_trial(
     )
 
 
-def wilson_interval(successes: int, total: int, confidence: float = 0.95) -> Optional[tuple[float, float]]:
-    """Wilson score interval for a binomial proportion; None when total is 0."""
+def wilson_interval(successes: int, total: int) -> Optional[tuple[float, float]]:
+    """Wilson 95% score interval for a binomial proportion; None when total is 0.
+
+    Newcombe's (1998) closed form, with the operations in the order scipy's
+    ``binomtest(...).proportion_ci(method="wilson")`` uses, so both give the
+    same doubles.  The ends are pinned to 0 and 1 at ``successes`` 0 and
+    ``total``.
+    """
     if total == 0:
         return None
-    ci = binomtest(successes, total).proportion_ci(confidence_level=confidence, method="wilson")
-    return (ci.low, ci.high)
+    z = WILSON_Z_95
+    p = successes / total
+    q = 1 - p
+    denom = 2 * (total + z**2)
+    center = (2 * total * p + z**2) / denom
+    delta = z / denom * sqrt(4 * total * p * q + z**2)
+    lo = 0.0 if successes == 0 else center - delta
+    hi = 1.0 if successes == total else center + delta
+    return (lo, hi)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -236,6 +237,65 @@ def test_main_reports_config_errors_on_stderr(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err and "multiple of 6" in captured.err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([], "a scenario must be a JSON object, got list"),
+        ({"trials": True}, "'trials' must be an integer, got True"),
+        ({"p": "0.5"}, "'p' must be a number, got '0.5'"),
+        ({"segment_length": 12.0}, "'segment_length' must be an integer, got 12.0"),
+        ({"controlled": "4"}, "'controlled' must be a list of integers, got '4'"),
+    ],
+)
+def test_main_rejects_malformed_scenario_files(tmp_path, capsys, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("all-honest", "a scenario must be a JSON object, got str"),
+        ({"receivers": "3"}, "'receivers' must be an integer"),
+        ({"sender_input": False}, "'sender_input' must be an integer"),
+        ({"seed": 4.0}, "'seed' must be an integer"),
+        ({"p": True}, "'p' must be a number"),
+        ({"controlled": [4.0]}, "'controlled' must be a list of integers"),
+        ({"controlled": [True]}, "'controlled' must be a list of integers"),
+        ({"bribed": "none"}, "'bribed' must be a list of integers or \"all\""),
+        ({"receiver_strategy": ["forge"]}, "'receiver_strategy' must be a string"),
+        ({"decide_rule": None}, "'decide_rule' must be a string"),
+        ({"name": 7}, "'name' must be a string"),
+        ({"output": 1}, "'output' must be a string"),
+        ({"sweep": [["p", [0.5]]]}, "'sweep' must be an object"),
+        ({"sweep": {"p": [0.25, "0.5"]}}, "each sweep value for 'p' must be a number, got '0.5'"),
+        ({"sweep": {"segment_length": [6, True]}}, "each sweep value for 'segment_length' must be an integer"),
+        ({"require": ["agreement_rate"]}, "'require' must be an object"),
+        ({"require": {"agreement_rate": "1.0"}}, "required minimum for 'agreement_rate' must be a number"),
+    ],
+)
+def test_field_types_are_checked_without_coercion(document, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(document)
+
+
+def test_integer_minima_and_float_sweep_values_are_accepted():
+    s = parse_config({"sweep": {"p": [0.5, 0.75]}, "require": {"agreement_rate": 1}})
+    assert [pt["p"] for pt in s.points()] == [0.5, 0.75]
+    assert s.require == {"agreement_rate": 1}
+
+
+def test_main_rejects_non_integer_index_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--controlled", "x"])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers, got 'x'" in capsys.readouterr().err
 
 
 def test_main_rejects_missing_config_files(capsys):

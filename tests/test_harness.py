@@ -1,11 +1,16 @@
 """Trial execution, decision predicates, batch aggregation, determinism."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
-from scipy.stats import binom
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import binom, binomtest
 
+import dbasim
 from dbasim.adversary import AdversarySpec
 from dbasim.harness import (
     BatchReport,
@@ -244,6 +249,34 @@ def test_wilson_interval_edge_cases():
     assert lo == 0.0 and 0 < hi < 0.25
     lo, hi = wilson_interval(20, 20)
     assert 0.75 < lo < 1 and hi == 1.0
+
+
+_SUCCESSES_AND_TOTAL = st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_SUCCESSES_AND_TOTAL)
+@example(case=(0, 1))
+@example(case=(1, 1))
+@example(case=(0, 37))
+@example(case=(37, 37))
+@example(case=(0, 10**6))
+@example(case=(10**6, 10**6))
+def test_wilson_interval_equals_scipy_bit_for_bit(case):
+    # the machine output's *_ci floats were first recorded with scipy, so the
+    # stdlib form must agree exactly, not approximately
+    k, n = case
+    ci = binomtest(k, n).proportion_ci(method="wilson")
+    assert wilson_interval(k, n) == (ci.low, ci.high)
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # a fresh interpreter, so a transitive import anywhere in the package shows
+    src = os.path.dirname(os.path.dirname(dbasim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dbasim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_expected_full_knowledge_needs_every_distributor_bribed():
