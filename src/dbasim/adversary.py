@@ -93,15 +93,6 @@ class Knowledge:
         """Indices (in distributor order) of the leaked segments."""
         return frozenset(i for i, d in enumerate(self.distributors) if d in self.disclosed)
 
-    def known_value(self, party: int, position: int) -> Optional[int]:
-        """``party``'s list value at ``position`` if a leak covers it, else None."""
-        m = self.segment_length
-        dist = self.distributors[position // m]
-        seg = self.disclosed.get(dist)
-        if seg is None:
-            return None
-        return seg.party_slice(party)[position % m]
-
     def known_positions(self, party: int, bit: int) -> list[int]:
         """All positions where ``party`` is known to hold ``bit``, ascending."""
         out: list[int] = []

@@ -13,10 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Collection, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 from .adversary import (
     ActContext,
@@ -28,9 +28,10 @@ from .adversary import (
     forge_success_closed_form,
     resolve_bribes,
 )
-from .listgen import Segment, combined_lists_from_segments, generate_segment
+from .listgen import combined_lists_from_segments, generate_segment
 from .protocol import (
     BOT,
+    DECIDE_RULES,
     Claim,
     Decision,
     check_claim,
@@ -98,8 +99,8 @@ class SimConfig:
             raise ValueError(f"sender input must be 0 or 1, got {self.sender_input}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.decide_rule not in ("literal", "merged"):
-            raise ValueError(f"decide rule must be 'literal' or 'merged', got {self.decide_rule!r}")
+        if self.decide_rule not in DECIDE_RULES:
+            raise ValueError(f"decide rule must be one of {DECIDE_RULES}, got {self.decide_rule!r}")
         self.adversary.validate(self.participants, self.distributors)
 
     def to_record(self) -> dict:
@@ -185,38 +186,12 @@ def eval_honest_success(
     return all(decisions[p].value == sender_input for p in honest)
 
 
-def _perturb_segment(seg: Segment, parties: Collection[int], rng: random.Random) -> Segment:
-    """Redraw the given receivers' discord bits; everything else stays put."""
-    discord = seg.discord_positions
-    sixth = len(discord) // 2
-    new_lists = dict(seg.receiver_lists)
-    for k in sorted(parties):
-        coins = [0] * sixth + [1] * sixth
-        rng.shuffle(coins)
-        bits = list(new_lists[k])
-        for pos, coin in zip(discord, coins):
-            bits[pos] = coin
-        new_lists[k] = tuple(bits)
-    return replace(seg, receiver_lists=new_lists)
-
-
-def run_trial(
-    cfg: SimConfig,
-    trial: int,
-    capture_transcript: bool = False,
-    rerandomize: Optional[Mapping[int, int]] = None,
-) -> TrialReport:
+def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> TrialReport:
     """Execute one protocol instance, deterministically in (master_seed, trial).
 
     List generation, bribery coins, and each adversary party draw from
     independent derived streams, so changing one stream's consumption never
     disturbs the others.
-
-    ``rerandomize`` maps distributor index -> salt and redraws honest
-    receivers' discord bits in those segments after generation.  Controlled
-    parties see only their Knowledge value, so redrawing an undisclosed
-    segment must leave every adversary message unchanged; the
-    confidentiality tests lean on this hook.
     """
     spec = cfg.adversary
     receivers = cfg.receivers
@@ -227,11 +202,6 @@ def run_trial(
         dist: generate_segment(cfg.segment_length, cfg.participants - 1, derive_rng(cfg.master_seed, trial, "segment", dist))
         for dist in cfg.distributor_indices
     }
-    if rerandomize:
-        honest_receivers = [k for k in receivers if k not in controlled]
-        for dist in sorted(rerandomize):
-            rng = derive_rng(cfg.master_seed, trial, "perturb", dist, rerandomize[dist])
-            segments[dist] = _perturb_segment(segments[dist], honest_receivers, rng)
     ordered = [segments[dist] for dist in cfg.distributor_indices]
     lists = combined_lists_from_segments(ordered)
 
@@ -283,8 +253,7 @@ def run_trial(
     if transcript is not None:
         transcript.extend(f"2 {j} {k} {render_message(outbox[j].get(k))}" for j in receivers for k in receivers)
 
-    # Silence is consumed as the inconsistency flag.  Each inbox is built
-    # over every receiver, so decide's completeness check is not asked for.
+    # Silence is consumed as the inconsistency flag.
     decisions: dict[int, Optional[Decision]] = {p: None for p in range(1, cfg.participants + 1)}
     for k in receivers:
         if k in controlled:
@@ -352,7 +321,6 @@ class BatchReport:
     forge_successes: int
     full_knowledge_count: int
     forge_oracle: Optional[Fraction] = None
-    trial_reports: Optional[list[TrialReport]] = None
 
     @property
     def trials(self) -> int:
@@ -432,18 +400,21 @@ class BatchReport:
         return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
 
 
-def run_batch(cfg: SimConfig, keep_trials: bool = False) -> BatchReport:
-    """Run every trial of a batch and aggregate; trials share nothing but the seed."""
+def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]] = None) -> BatchReport:
+    """Run every trial of a batch and aggregate; trials share nothing but the seed.
+
+    ``on_trial``, when given, receives each trial's report, transcript
+    included, as soon as the trial finishes; the batch keeps only counts.
+    """
     cfg.validate()
     agreement = all_abort = common_value = 0
     validity_app = validity_ok = 0
     honest_app = honest_ok = 0
     attempts = successes = 0
     full_know = 0
-    kept: Optional[list[TrialReport]] = [] if keep_trials else None
     honest = [p for p in range(1, cfg.participants + 1) if p not in cfg.adversary.controlled]
     for t in range(cfg.trials):
-        rep = run_trial(cfg, t, capture_transcript=keep_trials)
+        rep = run_trial(cfg, t, capture_transcript=on_trial is not None)
         agreement += rep.agreement
         if rep.agreement:
             if all(rep.decisions[p].aborted for p in honest):
@@ -459,8 +430,8 @@ def run_batch(cfg: SimConfig, keep_trials: bool = False) -> BatchReport:
         attempts += rep.forge_attempts
         successes += rep.forge_successes
         full_know += rep.full_knowledge
-        if kept is not None:
-            kept.append(rep)
+        if on_trial is not None:
+            on_trial(rep)
 
     oracle: Optional[Fraction] = None
     adv = cfg.adversary
@@ -481,5 +452,4 @@ def run_batch(cfg: SimConfig, keep_trials: bool = False) -> BatchReport:
         forge_successes=successes,
         full_knowledge_count=full_know,
         forge_oracle=oracle,
-        trial_reports=kept,
     )

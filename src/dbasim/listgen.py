@@ -6,8 +6,7 @@ over {0, 1, 2}; each receiver's list is over {0, 1} and copies the sender's
 0/1 entries exactly.  Wherever the sender holds 2 (a discord position) each
 receiver instead holds its own balanced coin flips, drawn independently of
 every other receiver.  That per-receiver uncertainty is what position claims
-are checked against later, so it must survive serialization and composition
-untouched.
+are checked against later, so it must survive composition untouched.
 
 Positions are 0-based throughout.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 SENDER = 1
 DISCORD = 2
@@ -59,22 +58,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class CombinedList:
-    """A party's concatenation of its per-distributor lists, in distributor order.
-
-    ``boundaries`` holds the start offset of each slice; slice i covers
-    ``[boundaries[i], boundaries[i] + length/segment_count)``.
-    """
+    """A party's concatenation of its per-distributor lists, in distributor order."""
 
     party: int
     entries: tuple[int, ...]
-    boundaries: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def segment_count(self) -> int:
-        return len(self.boundaries)
 
 
 def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment:
@@ -178,9 +168,7 @@ def combine_segments(party: int, slices: Sequence[Sequence[int]]) -> CombinedLis
         bad = sorted(set(s) - allowed)
         if bad:
             raise ValueError(f"slice {i} holds symbols {bad} outside party {party}'s domain {sorted(allowed)}")
-    m = lengths.pop()
-    entries = tuple(v for s in slices for v in s)
-    return CombinedList(party=party, entries=entries, boundaries=tuple(i * m for i in range(len(slices))))
+    return CombinedList(party=party, entries=tuple(v for s in slices for v in s))
 
 
 def combined_lists_from_segments(segments: Sequence[Segment]) -> dict[int, CombinedList]:
@@ -202,70 +190,3 @@ def positions_of(sender_list: CombinedList, bit: int) -> tuple[int, ...]:
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     return tuple(j for j, v in enumerate(sender_list.entries) if v == bit)
-
-
-# --- serialization ---------------------------------------------------------
-#
-# Line-oriented text: a header line, then one "party:v,v,..." line per party.
-# The format round-trips exactly and is diffable, which the replay tooling
-# relies on.
-
-
-def _render_values(values: Iterable[int]) -> str:
-    return ",".join(str(v) for v in values)
-
-
-def _parse_values(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.split(","))
-
-
-def segment_to_text(seg: Segment) -> str:
-    lines = [f"segment length={seg.length} receivers={len(seg.receiver_lists)}"]
-    lines.append(f"1:{_render_values(seg.sender_list)}")
-    for k in seg.receiver_indices:
-        lines.append(f"{k}:{_render_values(seg.receiver_lists[k])}")
-    return "\n".join(lines) + "\n"
-
-
-def segment_from_text(text: str) -> Segment:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("segment "):
-        raise ValueError("segment text must start with a 'segment ...' header line")
-    fields = dict(item.split("=", 1) for item in lines[0].split()[1:])
-    length = int(fields["length"])
-    expected = int(fields["receivers"])
-    sender: tuple[int, ...] | None = None
-    receivers: dict[int, tuple[int, ...]] = {}
-    for ln in lines[1:]:
-        label, _, payload = ln.partition(":")
-        party = int(label)
-        values = _parse_values(payload)
-        if party == SENDER:
-            sender = values
-        else:
-            receivers[party] = values
-    if sender is None:
-        raise ValueError("segment text is missing the sender line '1:...'")
-    if len(receivers) != expected:
-        raise ValueError(f"segment text declares {expected} receivers but lists {len(receivers)}")
-    return Segment(length=length, sender_list=sender, receiver_lists=receivers)
-
-
-def combined_to_text(combined: CombinedList) -> str:
-    header = f"combined party={combined.party} boundaries={_render_values(combined.boundaries)}"
-    return f"{header}\n{_render_values(combined.entries)}\n"
-
-
-def combined_from_text(text: str) -> CombinedList:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("combined "):
-        raise ValueError("combined-list text must be a 'combined ...' header plus one value line")
-    fields = dict(item.split("=", 1) for item in lines[0].split()[1:])
-    return CombinedList(
-        party=int(fields["party"]),
-        entries=_parse_values(lines[1]),
-        boundaries=_parse_values(fields["boundaries"]),
-    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .listgen import CombinedList, positions_of
 
@@ -26,14 +26,7 @@ class Claim:
 
 
 class Bot:
-    """The inconsistency flag a receiver relays instead of a bad claim."""
-
-    _instance: Optional["Bot"] = None
-
-    def __new__(cls) -> "Bot":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The inconsistency flag a receiver relays instead of a bad claim; use :data:`BOT`."""
 
     def __repr__(self) -> str:
         return "BOT"
@@ -113,7 +106,6 @@ def sender_decision(bit: int) -> Decision:
 def decide(
     inbox: Mapping[int, Message],
     own_list: CombinedList,
-    receivers: Optional[Sequence[int]] = None,
     rule: str = "literal",
 ) -> Decision:
     """Decide from the relay-round messages of every receiver, self included.
@@ -134,10 +126,6 @@ def decide(
     """
     if rule not in DECIDE_RULES:
         raise ValueError(f"unknown decide rule {rule!r}, expected one of {DECIDE_RULES}")
-    if receivers is not None:
-        missing = sorted(set(receivers) - set(inbox))
-        if missing:
-            raise ValueError(f"inbox is missing messages from receivers {missing}")
 
     # Relayers usually forward one shared claim object, so each distinct
     # object is checked once; equal claims in distinct objects are simply

@@ -2,13 +2,18 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import dbasim
 from dbasim.cli import (
     BUILTIN_SCENARIOS,
     DEFAULTS,
+    MAX_TRIAL_WORK,
     Scenario,
     build_config,
     emit_report,
@@ -201,15 +206,24 @@ def test_repeated_runs_emit_identical_bytes():
 
 def test_dump_trials_writes_replayable_records(tmp_path):
     path = tmp_path / "trials.jsonl"
-    s = parse_config({"trials": 4, "output": "machine"})
+    s = parse_config({"trials": 4, "output": "machine", "sweep": {"segment_length": [6, 12]}})
     out = io.StringIO()
     assert run_scenario(s, out, dump_trials=str(path)) == 0
-    lines = path.read_text().splitlines()
-    assert len(lines) == 4
-    rec = json.loads(lines[0])
-    assert rec["record"] == "trial" and rec["batch"] == 0
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["batch"], r["trial"]) for r in records] == [(b, t) for b in (0, 1) for t in range(4)]
+    rec = records[0]
+    assert rec["record"] == "trial"
     assert rec["transcript"]
     assert rec["decisions"]["2"] == "1"
+
+
+def test_unwritable_dump_path_fails_before_any_output(tmp_path, capsys):
+    # the dump file is opened before the first trial, so nothing runs or prints
+    path = tmp_path / "no-such-dir" / "trials.jsonl"
+    assert main(["--trials", "3", "--output", "machine", "--dump-trials", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # --- the executable ----------------------------------------------------------
@@ -289,6 +303,53 @@ def test_integer_minima_and_float_sweep_values_are_accepted():
     s = parse_config({"sweep": {"p": [0.5, 0.75]}, "require": {"agreement_rate": 1}})
     assert [pt["p"] for pt in s.points()] == [0.5, 0.75]
     assert s.require == {"agreement_rate": 1}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"receivers": 2000000},
+        {"distributors": 10**9, "bribed": "all"},
+        {"segment_length": 6000000000},
+    ],
+)
+def test_oversized_trials_exit_2_without_running(tmp_path, document):
+    # a fresh interpreter under a timeout: a missing bound would hang or
+    # build a billion-element list instead of failing fast
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(document))
+    src = os.path.dirname(os.path.dirname(dbasim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-m", "dbasim.cli", "--config", str(path)], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "one trial is too large" in out.stderr
+    for key in ("receivers", "distributors", "segment_length"):
+        assert f"{key}=" in out.stderr
+
+
+def test_trial_size_limit_sits_between_neighbouring_sizes():
+    # n = receivers + 1 parties, one distributor with 6 entries each
+    def work(receivers):
+        n = receivers + 1
+        return n * n + n * 6
+
+    fits = max(r for r in range(1000) if work(r) <= MAX_TRIAL_WORK)
+    parse_config({"receivers": fits, "distributors": 1, "segment_length": 6})
+    with pytest.raises(ValueError, match=f"one trial is too large: receivers={fits + 1},"):
+        parse_config({"receivers": fits + 1, "distributors": 1, "segment_length": 6})
+    with pytest.raises(ValueError, match=re.escape("at sweep point {'segment_length': 6000000000}")):
+        parse_config({"sweep": {"segment_length": [6, 6000000000]}})
+
+
+def test_negative_sizes_reach_the_config_checks():
+    # a huge negative size is not "too large"; validation names the real fault
+    with pytest.raises(ValueError, match="participants must be at least 3"):
+        parse_config({"receivers": -(10**9)})
+    with pytest.raises(ValueError, match="distributors must be at least 1"):
+        parse_config({"distributors": -(10**9), "segment_length": -(10**9) * 6})
 
 
 def test_main_rejects_non_integer_index_flags(capsys):

@@ -1,5 +1,6 @@
 """Trial execution, decision predicates, batch aggregation, determinism."""
 
+import dataclasses
 import math
 import os
 import random
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import binom, binomtest
 
 import dbasim
+import dbasim.harness
 from dbasim.adversary import AdversarySpec
 from dbasim.harness import (
     BatchReport,
@@ -24,6 +26,7 @@ from dbasim.harness import (
     run_trial,
     wilson_interval,
 )
+from dbasim.listgen import generate_segment
 from dbasim.protocol import ABORT, Decision
 
 
@@ -154,8 +157,9 @@ def test_trials_are_deterministic_and_self_contained():
     a = run_trial(cfg, 7, capture_transcript=True)
     b = run_trial(cfg, 7, capture_transcript=True)
     assert a == b
-    batch = run_batch(cfg, keep_trials=True)
-    assert batch.trial_reports[7] == run_trial(cfg, 7, capture_transcript=True)
+    kept = []
+    run_batch(cfg, on_trial=kept.append)
+    assert kept[7] == run_trial(cfg, 7, capture_transcript=True)
 
 
 def test_transcript_covers_both_rounds():
@@ -196,8 +200,9 @@ def test_batch_counts_add_up_and_intervals_attach():
 
 def test_single_trial_batch_matches_the_trial_report():
     cfg = SimConfig(trials=1)
-    batch = run_batch(cfg, keep_trials=True)
-    trial = batch.trial_reports[0]
+    kept = []
+    batch = run_batch(cfg, on_trial=kept.append)
+    [trial] = kept
     assert batch.agreement_count == int(trial.agreement)
     assert batch.validity_applicable == 1
     assert batch.validity_count == int(trial.validity)
@@ -289,23 +294,61 @@ def test_expected_full_knowledge_needs_every_distributor_bribed():
 # --- confidentiality: the adversary only sees Knowledge ---------------------------
 
 
+def _run_redrawn(monkeypatch, cfg, trial, salts):
+    """``run_trial`` with honest receivers' discord bits redrawn after generation.
+
+    ``salts`` maps distributor index -> salt.  Each listed distributor's
+    segment gets its honest receivers' discord bits redrawn from the
+    ``(seed, trial, "perturb", dist, salt)`` stream, ascending by receiver;
+    everything else stays put.  ``run_trial`` generates one segment per
+    distributor in ``cfg.distributor_indices`` order, which is how the
+    wrapper tells which distributor a call is for.
+    """
+    honest_receivers = sorted(k for k in cfg.receivers if k not in cfg.adversary.controlled)
+    dists = iter(cfg.distributor_indices)
+
+    def redrawn(m, receiver_count, rng):
+        seg = generate_segment(m, receiver_count, rng)
+        dist = next(dists)
+        if dist not in salts:
+            return seg
+        perturb = derive_rng(cfg.master_seed, trial, "perturb", dist, salts[dist])
+        discord = seg.discord_positions
+        sixth = len(discord) // 2
+        lists = dict(seg.receiver_lists)
+        for k in honest_receivers:
+            coins = [0] * sixth + [1] * sixth
+            perturb.shuffle(coins)
+            bits = list(lists[k])
+            for pos, coin in zip(discord, coins):
+                bits[pos] = coin
+            lists[k] = tuple(bits)
+        return dataclasses.replace(seg, receiver_lists=lists)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dbasim.harness, "generate_segment", redrawn)
+        report = run_trial(cfg, trial, capture_transcript=True)
+    assert next(dists, None) is None, "run_trial generated fewer segments than there are distributors"
+    return report
+
+
 def _adversary_lines(report, controlled):
     return [ln for ln in report.transcript if ln.split()[0] == "2" and int(ln.split()[1]) in controlled] + [
         ln for ln in report.transcript if ln.split()[0] == "1" and 1 in controlled
     ]
 
 
-def test_adversary_messages_ignore_undisclosed_discord_values():
+def test_adversary_messages_ignore_undisclosed_discord_values(monkeypatch):
     # no bribery: every segment is undisclosed, so redrawing honest receivers'
     # hidden bits must leave all adversary traffic untouched
     cfg = _cfg(controlled={4}, receiver_strategy="forge", trials=1)
     for trial in range(6):
         base = run_trial(cfg, trial, capture_transcript=True)
-        shuffled = run_trial(cfg, trial, capture_transcript=True, rerandomize={5: 1, 6: 2})
+        shuffled = _run_redrawn(monkeypatch, cfg, trial, {5: 1, 6: 2})
         assert _adversary_lines(base, {4}) == _adversary_lines(shuffled, {4})
 
 
-def test_adversary_messages_ignore_undisclosed_segments_under_bribery():
+def test_adversary_messages_ignore_undisclosed_segments_under_bribery(monkeypatch):
     cfg = _cfg(controlled={4}, bribed={5, 6}, disclosure_probability=0.5, receiver_strategy="omniscient-forge", trials=1)
     checked = 0
     for trial in range(20):
@@ -313,20 +356,20 @@ def test_adversary_messages_ignore_undisclosed_segments_under_bribery():
         hidden = [dist for dist, leaked in zip((5, 6), base.disclosed) if not leaked]
         if not hidden:
             continue
-        shuffled = run_trial(cfg, trial, capture_transcript=True, rerandomize={d: 9 for d in hidden})
+        shuffled = _run_redrawn(monkeypatch, cfg, trial, {d: 9 for d in hidden})
         assert _adversary_lines(base, {4}) == _adversary_lines(shuffled, {4})
         assert base.disclosed == shuffled.disclosed
         checked += 1
     assert checked >= 5
 
 
-def test_full_reports_survive_redraws_when_claims_do_not_touch_discord():
+def test_full_reports_survive_redraws_when_claims_do_not_touch_discord(monkeypatch):
     # equivocation sends full honest claims, consistent no matter how the
     # hidden bits fall, so even the honest side's outcome is unchanged
     cfg = _cfg(controlled={1}, sender_strategy="equivocate", trials=1)
     for trial in range(5):
         base = run_trial(cfg, trial, capture_transcript=True)
-        shuffled = run_trial(cfg, trial, capture_transcript=True, rerandomize={5: 3, 6: 4})
+        shuffled = _run_redrawn(monkeypatch, cfg, trial, {5: 3, 6: 4})
         assert base.decisions == shuffled.decisions
         assert base.agreement == shuffled.agreement
         assert _adversary_lines(base, {1}) == _adversary_lines(shuffled, {1})

@@ -1,4 +1,4 @@
-"""Reference-list generation, verification, composition, serialization."""
+"""Reference-list generation, verification, composition."""
 
 import random
 
@@ -7,16 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dbasim.listgen import (
     DISCORD,
-    CombinedList,
     Segment,
     combine_segments,
-    combined_from_text,
     combined_lists_from_segments,
-    combined_to_text,
     generate_segment,
     positions_of,
-    segment_from_text,
-    segment_to_text,
     verify_segment,
 )
 
@@ -140,9 +135,7 @@ def test_combine_segments_concatenates_in_order():
     combined = combine_segments(2, [(0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0)])
     assert combined.party == 2
     assert combined.entries == (0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0)
-    assert combined.boundaries == (0, 6)
     assert len(combined) == 12
-    assert combined.segment_count == 2
 
 
 def test_combine_segments_allows_discord_only_for_the_sender():
@@ -193,44 +186,3 @@ def test_positions_of_rejects_non_sender_lists_and_bad_bits():
         positions_of(lists[2], 1)
     with pytest.raises(ValueError, match="bit must be 0 or 1"):
         positions_of(lists[1], 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(m=st.sampled_from([6, 12, 18]), receivers=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
-def test_segment_text_round_trip(m, receivers, seed):
-    seg = generate_segment(m, receivers, random.Random(seed))
-    assert segment_from_text(segment_to_text(seg)) == seg
-
-
-def test_combined_text_round_trip():
-    lists = combined_lists_from_segments([generate_segment(12, 3, random.Random(9)) for _ in range(2)])
-    for combined in lists.values():
-        assert combined_from_text(combined_to_text(combined)) == combined
-
-
-def test_serialization_is_comma_separated_lines():
-    seg = Segment(length=6, sender_list=(0, 1, 2, 0, 1, 2), receiver_lists={2: (0, 1, 0, 0, 1, 1), 3: (0, 1, 1, 0, 1, 0)})
-    text = segment_to_text(seg)
-    assert text.splitlines()[0] == "segment length=6 receivers=2"
-    assert text.splitlines()[1] == "1:0,1,2,0,1,2"
-    assert text.splitlines()[2] == "2:0,1,0,0,1,1"
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("nonsense", "header"),
-        ("segment length=6 receivers=2\n2:0,1,0,0,1,1", "missing the sender"),
-        ("segment length=6 receivers=2\n1:0,1,2,0,1,2\n2:0,1,0,0,1,1", "declares 2 receivers"),
-    ],
-)
-def test_segment_parse_errors(text, message):
-    with pytest.raises(ValueError, match=message):
-        segment_from_text(text)
-
-
-def test_combined_parse_errors():
-    with pytest.raises(ValueError, match="header plus one value line"):
-        combined_from_text("combined party=1 boundaries=0")
-    with pytest.raises(ValueError, match="header plus one value line"):
-        combined_from_text("bogus\n0,1")
