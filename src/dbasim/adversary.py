@@ -17,7 +17,7 @@ enumeration reach.  The tests hold the two routes equal wherever both apply.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -74,16 +74,16 @@ class Knowledge:
 
     Leaked segments arrive whole: a disclosing distributor reveals every
     list it generated, so a covered position is known for every party.
-    Controlled parties contribute their own combined lists and whatever
-    claims they received.  Nothing else is representable here, which is the
-    structural guarantee that strategies cannot peek at honest secrets.
+    Controlled parties contribute their own combined lists; a controlled
+    receiver's round-1 message reaches it through ``ActContext.received``.
+    Nothing else is representable here, which is the structural guarantee
+    that strategies cannot peek at honest secrets.
     """
 
     segment_length: int
     distributors: tuple[int, ...]
     disclosed: dict[int, Segment]
     own_lists: dict[int, CombinedList]
-    round1_claims: dict[int, Optional[Message]] = field(default_factory=dict)
 
     @property
     def full_disclosure(self) -> bool:

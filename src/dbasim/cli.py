@@ -2,9 +2,10 @@
 
 A scenario is a JSON document of flat simulation fields plus an optional
 ``sweep`` block (field -> list of values, run as a cartesian product) and an
-optional ``require`` block (rate name -> minimum).  Command-line flags
-override file values one-to-one.  Named scenarios ship inside the package so
-the standard experiments are one command each.
+optional ``require`` block (rate name -> minimum).  :data:`FIELDS` names
+every field once; the defaults, type checks and command-line flags come from
+it, and flags override file values one-to-one.  Named scenarios ship inside
+the package so the standard experiments are one command each.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from typing import IO, Mapping, Optional, Sequence
@@ -26,26 +27,6 @@ from .adversary import (
 )
 from .harness import SCHEMA_VERSION, BatchReport, SimConfig, TrialReport, run_batch
 from .protocol import DECIDE_RULES
-
-DEFAULTS: dict = {
-    "schema_version": SCHEMA_VERSION,
-    "name": "adhoc",
-    "receivers": 3,
-    "distributors": 2,
-    "segment_length": 12,
-    "sender_input": 1,
-    "trials": 1000,
-    "seed": 42,
-    "p": 0.5,
-    "controlled": [],
-    "bribed": [],
-    "sender_strategy": "honest-mimic",
-    "receiver_strategy": "honest-mimic",
-    "decide_rule": "literal",
-    "output": "human",
-    "sweep": {},
-    "require": {},
-}
 
 SWEEPABLE = ("distributors", "p", "receiver_strategy", "segment_length", "sender_strategy")
 
@@ -76,32 +57,52 @@ def _is_int_list(value: object) -> bool:
     return isinstance(value, (list, tuple)) and all(map(_is_int, value))
 
 
-def _is_str(value: object) -> bool:
-    return isinstance(value, str)
+def _indices(text: str) -> list[int]:
+    """A ``--controlled``/``--bribed`` value; argparse exits 2 on a non-integer."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-#: the type each simulation field must have, as a test and its description;
-#: bools are not numbers here, and nothing is coerced
-FIELD_TYPES = {
-    "name": (_is_str, "a string"),
-    "receivers": (_is_int, "an integer"),
-    "distributors": (_is_int, "an integer"),
-    "segment_length": (_is_int, "an integer"),
-    "sender_input": (_is_int, "an integer"),
-    "trials": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "p": (_is_real, "a number"),
-    "controlled": (_is_int_list, "a list of integers"),
-    "bribed": (lambda v: v == "all" or _is_int_list(v), 'a list of integers or "all"'),
-    "sender_strategy": (_is_str, "a string"),
-    "receiver_strategy": (_is_str, "a string"),
-    "decide_rule": (_is_str, "a string"),
-    "output": (_is_str, "a string"),
+def _indices_or_all(text: str) -> list[int] | str:
+    return "all" if text == "all" else _indices(text)
+
+
+#: each field kind: its type test, its description in error messages, and
+#: its flag's argparse type; bools are not numbers here, and nothing is coerced
+KINDS = {
+    "int": (_is_int, "an integer", int),
+    "real": (_is_real, "a number", float),
+    "indices": (_is_int_list, "a list of integers", _indices),
+    "indices-or-all": (lambda v: v == "all" or _is_int_list(v), 'a list of integers or "all"', _indices_or_all),
+    "str": (lambda v: isinstance(v, str), "a string", str),
 }
+
+#: every scenario field: its default, its kind, and its flag help (None: no
+#: flag).  The flag is ``--`` plus the key with ``_`` as ``-``.
+FIELDS = {
+    "name": ("adhoc", "str", None),
+    "receivers": (3, "int", "receiver count (participants minus the sender)"),
+    "distributors": (2, "int", "distributor count d"),
+    "segment_length": (12, "int", "per-distributor list length m"),
+    "sender_input": (1, "int", "the bit the sender broadcasts"),
+    "trials": (1000, "int", "trials per batch"),
+    "seed": (42, "int", "master seed"),
+    "p": (0.5, "real", "per-distributor disclosure probability"),
+    "controlled": ([], "indices", "comma-separated controlled participant indices"),
+    "bribed": ([], "indices-or-all", "comma-separated bribed distributor indices, or 'all'"),
+    "sender_strategy": ("honest-mimic", "str", f"controlled sender's strategy: {', '.join(sorted(SENDER_STRATEGIES))}"),
+    "receiver_strategy": ("honest-mimic", "str", f"controlled receivers' strategy: {', '.join(sorted(RECEIVER_STRATEGIES))}"),
+    "decide_rule": ("literal", "str", f"decision rule: {', '.join(DECIDE_RULES)}"),
+    "output": ("human", "str", f"report format: {', '.join(OUTPUT_MODES)}"),
+}
+
+DEFAULTS: dict = {**{key: default for key, (default, _, _) in FIELDS.items()}, "sweep": {}, "require": {}}
 
 
 def _check_type(key: str, value: object, what: str = "") -> None:
-    test, expected = FIELD_TYPES[key]
+    test, expected, _ = KINDS[FIELDS[key][1]]
     if not test(value):
         raise ValueError(f"{what or repr(key)} must be {expected}, got {value!r}")
 
@@ -112,9 +113,9 @@ class Scenario:
 
     name: str
     base: dict
-    sweep: dict = field(default_factory=dict)
-    require: dict = field(default_factory=dict)
-    output: str = "human"
+    sweep: dict
+    require: dict
+    output: str
 
     def points(self) -> list[dict]:
         """Every swept combination as a full field mapping, grid order."""
@@ -197,9 +198,8 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
     doc.pop("schema_version", None)
     unknown = sorted(set(doc) - set(DEFAULTS))
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}; known keys: {sorted(set(DEFAULTS) - {'schema_version'})}")
-    merged = {k: v for k, v in DEFAULTS.items() if k not in ("schema_version",)}
-    merged.update(doc)
+        raise ValueError(f"unknown config keys {unknown}; known keys: {sorted(DEFAULTS)}")
+    merged = {**DEFAULTS, **doc}
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -296,17 +296,6 @@ def emit_table(reports: Sequence[BatchReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: BatchReport, output: str = "machine") -> str:
-    """One batch in the requested format; 'both' stacks human then machine."""
-    if output == "machine":
-        return report.canonical_json() + "\n"
-    if output == "human":
-        return emit_table([report])
-    if output == "both":
-        return emit_table([report]) + report.canonical_json() + "\n"
-    raise ValueError(f"output must be one of {OUTPUT_MODES}, got {output!r}")
-
-
 def _check_requirements(scenario: Scenario, reports: Sequence[BatchReport]) -> list[str]:
     """Failure messages for explicit minima plus the no-forging agreement contract."""
     failures: list[str] = []
@@ -367,18 +356,6 @@ def run_scenario(
     return 1 if failures else 0
 
 
-def _indices(text: str) -> list[int]:
-    """A ``--controlled``/``--bribed`` value; argparse exits 2 on a non-integer."""
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _indices_or_all(text: str) -> list[int] | str:
-    return "all" if text == "all" else _indices(text)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dbasim",
@@ -388,19 +365,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     source.add_argument("--scenario", help=f"built-in scenario name: {', '.join(BUILTIN_SCENARIOS)}")
     source.add_argument("--config", help="path to a scenario JSON file")
     parser.add_argument("--list-scenarios", action="store_true", help="list built-in scenarios and exit")
-    parser.add_argument("--receivers", type=int, help="receiver count (participants minus the sender)")
-    parser.add_argument("--distributors", type=int, help="distributor count d")
-    parser.add_argument("--segment-length", type=int, dest="segment_length", help="per-distributor list length m")
-    parser.add_argument("--sender-input", type=int, dest="sender_input", help="the bit the sender broadcasts")
-    parser.add_argument("--trials", type=int, help="trials per batch")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--p", type=float, help="per-distributor disclosure probability")
-    parser.add_argument("--controlled", type=_indices, help="comma-separated controlled participant indices")
-    parser.add_argument("--bribed", type=_indices_or_all, help="comma-separated bribed distributor indices, or 'all'")
-    parser.add_argument("--sender-strategy", dest="sender_strategy", choices=sorted(SENDER_STRATEGIES))
-    parser.add_argument("--receiver-strategy", dest="receiver_strategy", choices=sorted(RECEIVER_STRATEGIES))
-    parser.add_argument("--decide-rule", dest="decide_rule", choices=list(DECIDE_RULES))
-    parser.add_argument("--output", choices=list(OUTPUT_MODES))
+    for key, (_, kind, help_text) in FIELDS.items():
+        if help_text is not None:
+            flag = "--" + key.replace("_", "-")
+            parser.add_argument(flag, dest=key, type=KINDS[kind][2], help=help_text)
     parser.add_argument("--dump-trials", dest="dump_trials", help="write per-trial JSON records to this file")
     args = parser.parse_args(argv)
 
@@ -409,21 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(name)
         return 0
 
-    overrides = {
-        "receivers": args.receivers,
-        "distributors": args.distributors,
-        "segment_length": args.segment_length,
-        "sender_input": args.sender_input,
-        "trials": args.trials,
-        "seed": args.seed,
-        "p": args.p,
-        "controlled": args.controlled,
-        "bribed": args.bribed,
-        "sender_strategy": args.sender_strategy,
-        "receiver_strategy": args.receiver_strategy,
-        "decide_rule": args.decide_rule,
-        "output": args.output,
-    }
+    overrides = {key: getattr(args, key, None) for key in FIELDS}  # None: no flag given or none exists
     try:
         if args.scenario:
             scenario = load_builtin_scenario(args.scenario, overrides)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import sqrt
 from typing import Callable, Collection, Mapping, Optional
@@ -84,10 +84,6 @@ class SimConfig:
     def distributor_indices(self) -> tuple[int, ...]:
         return tuple(range(self.participants + 1, self.participants + 1 + self.distributors))
 
-    @property
-    def combined_length(self) -> int:
-        return self.distributors * self.segment_length
-
     def validate(self) -> None:
         if self.participants < 3:
             raise ValueError(f"participants must be at least 3 (one sender, two receivers), got {self.participants}")
@@ -104,21 +100,19 @@ class SimConfig:
         self.adversary.validate(self.participants, self.distributors)
 
     def to_record(self) -> dict:
-        adv = self.adversary
-        return {
-            "participants": self.participants,
-            "distributors": self.distributors,
-            "segment_length": self.segment_length,
-            "sender_input": self.sender_input,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "decide_rule": self.decide_rule,
-            "controlled": sorted(adv.controlled),
-            "bribed": sorted(adv.bribed),
-            "disclosure_probability": adv.disclosure_probability,
-            "sender_strategy": adv.sender_strategy,
-            "receiver_strategy": adv.receiver_strategy,
-        }
+        """The flat config record: every field, the adversary's inlined, index sets sorted."""
+        return _flat_record(self)
+
+
+def _flat_record(obj: object) -> dict:
+    rec = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            rec.update(_flat_record(value))
+        else:
+            rec[f.name] = sorted(value) if isinstance(value, frozenset) else value
+    return rec
 
 
 @dataclass
@@ -223,9 +217,6 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
         round1 = {k: claim for k in receivers}
     if transcript is not None:
         transcript.extend(f"1 1 {k} {render_message(round1.get(k))}" for k in receivers)
-    for k in sorted(controlled):
-        if k in receivers:
-            knowledge.round1_claims[k] = round1.get(k)
 
     # Round 2: every receiver relays to every receiver, itself included.
     forge_attempts = 0

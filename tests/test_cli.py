@@ -10,13 +10,15 @@ import sys
 import pytest
 
 import dbasim
+from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
 from dbasim.cli import (
     BUILTIN_SCENARIOS,
     DEFAULTS,
+    FIELDS,
     MAX_TRIAL_WORK,
+    OUTPUT_MODES,
     Scenario,
     build_config,
-    emit_report,
     emit_table,
     load_builtin_scenario,
     load_scenario_file,
@@ -24,21 +26,18 @@ from dbasim.cli import (
     parse_config,
     run_scenario,
 )
-from dbasim.harness import run_batch
+from dbasim.harness import SimConfig, run_batch
+from dbasim.protocol import DECIDE_RULES
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def test_empty_document_yields_the_defaults():
     s = parse_config({})
     assert s.name == "adhoc"
     assert s.points() == [s.base]
-    cfg = build_config(s.base)
-    assert cfg.participants == 4
-    assert cfg.distributors == 2
-    assert cfg.segment_length == 12
-    assert cfg.trials == 1000
-    assert cfg.master_seed == 42
-    assert cfg.adversary.sender_strategy == "honest-mimic"
-    cfg.validate()
+    # the field table's defaults are the dataclasses' defaults
+    assert build_config(s.base) == SimConfig()
 
 
 def test_unknown_keys_are_named():
@@ -183,17 +182,18 @@ def test_human_output_is_an_aligned_table():
     assert "agree" in header and "forge_exact" in header and "forge_est" in header and "fullknow_exact" in header
 
 
-def test_emit_report_modes():
-    rep = run_batch(build_config(parse_config({"trials": 5}).points()[0]))
-    machine = emit_report(rep, "machine")
+@pytest.mark.parametrize("output", OUTPUT_MODES)
+def test_run_scenario_output_modes(output):
+    s = parse_config({"trials": 5, "output": output})
+    rep = run_batch(build_config(s.points()[0]))
+    table = emit_table([rep])
+    assert table.startswith("n ") and table.count("\n") == 2
+    human = f"scenario adhoc: 1 batch(es)\n{table}"
+    machine = rep.canonical_json() + "\n"
     assert json.loads(machine)["record"] == "batch"
-    human = emit_report(rep, "human")
-    assert human.splitlines()[0].startswith("n ")
-    both = emit_report(rep, "both")
-    assert both == human + machine
-    with pytest.raises(ValueError, match="output must be one of"):
-        emit_report(rep, "yaml")
-    assert emit_table([rep]).count("\n") == 2
+    out = io.StringIO()
+    assert run_scenario(s, out) == 0
+    assert out.getvalue() == {"human": human, "machine": machine, "both": human + machine}[output]
 
 
 def test_repeated_runs_emit_identical_bytes():
@@ -350,6 +350,67 @@ def test_negative_sizes_reach_the_config_checks():
         parse_config({"receivers": -(10**9)})
     with pytest.raises(ValueError, match="distributors must be at least 1"):
         parse_config({"distributors": -(10**9), "segment_length": -(10**9) * 6})
+
+
+#: a non-default flag value and the document value it stands for, per field
+FLAG_EXAMPLES = {
+    "receivers": ("4", 4),
+    "distributors": ("3", 3),
+    "segment_length": ("6", 6),
+    "sender_input": ("0", 0),
+    "trials": ("7", 7),
+    "seed": ("9", 9),
+    "p": ("0.25", 0.25),
+    "controlled": ("1", [1]),
+    "bribed": ("5,6", [5, 6]),
+    "sender_strategy": ("equivocate", "equivocate"),
+    "receiver_strategy": ("forge", "forge"),
+    "decide_rule": ("merged", "merged"),
+    "output": ("machine", "machine"),
+}
+
+
+@pytest.mark.parametrize(
+    "key, text, value",
+    # a flagged field without an example fails collection until it gets one
+    [(key, *FLAG_EXAMPLES[key]) for key, (_, _, help_text) in FIELDS.items() if help_text is not None]
+    + [("bribed", "all", "all")],
+)
+def test_each_flag_equals_its_document_field(monkeypatch, key, text, value):
+    seen = []
+    monkeypatch.setattr("dbasim.cli.run_scenario", lambda scenario, dump_trials: seen.append(scenario) or 0)
+    assert main(["--" + key.replace("_", "-"), text]) == 0
+    assert seen == [parse_config({key: value})]
+
+
+@pytest.mark.parametrize(
+    "flag, names",
+    [
+        ("--sender-strategy", SENDER_STRATEGIES),
+        ("--receiver-strategy", RECEIVER_STRATEGIES),
+        ("--decide-rule", DECIDE_RULES),
+        ("--output", OUTPUT_MODES),
+    ],
+)
+def test_bad_name_flags_exit_2_naming_the_allowed_values(capsys, flag, names):
+    assert main([flag, "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag[2:].replace("-", " ") in captured.err.replace("_", " ")
+    for name in names:
+        assert repr(name) in captured.err
+
+
+def test_readme_flag_table_lists_exactly_the_help_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    printed = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", capsys.readouterr().out))
+    with open(README, encoding="utf-8") as fh:
+        rows = [line.split("|")[1] for line in fh if line.startswith("| `-")]
+    documented = {flag for cell in rows for flag in re.findall(r"`(--?[a-z][a-z-]*)", cell)}
+    assert documented == printed
 
 
 def test_main_rejects_non_integer_index_flags(capsys):

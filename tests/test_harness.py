@@ -86,7 +86,6 @@ def test_config_derived_layout():
     cfg = SimConfig(participants=4, distributors=3, segment_length=12)
     assert cfg.receivers == (2, 3, 4)
     assert cfg.distributor_indices == (5, 6, 7)
-    assert cfg.combined_length == 36
 
 
 # --- predicates ----------------------------------------------------------------
