@@ -23,8 +23,8 @@ from math import comb
 from random import Random
 from typing import Mapping, Optional, Sequence
 
-from .listgen import CombinedList, Segment, combine_segments
-from .protocol import BOT, Claim, Message, check_claim, make_claim, relay_step
+from .listgen import CombinedList, Segment, concat_masks, mask_of, mask_positions
+from .protocol import BOT, Claim, Message, make_claim, relay_step
 
 #: receiver strategies that can break agreement with positive probability;
 #: everything else must keep the agreement rate at exactly 1
@@ -76,6 +76,8 @@ class Knowledge:
     list it generated, so a covered position is known for every party.
     Controlled parties contribute their own combined lists; a controlled
     receiver's round-1 message reaches it through ``ActContext.received``.
+    Positions are reported as masks over the combined list, segment i
+    occupying bits ``i*m`` to ``i*m + m - 1``.
     Nothing else is representable here, which is the structural guarantee
     that strategies cannot peek at honest secrets.
     """
@@ -89,68 +91,48 @@ class Knowledge:
     def full_disclosure(self) -> bool:
         return set(self.disclosed) == set(self.distributors)
 
-    def covered_ordinals(self) -> frozenset[int]:
-        """Indices (in distributor order) of the leaked segments."""
-        return frozenset(i for i, d in enumerate(self.distributors) if d in self.disclosed)
-
-    def known_positions(self, party: int, bit: int) -> list[int]:
-        """All positions where ``party`` is known to hold ``bit``, ascending."""
-        out: list[int] = []
+    def covered(self) -> int:
+        """The mask of every position inside a leaked segment."""
         m = self.segment_length
-        for ordinal, dist in enumerate(self.distributors):
-            seg = self.disclosed.get(dist)
-            if seg is None:
-                continue
-            values = seg.party_slice(party)
-            base = ordinal * m
-            out.extend(base + j for j, v in enumerate(values) if v == bit)
-        return out
+        return concat_masks([(1 << m) - 1 if d in self.disclosed else 0 for d in self.distributors], m)
+
+    def known_positions(self, party: int, bit: int) -> int:
+        """The mask of every position where ``party`` is known to hold ``bit`` (0 or 1)."""
+        masks = [self.disclosed[d].party_masks(party)[bit] if d in self.disclosed else 0 for d in self.distributors]
+        return concat_masks(masks, self.segment_length)
 
 
-def resolve_bribes(spec: AdversarySpec, rng: Random, segments: Mapping[int, Segment]) -> Knowledge:
+def resolve_bribes(
+    spec: AdversarySpec, rng: Random, segments: Mapping[int, Segment], lists: Mapping[int, CombinedList]
+) -> Knowledge:
     """Flip each bribed distributor's disclosure coin and assemble Knowledge.
 
     Coins are independent, one per bribed distributor, drawn in ascending
     distributor order so a fixed rng state reproduces the outcome.  Unbribed
-    distributors never leak.
+    distributors never leak.  ``lists`` holds every party's combined list;
+    only the controlled parties' lists go into the Knowledge.
     """
     distributors = tuple(sorted(segments))
     disclosed: dict[int, Segment] = {}
     for dist in distributors:
         if dist in spec.bribed and rng.random() < spec.disclosure_probability:
             disclosed[dist] = segments[dist]
-    ordered = [segments[dist] for dist in distributors]
-    own_lists = {
-        party: combine_segments(party, [seg.party_slice(party) for seg in ordered])
-        for party in sorted(spec.controlled)
-    }
     return Knowledge(
-        segment_length=ordered[0].length,
+        segment_length=segments[distributors[0]].length,
         distributors=distributors,
         disclosed=disclosed,
-        own_lists=own_lists,
+        own_lists={party: lists[party] for party in sorted(spec.controlled)},
     )
 
 
-def split_sender_claims(
-    sender_list: CombinedList, assignment: Mapping[int, Optional[int]]
-) -> dict[int, Claim]:
+def split_sender_claims(sender_list: CombinedList, assignment: Mapping[int, int]) -> dict[int, Claim]:
     """Per-receiver claims for a controlled sender.
 
     Each receiver gets the full honest claim for its assigned bit, so every
     claim individually passes every receiver's consistency check; receivers
-    only notice the split when they compare notes in the relay round.  A
-    None assignment yields a truncated claim (one position short), which
-    fails the length rule and forces that receiver to flag.
+    only notice the split when they compare notes in the relay round.
     """
-    out: dict[int, Claim] = {}
-    for k, bit in sorted(assignment.items()):
-        if bit is None:
-            base = make_claim(0, sender_list)
-            out[k] = Claim(bit=base.bit, positions=base.positions[:-1])
-        else:
-            out[k] = make_claim(bit, sender_list)
-    return out
+    return {k: make_claim(bit, sender_list) for k, bit in sorted(assignment.items())}
 
 
 def forge_claim(
@@ -158,45 +140,49 @@ def forge_claim(
     own_list: CombinedList,
     sender_claim: Optional[Claim],
     know: Optional[Knowledge],
-    target: int,
+    targets: Sequence[int],
     rng: Random,
-) -> Claim:
-    """Fabricate a claim for ``target_bit`` aimed at ``target``'s list.
+) -> dict[int, Claim]:
+    """Fabricate a claim for ``target_bit`` aimed at each target's list.
 
-    Positions the leaked segments show to carry ``target_bit`` on the
-    target's list are used first, in ascending order.  The remainder is
-    drawn uniformly from the candidate set: positions of ``target_bit`` on
+    Per target, positions the leaked segments show to carry ``target_bit``
+    on the target's list are used first, lowest first.  The remainder is
+    drawn uniformly from the candidate pool: positions of ``target_bit`` on
     the forger's own list, outside the sender's claimed positions, in
     unleaked segments.  Guaranteed-agreement candidates and discord
     candidates look identical to the forger, and the discord ones only match
-    the target's hidden bit half the time; that is the whole exposure.
+    the target's hidden bit half the time; that is the whole exposure.  The
+    pool is the same for every target, so it is built once; targets draw
+    from it in ascending order, each with its own ``rng.sample``.
 
-    Always returns a well-formed claim (right length, distinct, in range).
-    If the candidate set runs dry, which needs a sender claim overlapping
-    the forger's own ``target_bit`` positions, the remainder is drawn from
-    whatever positions are left; those picks are expected to fail checking.
+    Always returns well-formed claims (right size, in range).  If the pool
+    runs dry, which needs a sender claim overlapping the forger's own
+    ``target_bit`` positions, the remainder is drawn from whatever positions
+    are left; those picks are expected to fail checking.
     """
-    total = len(own_list.entries)
+    total = own_list.length
     need = total // 3
-    known_good = know.known_positions(target, target_bit) if know is not None else []
-    picked = known_good[:need]
-    if len(picked) < need:
-        covered = know.covered_ordinals() if know is not None else frozenset()
-        seg_len = know.segment_length if know is not None else total
-        excluded = frozenset(sender_claim.positions) if sender_claim is not None else frozenset()
-        pool = [
-            x
-            for x in range(total)
-            if (x // seg_len) not in covered and own_list.entries[x] == target_bit and x not in excluded
-        ]
-        fill = need - len(picked)
-        take = min(fill, len(pool))
-        picked.extend(rng.sample(pool, take))
-        if take < fill:
-            chosen = set(picked)
-            leftovers = [x for x in range(total) if x not in chosen]
-            picked.extend(rng.sample(leftovers, fill - take))
-    return Claim(bit=target_bit, positions=tuple(sorted(picked)))
+    pool: Optional[list[int]] = None
+    out: dict[int, Claim] = {}
+    for target in sorted(targets):
+        picked = know.known_positions(target, target_bit) if know is not None else 0
+        count = picked.bit_count()
+        if count > need:
+            picked &= (1 << mask_positions(picked)[need]) - 1  # the lowest ``need`` positions
+        elif count < need:
+            if pool is None:
+                excluded = know.covered() if know is not None else 0
+                if sender_claim is not None:
+                    excluded |= sender_claim.mask
+                pool = mask_positions(own_list.mask(target_bit) & ~excluded)
+            fill = need - count
+            take = min(fill, len(pool))
+            picked |= mask_of(rng.sample(pool, take), total)
+            if take < fill:
+                leftovers = mask_positions(((1 << total) - 1) & ~picked)
+                picked |= mask_of(rng.sample(leftovers, fill - take), total)
+        out[target] = Claim(bit=target_bit, mask=picked)
+    return out
 
 
 ORACLE_ENUMERATION_BOUND = 24  # combined length d*m beyond this is impractical to enumerate
@@ -206,15 +192,13 @@ def forge_success_oracle(
     m: int,
     d: int,
     knowledge_pattern: Optional[Sequence[bool]] = None,
-    targets: int = 1,
 ) -> Fraction:
     """Exact success probability of :func:`forge_claim`, by brute enumeration.
 
-    Enumerates every balanced assignment of each checker's discord bits
-    (independently per checker and per segment) together with every fill
-    choice the forger can make, all uniformly weighted, and counts the
-    outcomes where the single forged claim, built against the first checker,
-    passes checking at all ``targets`` checkers.
+    Enumerates every balanced assignment of the checker's discord bits
+    (independently per segment) together with every fill choice the forger
+    can make, all uniformly weighted, and counts the outcomes where the
+    forged claim passes the check.
 
     The sender's arrangement and the forger's own discord bits are fixed to
     a canonical layout; success counts depend only on how many candidates of
@@ -230,8 +214,6 @@ def forge_success_oracle(
         raise ValueError(f"segment length must be a positive multiple of 6, got {m}")
     if d < 1:
         raise ValueError(f"need at least one distributor, got {d}")
-    if targets < 1:
-        raise ValueError(f"need at least one checker, got {targets}")
     if d * m > ORACLE_ENUMERATION_BOUND:
         raise ValueError(
             f"instance too large for exhaustive enumeration: d*m = {d * m} exceeds {ORACLE_ENUMERATION_BOUND}"
@@ -257,37 +239,25 @@ def forge_success_oracle(
         for off in [*range(third, 2 * third), *range(2 * third, 2 * third + sixth)]
     ]
 
-    # One balanced assignment per (checker, segment): which local discord
-    # offsets hold 1 on that checker's list.
+    # One balanced assignment per segment: which local discord offsets hold
+    # 1 on the checker's list.
     per_segment = [frozenset(c) for c in itertools.combinations(range(third), sixth)]
 
     good = 0
     total = 0
-    for assign in itertools.product(per_segment, repeat=targets * d):
-        by_checker = [assign[t * d : (t + 1) * d] for t in range(targets)]
+    for assign in itertools.product(per_segment, repeat=d):
         known_good = sorted(
             s * m + off
             for s in range(d)
             if disclosed[s]
             for off in range(third, m)
-            if off < 2 * third or (off - 2 * third) in by_checker[0][s]
+            if off < 2 * third or (off - 2 * third) in assign[s]
         )
         picked = known_good[:need]
         fill = need - len(picked)
         for extra in itertools.combinations(fill_pool, fill) if fill > 0 else ((),):
-            claim = [*picked, *extra]
             total += 1
-            ok = True
-            for t in range(targets):
-                for x in claim:
-                    if is_agreement_good(x):
-                        continue
-                    if (x % m - 2 * third) not in by_checker[t][x // m]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            good += ok
+            good += all(is_agreement_good(x) or (x % m - 2 * third) in assign[x // m] for x in [*picked, *extra])
     return Fraction(good, total)
 
 
@@ -368,11 +338,11 @@ def _flag_always(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult
 
 
 def _random_junk(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    total = len(ctx.own_list.entries)
+    total = ctx.own_list.length
     msgs: dict[int, Optional[Message]] = {}
     for k in ctx.receivers:  # ascending, so the rng stream is reproducible
         bit = rng.randrange(2)
-        msgs[k] = Claim(bit, tuple(sorted(rng.sample(range(total), total // 3))))
+        msgs[k] = Claim(bit, mask_of(rng.sample(range(total), total // 3), total))
     return ActResult(msgs)
 
 
@@ -410,15 +380,9 @@ def _receiver_forge(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActRes
     else:
         bit = rng.randrange(2)
         sender_claim = None
-    msgs: dict[int, Optional[Message]] = {}
-    forged: list[int] = []
-    for k in ctx.receivers:
-        if k == ctx.party:
-            msgs[k] = BOT
-            continue
-        msgs[k] = forge_claim(bit, ctx.own_list, sender_claim, ctx.knowledge, k, rng)
-        forged.append(k)
-    return ActResult(msgs, tuple(forged))
+    targets = tuple(k for k in ctx.receivers if k != ctx.party)
+    forged = forge_claim(bit, ctx.own_list, sender_claim, ctx.knowledge, targets, rng)
+    return ActResult({k: forged.get(k, BOT) for k in ctx.receivers}, targets)
 
 
 def _receiver_omniscient_forge(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
@@ -436,7 +400,7 @@ def _receiver_omniscient_forge(ctx: ActContext, spec: AdversarySpec, rng: Random
     victim = honest_peers[0]
     honest_msg = relay_step(ctx.received, ctx.own_list)
     msgs: dict[int, Optional[Message]] = {k: honest_msg for k in ctx.receivers}
-    msgs[victim] = forge_claim(1 - ctx.received.bit, ctx.own_list, ctx.received, ctx.knowledge, victim, rng)
+    msgs.update(forge_claim(1 - ctx.received.bit, ctx.own_list, ctx.received, ctx.knowledge, (victim,), rng))
     return ActResult(msgs, (victim,))
 
 

@@ -79,8 +79,9 @@ KINDS = {
     "str": (lambda v: isinstance(v, str), "a string", str),
 }
 
-#: every scenario field: its default, its kind, and its flag help (None: no
-#: flag).  The flag is ``--`` plus the key with ``_`` as ``-``.
+#: every scenario field: its default (immutable, since every parse shares
+#: it), its kind, and its flag help (None: no flag).  The flag is ``--``
+#: plus the key with ``_`` as ``-``.
 FIELDS = {
     "name": ("adhoc", "str", None),
     "receivers": (3, "int", "receiver count (participants minus the sender)"),
@@ -90,8 +91,8 @@ FIELDS = {
     "trials": (1000, "int", "trials per batch"),
     "seed": (42, "int", "master seed"),
     "p": (0.5, "real", "per-distributor disclosure probability"),
-    "controlled": ([], "indices", "comma-separated controlled participant indices"),
-    "bribed": ([], "indices-or-all", "comma-separated bribed distributor indices, or 'all'"),
+    "controlled": ((), "indices", "comma-separated controlled participant indices"),
+    "bribed": ((), "indices-or-all", "comma-separated bribed distributor indices, or 'all'"),
     "sender_strategy": ("honest-mimic", "str", f"controlled sender's strategy: {', '.join(sorted(SENDER_STRATEGIES))}"),
     "receiver_strategy": ("honest-mimic", "str", f"controlled receivers' strategy: {', '.join(sorted(RECEIVER_STRATEGIES))}"),
     "decide_rule": ("literal", "str", f"decision rule: {', '.join(DECIDE_RULES)}"),

@@ -199,7 +199,7 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     ordered = [segments[dist] for dist in cfg.distributor_indices]
     lists = combined_lists_from_segments(ordered)
 
-    knowledge = resolve_bribes(spec, derive_rng(cfg.master_seed, trial, "bribes"), segments)
+    knowledge = resolve_bribes(spec, derive_rng(cfg.master_seed, trial, "bribes"), segments, lists)
 
     # Round 1: the sender announces one claim per receiver.
     transcript: Optional[list[str]] = [] if capture_transcript else None

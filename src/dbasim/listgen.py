@@ -8,44 +8,68 @@ receiver instead holds its own balanced coin flips, drawn independently of
 every other receiver.  That per-receiver uncertainty is what position claims
 are checked against later, so it must survive composition untouched.
 
-Positions are 0-based throughout.
+Lists are integer bitmasks: bit j of a mask is set when position j holds
+that mask's symbol.  The sender has a 0-mask and a 1-mask, and its discord
+positions are the list positions in neither.  A receiver has a 1-mask, and
+its 0-mask is every other list position.  Since a receiver differs from the
+sender only at discord positions, its 1-mask is the sender's 1-mask OR its
+own coin positions.  Positions are 0-based throughout.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 SENDER = 1
 DISCORD = 2
 
+# Masks convert to and from symbols through binary digit strings, in time
+# linear in the list length; OR-ing one bit at a time would be quadratic.
+_ZEROS = bytes.maketrans(b"\x00\x01\x02", b"100")
+_ONES = bytes.maketrans(b"\x00\x01\x02", b"010")
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def mask_positions(mask: int) -> list[int]:
+    """The set bits of a non-negative ``mask``, ascending."""
+    return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_DIGITS)))
+
+
+def mask_of(positions: Iterable[int], length: int) -> int:
+    """The mask with exactly ``positions`` set, each below ``length``."""
+    digits = bytearray(length)
+    for x in positions:
+        digits[x] = 1
+    return int(digits[::-1].translate(_BITS), 2) if length else 0
+
 
 @dataclass(frozen=True)
 class Segment:
-    """One distributor's output: a sender list plus one bit list per receiver.
+    """One distributor's output: the sender's 0- and 1-masks plus one 1-mask per receiver.
 
-    ``receiver_lists`` maps the receiver's party index (2 and up) to its
-    list; all lists share ``length``.
+    ``receiver_ones`` maps the receiver's party index (2 and up) to its
+    1-mask; all lists share ``length``.
     """
 
     length: int
-    sender_list: tuple[int, ...]
-    receiver_lists: Mapping[int, tuple[int, ...]]
+    sender_zeros: int
+    sender_ones: int
+    receiver_ones: Mapping[int, int]
 
     @property
     def receiver_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.receiver_lists))
+        return tuple(sorted(self.receiver_ones))
 
-    def party_slice(self, party: int) -> tuple[int, ...]:
-        """The list this segment gives to ``party`` (1 is the sender)."""
+    def party_masks(self, party: int) -> tuple[int, int]:
+        """The 0-mask and 1-mask this segment gives to ``party`` (1 is the sender)."""
         if party == SENDER:
-            return self.sender_list
-        return self.receiver_lists[party]
-
-    @property
-    def discord_positions(self) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.sender_list) if v == DISCORD)
+            return self.sender_zeros, self.sender_ones
+        ones = self.receiver_ones[party]
+        return ((1 << self.length) - 1) & ~ones, ones
 
 
 @dataclass(frozen=True)
@@ -58,13 +82,26 @@ class Violation:
 
 @dataclass(frozen=True)
 class CombinedList:
-    """A party's concatenation of its per-distributor lists, in distributor order."""
+    """A party's concatenation of its per-distributor lists, in distributor order.
+
+    Segment i occupies bits ``i*m`` to ``i*m + m - 1`` of each mask.
+    """
 
     party: int
-    entries: tuple[int, ...]
+    length: int
+    zeros: int
+    ones: int
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.length
+
+    def mask(self, bit: int) -> int:
+        """The positions holding ``bit`` (0 or 1)."""
+        if bit == 0:
+            return self.zeros
+        if bit == 1:
+            return self.ones
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
 
 
 def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment:
@@ -73,8 +110,8 @@ def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment
     The sender arrangement is a uniform shuffle of m/3 copies each of 0, 1
     and 2.  Every receiver copies the 0/1 positions and gets an independent
     uniform balanced assignment (m/6 zeros, m/6 ones) on the discord
-    positions.  Receivers are drawn in ascending party order, so a fixed rng
-    state reproduces the segment exactly.
+    positions, ascending.  Receivers are drawn in ascending party order, so
+    a fixed rng state reproduces the segment exactly.
     """
     if m <= 0 or m % 6 != 0:
         raise ValueError(f"segment length must be a positive multiple of 6, got {m}")
@@ -83,92 +120,93 @@ def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment
     third, sixth = m // 3, m // 6
     trits = [0] * third + [1] * third + [DISCORD] * third
     rng.shuffle(trits)
+    digits = bytes(trits)[::-1]
+    zeros, ones = int(digits.translate(_ZEROS), 2), int(digits.translate(_ONES), 2)
     discord = [j for j, v in enumerate(trits) if v == DISCORD]
-    receiver_lists: dict[int, tuple[int, ...]] = {}
+    receiver_ones: dict[int, int] = {}
     for k in range(2, receiver_count + 2):
         coins = [0] * sixth + [1] * sixth
         rng.shuffle(coins)
-        bits = list(trits)
-        for pos, coin in zip(discord, coins):
-            bits[pos] = coin
-        receiver_lists[k] = tuple(bits)
-    return Segment(length=m, sender_list=tuple(trits), receiver_lists=receiver_lists)
+        receiver_ones[k] = ones | mask_of(compress(discord, coins), m)
+    return Segment(length=m, sender_zeros=zeros, sender_ones=ones, receiver_ones=receiver_ones)
 
 
 def verify_segment(seg: Segment) -> list[Violation]:
     """Check every structural property; an empty report means a valid segment.
 
-    Properties, by number:
-      1. all lists share the declared length, a positive multiple of 6
-      2. sender symbols lie in {0,1,2} with exactly m/3 of each
-      3. receiver symbols lie in {0,1}
-      4. receivers copy the sender's 0/1 entries exactly
-      5. every receiver holds a bit wherever the sender holds 2
-      6. each receiver's discord bits are balanced: m/6 zeros and m/6 ones
+    Properties, by number, with s0/s1 the sender's masks, r a receiver's
+    1-mask and discord the list positions in neither s0 nor s1:
+      1. the declared length m is a positive multiple of 6 and the sender's
+         masks hold no position outside 0..m-1
+      2. s0 and s1 are disjoint and hold m/3 positions each, so the
+         discord positions number m/3 too
+      3. r holds no position outside 0..m-1, so every entry is a bit
+      4. receivers copy the sender's 0/1 entries: r & (s0 | s1) == s1
+      5. every receiver holds a bit wherever the sender holds 2; a 1-mask
+         over 0..m-1 gives every position a bit, so 3 implies it
+      6. each receiver's discord bits are balanced:
+         (r & discord).bit_count() == m/6
 
     Malformed input is reported, never raised; verification runs on data
     that arrives over a channel.
     """
     out: list[Violation] = []
     m = seg.length
+    full = (1 << max(m, 0)) - 1
+    s0, s1 = seg.sender_zeros, seg.sender_ones
     if m <= 0 or m % 6 != 0:
         out.append(Violation(1, f"declared length {m} is not a positive multiple of 6"))
-    if len(seg.sender_list) != m:
-        out.append(Violation(1, f"sender list has length {len(seg.sender_list)}, expected {m}"))
-    for k, bits in sorted(seg.receiver_lists.items()):
-        if len(bits) != m:
-            out.append(Violation(1, f"receiver {k} list has length {len(bits)}, expected {m}"))
+    for name, mask in (("0-mask", s0), ("1-mask", s1)):
+        if mask < 0 or mask & ~full:
+            out.append(Violation(1, f"sender {name} {mask:#x} reaches outside positions 0..{m - 1}"))
 
-    bad = [j for j, v in enumerate(seg.sender_list) if v not in (0, 1, DISCORD)]
-    if bad:
-        out.append(Violation(2, f"sender list holds non-trit symbols at positions {bad}"))
-    elif m > 0 and m % 6 == 0 and len(seg.sender_list) == m:
-        counts = [seg.sender_list.count(v) for v in (0, 1, DISCORD)]
-        if counts != [m // 3] * 3:
-            out.append(
-                Violation(2, f"sender counts 0/1/2 are {counts[0]}/{counts[1]}/{counts[2]}, expected {m // 3} each")
-            )
+    s0, s1 = s0 & full, s1 & full  # positional properties only make sense on the list
+    if s0 & s1:
+        out.append(Violation(2, f"sender holds both 0 and 1 at positions {mask_positions(s0 & s1)}"))
+    elif m > 0 and m % 6 == 0 and (s0.bit_count(), s1.bit_count()) != (m // 3, m // 3):
+        out.append(Violation(2, f"sender counts 0/1 are {s0.bit_count()}/{s1.bit_count()}, expected {m // 3} each"))
 
-    for k, bits in sorted(seg.receiver_lists.items()):
-        bad = [j for j, v in enumerate(bits) if v not in (0, 1)]
-        if bad:
-            out.append(Violation(3, f"receiver {k} holds non-bit symbols at positions {bad}"))
-
-    # Positional properties only make sense where both lists have an entry.
-    for k, bits in sorted(seg.receiver_lists.items()):
-        span = min(len(seg.sender_list), len(bits))
-        mismatched = [j for j in range(span) if seg.sender_list[j] in (0, 1) and bits[j] != seg.sender_list[j]]
-        if mismatched:
+    discord = full & ~(s0 | s1)
+    for k, r in sorted(seg.receiver_ones.items()):
+        if r < 0 or r & ~full:
+            out.append(Violation(3, f"receiver {k} 1-mask {r:#x} reaches outside positions 0..{m - 1}"))
+        if r & (s0 | s1) != s1:
+            mismatched = mask_positions((r ^ s1) & (s0 | s1))
             out.append(Violation(4, f"receiver {k} disagrees with the sender's fixed entries at {mismatched}"))
-        discord = [j for j in range(span) if seg.sender_list[j] == DISCORD]
-        nonbit = [j for j in discord if bits[j] not in (0, 1)]
-        if nonbit:
-            out.append(Violation(5, f"receiver {k} holds no bit at discord positions {nonbit}"))
-        else:
-            zeros = sum(1 for j in discord if bits[j] == 0)
-            ones = len(discord) - zeros
-            if zeros != ones:
-                out.append(Violation(6, f"receiver {k} discord bits are {zeros} zeros / {ones} ones, expected equal counts"))
+        ones = (r & discord).bit_count()
+        if ones != m // 6:
+            zeros = discord.bit_count() - ones
+            out.append(Violation(6, f"receiver {k} discord bits are {zeros} zeros / {ones} ones, expected equal counts"))
     return out
 
 
-def combine_segments(party: int, slices: Sequence[Sequence[int]]) -> CombinedList:
-    """Concatenate one party's per-distributor slices, first distributor first.
+def concat_masks(masks: Sequence[int], m: int) -> int:
+    """One mask from per-segment masks of ``m`` bits each, mask i at bits ``i*m`` and up."""
+    out = 0
+    for i, mask in enumerate(masks):
+        out |= mask << (i * m)
+    return out
 
-    Rejects empty input, mismatched slice lengths, and symbols outside the
-    party's domain ({0,1,2} for the sender, {0,1} for receivers).
+
+def combine_segments(party: int, segments: Sequence[Segment]) -> CombinedList:
+    """Concatenate one party's lists from ``segments``, first distributor first.
+
+    Rejects empty input and segments of different lengths.
     """
-    if not slices:
-        raise ValueError("need at least one segment slice")
-    lengths = {len(s) for s in slices}
+    if not segments:
+        raise ValueError("need at least one segment")
+    lengths = {seg.length for seg in segments}
     if len(lengths) != 1:
-        raise ValueError(f"slices must share one length, got {sorted(lengths)}")
-    allowed = {0, 1, DISCORD} if party == SENDER else {0, 1}
-    for i, s in enumerate(slices):
-        bad = sorted(set(s) - allowed)
-        if bad:
-            raise ValueError(f"slice {i} holds symbols {bad} outside party {party}'s domain {sorted(allowed)}")
-    return CombinedList(party=party, entries=tuple(v for s in slices for v in s))
+        raise ValueError(f"segments must share one length, got {sorted(lengths)}")
+    m = segments[0].length
+    total = m * len(segments)
+    if party == SENDER:
+        zeros = concat_masks([seg.sender_zeros for seg in segments], m)
+        ones = concat_masks([seg.sender_ones for seg in segments], m)
+    else:
+        ones = concat_masks([seg.receiver_ones[party] for seg in segments], m)
+        zeros = ((1 << total) - 1) ^ ones
+    return CombinedList(party=party, length=total, zeros=zeros, ones=ones)
 
 
 def combined_lists_from_segments(segments: Sequence[Segment]) -> dict[int, CombinedList]:
@@ -180,13 +218,11 @@ def combined_lists_from_segments(segments: Sequence[Segment]) -> dict[int, Combi
         if seg.receiver_indices != first:
             raise ValueError(f"segments disagree on receiver indices: {first} vs {seg.receiver_indices}")
     parties = (SENDER, *first)
-    return {p: combine_segments(p, [seg.party_slice(p) for seg in segments]) for p in parties}
+    return {p: combine_segments(p, segments) for p in parties}
 
 
-def positions_of(sender_list: CombinedList, bit: int) -> tuple[int, ...]:
-    """All positions of ``bit`` on the sender's combined list, ascending."""
+def positions_of(sender_list: CombinedList, bit: int) -> int:
+    """The mask of every position of ``bit`` on the sender's combined list."""
     if sender_list.party != SENDER:
         raise ValueError(f"expected the sender's combined list, got party {sender_list.party}")
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return tuple(j for j, v in enumerate(sender_list.entries) if v == bit)
+    return sender_list.mask(bit)

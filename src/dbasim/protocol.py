@@ -6,23 +6,31 @@ receiver checks the claim against its own list and either relays it or
 reports an inconsistency; finally each receiver decides from the full set of
 round-two messages.  Decisions are detectable-agreement outputs: a bit, or
 an explicit abort.
+
+A claim is a bit plus a position mask (bit j set: position j is claimed),
+so the paper's check, claimed positions inside the receiver's own positions
+of that bit, is one AND against the receiver's mask for the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Mapping, Optional, Union
 
-from .listgen import CombinedList, positions_of
+from .listgen import CombinedList, mask_positions, positions_of
 
 
 @dataclass(frozen=True)
 class Claim:
-    """A bit plus the positions said to carry it on the sender's list."""
+    """A bit plus the mask of the positions said to carry it on the sender's list."""
 
     bit: int
-    positions: tuple[int, ...]
+    mask: int
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        """The claimed positions, ascending, as transcripts show them."""
+        return tuple(mask_positions(self.mask))
 
 
 class Bot:
@@ -54,35 +62,24 @@ DECIDE_RULES = ("literal", "merged")
 
 
 def make_claim(bit: int, sender_list: CombinedList) -> Claim:
-    """The honest sender's claim for ``bit``: all of its positions, ascending."""
-    return Claim(bit=bit, positions=positions_of(sender_list, bit))
+    """The honest sender's claim for ``bit``: every position of it on the sender's list."""
+    return Claim(bit=bit, mask=positions_of(sender_list, bit))
 
 
 def check_claim(claim: Claim, own_list: CombinedList) -> bool:
     """True iff ``claim`` is consistent with ``own_list``.
 
-    Consistency requires exactly len/3 distinct in-range positions, every
-    one of them carrying the claimed bit on ``own_list``.  Honest claims
-    always have exactly len/3 positions, so the length rule rejects padding
-    and truncation without ever rejecting an honest claim; in particular an
-    empty position list is not vacuously consistent.
+    Consistency requires exactly len/3 claimed positions, every one of them
+    carrying the claimed bit on ``own_list``; a position at or beyond the
+    list's end carries no bit.  Honest claims always have exactly len/3
+    positions, so the count rule rejects padding and truncation without ever
+    rejecting an honest claim; in particular an empty claim is not vacuously
+    consistent.
     """
     if claim.bit not in (0, 1):
         return False
-    entries = own_list.entries
-    total = len(entries)
-    pos = claim.positions
-    n = len(pos)
-    if n != total // 3 or len(set(pos)) != n:
-        return False
-    if n == 0:
-        return True  # a list shorter than 3 asks for no positions
-    if min(pos) < 0 or max(pos) >= total:
-        return False
-    values = itemgetter(*pos)(entries)
-    if n == 1:  # itemgetter of one index returns the value itself
-        return values == claim.bit
-    return values.count(claim.bit) == n
+    mask = claim.mask
+    return mask.bit_count() == own_list.length // 3 and not mask & ~own_list.mask(claim.bit)
 
 
 def relay_step(received: Optional[Message], own_list: CombinedList) -> Message:

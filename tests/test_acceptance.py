@@ -189,7 +189,7 @@ def test_criterion_7_list_properties_at_random_sizes():
         if any(verify_segment(seg) for seg in segs):
             bad_segments += 1
         sender = combined_lists_from_segments(segs)[1]
-        if any(len(positions_of(sender, bit)) != d * m // 3 for bit in (0, 1)):
+        if any(positions_of(sender, bit).bit_count() != d * m // 3 for bit in (0, 1)):
             bad_positions += 1
     ok = bad_segments == 0 and bad_positions == 0
     _verdict(7, "list structure at 1000 random sizes", ok, f"violations: {bad_segments} / {bad_positions}")

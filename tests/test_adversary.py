@@ -22,8 +22,9 @@ from dbasim.adversary import (
     resolve_bribes,
     split_sender_claims,
 )
-from dbasim.listgen import CombinedList, combined_lists_from_segments, generate_segment
+from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_positions
 from dbasim.protocol import BOT, Claim, check_claim, make_claim
+from symbols import bits, combined, entries
 
 
 def _setup(m=12, d=2, receivers=3, seed=0):
@@ -89,26 +90,27 @@ def test_spec_rejects_unknown_strategy_names():
 def test_no_bribes_yields_only_own_data():
     segs, lists = _setup()
     spec = AdversarySpec(controlled=frozenset({4}))
-    know = resolve_bribes(spec, random.Random(0), segs)
+    know = resolve_bribes(spec, random.Random(0), segs, lists)
     assert know.disclosed == {}
     assert not know.full_disclosure
     assert list(know.own_lists) == [4]
-    assert know.own_lists[4] == lists[4]
-    assert know.known_positions(2, 0) == [] and know.known_positions(2, 1) == []
+    assert know.own_lists[4] is lists[4]
+    assert know.known_positions(2, 0) == 0 and know.known_positions(2, 1) == 0
+    assert know.covered() == 0
 
 
 def test_unbribed_distributors_never_leak():
-    segs, _ = _setup(d=3)
+    segs, lists = _setup(d=3)
     spec = AdversarySpec(bribed=frozenset({5}), disclosure_probability=0.9)
     for seed in range(200):
-        know = resolve_bribes(spec, random.Random(seed), segs)
+        know = resolve_bribes(spec, random.Random(seed), segs, lists)
         assert set(know.disclosed) <= {5}
 
 
 def test_full_knowledge_frequency_tracks_the_coin_product():
-    segs, _ = _setup(d=3)
+    segs, lists = _setup(d=3)
     spec = AdversarySpec(controlled=frozenset({4}), bribed=frozenset({5, 6, 7}), disclosure_probability=0.5)
-    hits = sum(resolve_bribes(spec, random.Random(seed), segs).full_disclosure for seed in range(4000))
+    hits = sum(resolve_bribes(spec, random.Random(seed), segs, lists).full_disclosure for seed in range(4000))
     assert abs(hits / 4000 - 0.125) < 0.02
 
 
@@ -116,21 +118,21 @@ def test_disclosed_segments_reveal_every_party_exactly():
     segs, lists = _setup(m=6, d=2)
     know = _knowledge(segs, disclosed=sorted(segs))
     assert know.full_disclosure
-    # the three symbols' positions together cover every position, so this
-    # pins each party's value everywhere, the sender's discord entries too
+    assert know.covered() == (1 << 12) - 1
+    # the 0- and 1-masks pin each party's value everywhere, the sender's
+    # discord entries too: they are the positions in neither mask
     for party in (1, 2, 3, 4):
-        for bit in (0, 1, 2):
-            expected = [x for x in range(12) if lists[party].entries[x] == bit]
-            assert know.known_positions(party, bit) == expected
+        for bit in (0, 1):
+            assert know.known_positions(party, bit) == lists[party].mask(bit)
 
 
 def test_partial_disclosure_covers_only_that_segment():
     segs, lists = _setup(m=6, d=2)
     first = sorted(segs)[0]
     know = _knowledge(segs, disclosed=[first])
-    assert know.covered_ordinals() == frozenset({0})
+    assert know.covered() == (1 << 6) - 1
     for bit in (0, 1):
-        assert know.known_positions(2, bit) == [x for x in range(6) if lists[2].entries[x] == bit]
+        assert know.known_positions(2, bit) == lists[2].mask(bit) & know.covered()
 
 
 # --- controlled-sender claim splitting ----------------------------------------
@@ -144,14 +146,6 @@ def test_split_claims_are_individually_consistent_everywhere():
     for claim in claims.values():
         for k in (2, 3, 4):
             assert check_claim(claim, lists[k])
-
-
-def test_split_claim_with_none_forces_a_length_failure():
-    segs, lists = _setup()
-    claims = split_sender_claims(lists[1], {2: None})
-    assert len(claims[2].positions) == len(lists[1].entries) // 3 - 1
-    for k in (2, 3, 4):
-        assert not check_claim(claims[2], lists[k])
 
 
 # --- forging ------------------------------------------------------------------
@@ -169,11 +163,10 @@ def test_forge_success_two_thirds_by_hand_enumeration():
     assert candidates == [1, 2, 4]
     good = total = 0
     for target_one in ((2,), (5,)):
-        bits = tuple(1 if (sender[j] == 1 or j in target_one) else 0 for j in range(6))
-        target = CombinedList(party=3, entries=bits)
+        target = combined(3, tuple(1 if (sender[j] == 1 or j in target_one) else 0 for j in range(6)))
         for pair in itertools.combinations(candidates, 2):
             total += 1
-            good += check_claim(Claim(1, tuple(sorted(pair))), target)
+            good += check_claim(Claim(1, bits(pair)), target)
     assert Fraction(good, total) == Fraction(2, 3)
     assert forge_success_oracle(6, 1) == Fraction(2, 3)
 
@@ -222,43 +215,49 @@ def test_heuristic_is_the_power_of_one_half():
     assert forge_heuristic(12, 2) == 0.5**8
 
 
+def _forge_one(bit, own, sender_claim, know, target, rng):
+    return forge_claim(bit, own, sender_claim, know, (target,), rng)[target]
+
+
 def test_forged_claim_is_wellformed_and_on_candidates():
     segs, lists = _setup(m=12, d=2)
     know = _knowledge(segs, controlled=(4,))
     sender_claim = make_claim(0, lists[1])
     for seed in range(30):
-        claim = forge_claim(1, lists[4], sender_claim, know, target=2, rng=random.Random(seed))
+        claim = _forge_one(1, lists[4], sender_claim, know, 2, random.Random(seed))
         assert claim.bit == 1
         assert len(claim.positions) == 8
-        assert len(set(claim.positions)) == 8
-        assert all(lists[4].entries[x] == 1 for x in claim.positions)
-        assert not set(claim.positions) & set(sender_claim.positions)
+        assert not claim.mask & ~lists[4].ones  # every position holds 1 on the forger's list
+        assert not claim.mask & sender_claim.mask
 
 
 def test_forge_with_full_knowledge_always_passes():
     for seed in range(20):
         segs, lists = _setup(m=12, d=2, seed=seed)
         know = _knowledge(segs, disclosed=sorted(segs), controlled=(4,))
-        claim = forge_claim(1, lists[4], make_claim(0, lists[1]), know, target=2, rng=random.Random(seed))
+        claim = _forge_one(1, lists[4], make_claim(0, lists[1]), know, 2, random.Random(seed))
         assert check_claim(claim, lists[2])
+        # the lowest eight of the target's twelve known 1-positions
+        assert claim.positions == tuple(mask_positions(lists[2].ones)[:8])
 
 
 def test_forge_uses_known_positions_before_guessing():
     segs, lists = _setup(m=6, d=2)
     first = sorted(segs)[0]
     know = _knowledge(segs, disclosed=[first], controlled=(4,))
-    claim = forge_claim(1, lists[4], make_claim(0, lists[1]), know, target=2, rng=random.Random(1))
-    known_good = set(know.known_positions(2, 1))
+    claim = _forge_one(1, lists[4], make_claim(0, lists[1]), know, 2, random.Random(1))
+    known_good = know.known_positions(2, 1)
     # every known-good position is used (3 available, 4 needed)
-    assert known_good <= set(claim.positions)
-    assert all(x >= 6 for x in set(claim.positions) - known_good)
+    assert known_good.bit_count() == 3
+    assert not known_good & ~claim.mask
+    assert all(x >= 6 for x in mask_positions(claim.mask & ~known_good))
 
 
 def test_forge_is_deterministic_in_the_stream():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(4,))
-    a = forge_claim(1, lists[4], None, know, target=2, rng=random.Random(9))
-    b = forge_claim(1, lists[4], None, know, target=2, rng=random.Random(9))
+    a = forge_claim(1, lists[4], None, know, (2, 3), rng=random.Random(9))
+    b = forge_claim(1, lists[4], None, know, (2, 3), rng=random.Random(9))
     assert a == b
 
 
@@ -267,18 +266,69 @@ def test_forge_draws_cover_all_candidate_subsets():
     segs, lists = _setup(m=6, d=1)
     know = _knowledge(segs, controlled=(4,))
     sender_claim = make_claim(0, lists[1])
-    seen = {forge_claim(1, lists[4], sender_claim, know, 2, random.Random(s)).positions for s in range(200)}
+    seen = {_forge_one(1, lists[4], sender_claim, know, 2, random.Random(s)).positions for s in range(200)}
     assert len(seen) == 3
 
 
 def test_forge_stays_wellformed_when_candidates_run_dry():
-    own = CombinedList(party=4, entries=(1, 1, 0, 0, 1, 0))
-    starving = Claim(0, (0, 1, 4))  # covers every position the forger holds 1 on
-    claim = forge_claim(1, own, starving, None, target=2, rng=random.Random(3))
-    assert claim.bit == 1
-    assert len(claim.positions) == 2
-    assert len(set(claim.positions)) == 2
-    assert all(0 <= x < 6 for x in claim.positions)
+    own = combined(4, (1, 1, 0, 0, 1, 0))
+    starving = Claim(0, bits((0, 1, 4)))  # covers every position the forger holds 1 on
+    claims = forge_claim(1, own, starving, None, (2, 3), rng=random.Random(3))
+    for claim in claims.values():
+        assert claim.bit == 1
+        assert len(claim.positions) == 2
+        assert all(0 <= x < 6 for x in claim.positions)
+
+
+def _reference_forge(bit, own_entries, sender_claim, know, target_entries, rng):
+    """The forging rule for one target, position by position, as the reference for forge_claim."""
+    total = len(own_entries)
+    need = total // 3
+    m = know.segment_length
+    covered = {i for i, dist in enumerate(know.distributors) if dist in know.disclosed}
+    picked = [x for x in range(total) if x // m in covered and target_entries[x] == bit][:need]
+    if len(picked) < need:
+        excluded = set(sender_claim.positions) if sender_claim is not None else set()
+        pool = [x for x in range(total) if x // m not in covered and own_entries[x] == bit and x not in excluded]
+        fill = need - len(picked)
+        take = min(fill, len(pool))
+        picked += rng.sample(pool, take)
+        if take < fill:
+            picked += rng.sample([x for x in range(total) if x not in picked], fill - take)
+    return Claim(bit, bits(picked))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([6, 12]),
+    d=st.integers(1, 3),
+    leaked=st.lists(st.booleans(), min_size=3, max_size=3),
+    sender=st.sampled_from(["honest-0", "honest-1", "none", "starving"]),
+    targets=st.lists(st.sampled_from([2, 3, 5, 6]), min_size=1, max_size=4, unique=True),
+)
+def test_one_forge_call_equals_a_loop_of_single_target_calls(seed, m, d, leaked, sender, targets):
+    segs, lists = _setup(m=m, d=d, receivers=5, seed=seed)
+    know = _knowledge(segs, disclosed=[k for k, leak in zip(sorted(segs), leaked) if leak], controlled=(4,))
+    bit = 0 if sender == "honest-1" else 1
+    sender_claim = {
+        "honest-0": make_claim(0, lists[1]),
+        "honest-1": make_claim(1, lists[1]),
+        "none": None,
+        # every position of the forged bit on the forger's list: the pool runs dry
+        "starving": Claim(0, lists[4].mask(1)),
+    }[sender]
+    together = random.Random(seed)
+    claims = forge_claim(bit, lists[4], sender_claim, know, targets, together)
+    one_by_one = random.Random(seed)
+    singles = {k: _forge_one(bit, lists[4], sender_claim, know, k, one_by_one) for k in sorted(targets)}
+    by_position = random.Random(seed)
+    own_entries = entries(lists[4])
+    reference = {
+        k: _reference_forge(bit, own_entries, sender_claim, know, entries(lists[k]), by_position) for k in sorted(targets)
+    }
+    assert claims == singles == reference
+    assert together.getstate() == one_by_one.getstate() == by_position.getstate()
 
 
 # --- strategy dispatch ---------------------------------------------------------
@@ -404,7 +454,7 @@ def test_strategy_tables_mark_forging_capability():
 def test_forged_claims_never_reference_out_of_range_positions(seed, m, bit):
     segs, lists = _setup(m=m, d=1, seed=seed)
     know = _knowledge(segs, controlled=(4,))
-    claim = forge_claim(bit, lists[4], None, know, target=3, rng=random.Random(seed))
-    total = len(lists[4].entries)
+    claim = _forge_one(bit, lists[4], None, know, 3, random.Random(seed))
+    total = lists[4].length
     assert len(claim.positions) == total // 3
     assert all(0 <= x < total for x in claim.positions)

@@ -40,6 +40,17 @@ def test_empty_document_yields_the_defaults():
     assert build_config(s.base) == SimConfig()
 
 
+def test_parsed_scenarios_share_no_mutable_default():
+    first, second = parse_config({}), parse_config({})
+    for key, value in first.base.items():
+        # a value both parses hold must be immutable (hashable), so changing
+        # one parsed scenario cannot change the defaults of the next
+        assert value is not second.base[key] or isinstance(value, (int, float, str, tuple)), key
+    with pytest.raises(AttributeError):
+        first.base["controlled"].append(4)
+    assert build_config(parse_config({}).base) == SimConfig()
+
+
 def test_unknown_keys_are_named():
     with pytest.raises(ValueError, match=r"unknown config keys \['segmentlen'\]"):
         parse_config({"segmentlen": 6})

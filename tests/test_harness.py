@@ -26,7 +26,7 @@ from dbasim.harness import (
     run_trial,
     wilson_interval,
 )
-from dbasim.listgen import generate_segment
+from dbasim.listgen import generate_segment, mask_of, mask_positions
 from dbasim.protocol import ABORT, Decision
 
 
@@ -312,17 +312,14 @@ def _run_redrawn(monkeypatch, cfg, trial, salts):
         if dist not in salts:
             return seg
         perturb = derive_rng(cfg.master_seed, trial, "perturb", dist, salts[dist])
-        discord = seg.discord_positions
+        discord = mask_positions(((1 << m) - 1) & ~(seg.sender_zeros | seg.sender_ones))
         sixth = len(discord) // 2
-        lists = dict(seg.receiver_lists)
+        ones = dict(seg.receiver_ones)
         for k in honest_receivers:
             coins = [0] * sixth + [1] * sixth
             perturb.shuffle(coins)
-            bits = list(lists[k])
-            for pos, coin in zip(discord, coins):
-                bits[pos] = coin
-            lists[k] = tuple(bits)
-        return dataclasses.replace(seg, receiver_lists=lists)
+            ones[k] = seg.sender_ones | mask_of((pos for pos, coin in zip(discord, coins) if coin), m)
+        return dataclasses.replace(seg, receiver_ones=ones)
 
     with monkeypatch.context() as patch:
         patch.setattr(dbasim.harness, "generate_segment", redrawn)

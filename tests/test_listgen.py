@@ -11,9 +11,12 @@ from dbasim.listgen import (
     combine_segments,
     combined_lists_from_segments,
     generate_segment,
+    mask_of,
+    mask_positions,
     positions_of,
     verify_segment,
 )
+from symbols import bits, entries
 
 LENGTHS = st.sampled_from([6, 12, 18, 24, 30, 60])
 
@@ -26,18 +29,31 @@ def test_generated_segment_passes_every_check(m, receivers, seed):
     assert seg.receiver_indices == tuple(range(2, receivers + 2))
 
 
+def _discord(seg):
+    """The sender's discord positions, ascending."""
+    return mask_positions(((1 << seg.length) - 1) & ~(seg.sender_zeros | seg.sender_ones))
+
+
+def _symbols(seg, party):
+    """``party``'s list in ``seg``, one symbol per position."""
+    zeros, ones = seg.party_masks(party)
+    return tuple(0 if zeros >> j & 1 else 1 if ones >> j & 1 else DISCORD for j in range(seg.length))
+
+
 def test_generated_segment_structure():
     seg = generate_segment(12, 3, random.Random(7))
-    assert len(seg.sender_list) == 12
+    sender = _symbols(seg, 1)
     for v in (0, 1, DISCORD):
-        assert seg.sender_list.count(v) == 4
-    for k, bits in seg.receiver_lists.items():
-        assert set(bits) <= {0, 1}
+        assert sender.count(v) == 4
+    for k in seg.receiver_indices:
+        row = _symbols(seg, k)
+        assert set(row) <= {0, 1}
+        assert seg.receiver_ones[k] >> 12 == 0
         # fixed entries copied, discord entries balanced
-        for j, v in enumerate(seg.sender_list):
+        for j, v in enumerate(sender):
             if v in (0, 1):
-                assert bits[j] == v
-        discord_bits = [bits[j] for j in seg.discord_positions]
+                assert row[j] == v
+        discord_bits = [row[j] for j in _discord(seg)]
         assert discord_bits.count(0) == 2 and discord_bits.count(1) == 2
 
 
@@ -54,8 +70,7 @@ def test_receivers_draw_independent_discord_bits():
     differ = 0
     for seed in range(50):
         seg = generate_segment(12, 3, random.Random(seed))
-        d = seg.discord_positions
-        differ += any(seg.receiver_lists[2][j] != seg.receiver_lists[3][j] for j in d)
+        differ += bool(bits(_discord(seg)) & (seg.receiver_ones[2] ^ seg.receiver_ones[3]))
     assert differ > 25
 
 
@@ -76,77 +91,77 @@ def _valid_segment():
 
 def test_verify_reports_length_mismatch():
     seg = _valid_segment()
-    broken = Segment(length=12, sender_list=seg.sender_list, receiver_lists=seg.receiver_lists)
-    props = {v.prop for v in verify_segment(broken)}
-    assert 1 in props
+    # a declared length that is no multiple of 6
+    broken = Segment(7, seg.sender_zeros, seg.sender_ones, seg.receiver_ones)
+    assert 1 in {v.prop for v in verify_segment(broken)}
+    # a sender position at the declared length, one past the list's end
+    broken = Segment(6, seg.sender_zeros, seg.sender_ones | 1 << 6, seg.receiver_ones)
+    assert 1 in {v.prop for v in verify_segment(broken)}
 
 
 def test_verify_reports_unbalanced_sender_symbols():
     seg = _valid_segment()
-    entries = list(seg.sender_list)
-    i0 = entries.index(0)
-    i1 = entries.index(1)
-    entries[i0] = 1
-    fixed = {k: tuple(1 if j == i0 else v for j, v in enumerate(bits)) for k, bits in seg.receiver_lists.items()}
-    broken = Segment(length=6, sender_list=tuple(entries), receiver_lists=fixed)
+    i0 = mask_positions(seg.sender_zeros)[0]
+    i1 = mask_positions(seg.sender_ones)[0]
+    # one sender 0 turned into a 1, receivers following
+    fixed = {k: r | 1 << i0 for k, r in seg.receiver_ones.items()}
+    broken = Segment(6, seg.sender_zeros & ~(1 << i0), seg.sender_ones | 1 << i0, fixed)
     assert 2 in {v.prop for v in verify_segment(broken)}
-    entries[i0] = 0
-    entries[i1] = 9
-    broken = Segment(length=6, sender_list=tuple(entries), receiver_lists=seg.receiver_lists)
+    # one position holding both 0 and 1
+    broken = Segment(6, seg.sender_zeros | 1 << i1, seg.sender_ones, seg.receiver_ones)
     assert 2 in {v.prop for v in verify_segment(broken)}
 
 
 def test_verify_reports_receiver_symbol_outside_bits():
     seg = _valid_segment()
-    bits = list(seg.receiver_lists[2])
-    bits[0] = DISCORD
-    broken = Segment(length=6, sender_list=seg.sender_list, receiver_lists={2: tuple(bits), 3: seg.receiver_lists[3]})
-    assert 3 in {v.prop for v in verify_segment(broken)}
+    for bad in (seg.receiver_ones[2] | 1 << 6, -1):
+        broken = Segment(6, seg.sender_zeros, seg.sender_ones, {2: bad, 3: seg.receiver_ones[3]})
+        assert 3 in {v.prop for v in verify_segment(broken)}
 
 
 def test_verify_reports_fixed_entry_mismatch():
     seg = _valid_segment()
-    j = seg.sender_list.index(0)
-    bits = list(seg.receiver_lists[2])
-    bits[j] = 1
-    broken = Segment(length=6, sender_list=seg.sender_list, receiver_lists={2: tuple(bits), 3: seg.receiver_lists[3]})
+    j = mask_positions(seg.sender_zeros)[0]
+    broken = Segment(6, seg.sender_zeros, seg.sender_ones, {2: seg.receiver_ones[2] | 1 << j, 3: seg.receiver_ones[3]})
     assert 4 in {v.prop for v in verify_segment(broken)}
 
 
 def test_verify_reports_unbalanced_discord_bits():
     seg = _valid_segment()
-    d = seg.discord_positions
-    bits = list(seg.receiver_lists[2])
-    bits[d[0]] = bits[d[1]]  # both discord bits equal -> unbalanced
-    broken = Segment(length=6, sender_list=seg.sender_list, receiver_lists={2: tuple(bits), 3: seg.receiver_lists[3]})
+    d = _discord(seg)
+    broken = Segment(6, seg.sender_zeros, seg.sender_ones, {2: seg.sender_ones | bits(d), 3: seg.receiver_ones[3]})
     assert 6 in {v.prop for v in verify_segment(broken)}
 
 
-def test_verify_accepts_handcrafted_valid_segment():
-    seg = Segment(
-        length=6,
-        sender_list=(0, 1, 2, 0, 1, 2),
-        receiver_lists={2: (0, 1, 0, 0, 1, 1), 3: (0, 1, 1, 0, 1, 0)},
+def _handcrafted(m, sender, receivers):
+    """A Segment from symbol tuples: the sender's over {0, 1, 2}, each receiver's over {0, 1}."""
+    return Segment(
+        length=m,
+        sender_zeros=bits(j for j, v in enumerate(sender) if v == 0),
+        sender_ones=bits(j for j, v in enumerate(sender) if v == 1),
+        receiver_ones={k: bits(j for j, v in enumerate(row) if v == 1) for k, row in receivers.items()},
     )
+
+
+def test_verify_accepts_handcrafted_valid_segment():
+    seg = _handcrafted(6, (0, 1, 2, 0, 1, 2), {2: (0, 1, 0, 0, 1, 1), 3: (0, 1, 1, 0, 1, 0)})
+    assert seg.receiver_ones == {2: bits((1, 4, 5)), 3: bits((1, 2, 4))}
     assert verify_segment(seg) == []
 
 
 def test_combine_segments_concatenates_in_order():
-    combined = combine_segments(2, [(0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0)])
+    first = _handcrafted(6, (0, 1, 2, 0, 1, 2), {2: (0, 1, 0, 0, 1, 1), 3: (0, 1, 1, 0, 1, 0)})
+    second = _handcrafted(6, (1, 1, 2, 0, 2, 0), {2: (1, 1, 0, 0, 1, 0), 3: (1, 1, 1, 0, 0, 0)})
+    combined = combine_segments(2, [first, second])
     assert combined.party == 2
-    assert combined.entries == (0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0)
+    assert entries(combined) == (0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0)
     assert len(combined) == 12
-
-
-def test_combine_segments_allows_discord_only_for_the_sender():
-    combine_segments(1, [(0, 1, 2, 0, 1, 2)])
-    with pytest.raises(ValueError, match="domain"):
-        combine_segments(2, [(0, 1, 2, 0, 1, 2)])
+    assert entries(combine_segments(1, [first, second])) == (0, 1, 2, 0, 1, 2, 1, 1, 2, 0, 2, 0)
 
 
 def test_combine_segments_rejects_mismatched_lengths_and_empty():
     with pytest.raises(ValueError, match="share one length"):
-        combine_segments(1, [(0, 1, 2, 0, 1, 2), (0, 1, 2)])
+        combine_segments(1, [generate_segment(6, 2, random.Random(1)), generate_segment(12, 2, random.Random(2))])
     with pytest.raises(ValueError, match="at least one"):
         combine_segments(1, [])
 
@@ -155,8 +170,8 @@ def test_combined_lists_cover_every_party():
     segs = [generate_segment(6, 3, random.Random(s)) for s in (1, 2)]
     lists = combined_lists_from_segments(segs)
     assert sorted(lists) == [1, 2, 3, 4]
-    assert lists[1].entries == segs[0].sender_list + segs[1].sender_list
-    assert lists[3].entries == segs[0].receiver_lists[3] + segs[1].receiver_lists[3]
+    assert entries(lists[1]) == _symbols(segs[0], 1) + _symbols(segs[1], 1)
+    assert entries(lists[3]) == _symbols(segs[0], 3) + _symbols(segs[1], 3)
 
 
 def test_combined_lists_reject_disagreeing_receiver_sets():
@@ -174,10 +189,9 @@ def test_sender_bit_positions_always_cover_a_third(m, d, seed):
     sender = combined_lists_from_segments(segs)[1]
     total = d * m
     for bit in (0, 1):
-        pos = positions_of(sender, bit)
+        pos = mask_positions(positions_of(sender, bit))
         assert len(pos) == total // 3
-        assert list(pos) == sorted(pos)
-        assert all(sender.entries[x] == bit for x in pos)
+        assert pos == [x for x, v in enumerate(entries(sender)) if v == bit]
 
 
 def test_positions_of_rejects_non_sender_lists_and_bad_bits():
@@ -186,3 +200,12 @@ def test_positions_of_rejects_non_sender_lists_and_bad_bits():
         positions_of(lists[2], 1)
     with pytest.raises(ValueError, match="bit must be 0 or 1"):
         positions_of(lists[1], 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), length=st.integers(0, 300))
+def test_masks_and_positions_convert_both_ways(data, length):
+    positions = data.draw(st.sets(st.integers(0, max(length - 1, 0)), max_size=length))
+    mask = mask_of(positions, length)
+    assert mask == bits(positions)
+    assert mask_positions(mask) == sorted(positions)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbasim.listgen import CombinedList, combined_lists_from_segments, generate_segment
+from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_positions
 from dbasim.protocol import (
     ABORT,
     BOT,
@@ -19,21 +19,28 @@ from dbasim.protocol import (
     render_message,
     sender_decision,
 )
+from symbols import bits, combined, entries
 
 # two positions per bit, four distinct consistent claims available
-OWN = CombinedList(party=2, entries=(0, 1, 0, 1, 0, 1))
+OWN = combined(2, (0, 1, 0, 1, 0, 1))
 
-GOOD_1 = Claim(1, (1, 3))
-GOOD_0 = Claim(0, (0, 2))
-BAD_1 = Claim(1, (0, 1))  # position 0 holds 0
+
+def at(bit, *positions):
+    """The claim of ``bit`` at the given distinct positions."""
+    return Claim(bit, bits(positions))
+
+
+GOOD_1 = at(1, 1, 3)
+GOOD_0 = at(0, 0, 2)
+BAD_1 = at(1, 0, 1)  # position 0 holds 0
 
 
 def test_make_claim_lists_every_position_of_the_bit():
     lists = combined_lists_from_segments([generate_segment(12, 3, random.Random(2)) for _ in range(2)])
     claim = make_claim(1, lists[1])
     assert claim.bit == 1
+    assert claim.positions == tuple(x for x, v in enumerate(entries(lists[1])) if v == 1)
     assert len(claim.positions) == 8
-    assert all(lists[1].entries[x] == 1 for x in claim.positions)
     # honest claims are consistent at every receiver
     for k in (2, 3, 4):
         assert check_claim(claim, lists[k])
@@ -49,73 +56,76 @@ def test_check_claim_rejects_wrong_values():
 
 
 def test_check_claim_rejects_wrong_length():
-    assert not check_claim(Claim(1, (1,)), OWN)
-    assert not check_claim(Claim(1, (1, 3, 5)), OWN)
-    assert not check_claim(Claim(1, ()), OWN)
+    # one bit too few or one too many, every claimed position holding the bit
+    assert not check_claim(at(1, 1), OWN)
+    assert not check_claim(at(1, 1, 3, 5), OWN)
+    assert not check_claim(at(1), OWN)
 
 
-def test_check_claim_rejects_duplicates_and_out_of_range():
-    assert not check_claim(Claim(1, (1, 1)), OWN)
-    assert not check_claim(Claim(1, (1, 6)), OWN)
-    assert not check_claim(Claim(1, (-1, 1)), OWN)
+def test_check_claim_rejects_positions_beyond_the_list():
+    assert not check_claim(at(1, 1, 6), OWN)
+    assert not check_claim(at(1, 3, 70), OWN)
 
 
 def test_check_claim_rejects_non_bits():
-    assert not check_claim(Claim(2, (1, 3)), OWN)
+    assert not check_claim(Claim(2, GOOD_1.mask), OWN)
 
 
-def reference_check_claim(claim, own_list):
+def reference_check_claim(bit, positions, own_entries):
     """The rule spelled out position by position, as the reference for check_claim."""
-    if claim.bit not in (0, 1):
+    if bit not in (0, 1):
         return False
-    total = len(own_list.entries)
-    pos = claim.positions
-    if len(pos) != total // 3 or len(set(pos)) != len(pos):
+    total = len(own_entries)
+    if len(positions) != total // 3 or len(set(positions)) != len(positions):
         return False
-    if any(x < 0 or x >= total for x in pos):
+    if any(x < 0 or x >= total for x in positions):
         return False
-    return all(own_list.entries[x] == claim.bit for x in pos)
+    return all(own_entries[x] == bit for x in positions)
 
 
-OWN3 = CombinedList(party=2, entries=(0, 1, 0))
-EMPTY = CombinedList(party=2, entries=())
-SENDER6 = CombinedList(party=1, entries=(2, 0, 2, 1, 0, 1))
+OWN3 = combined(2, (0, 1, 0))
+EMPTY = combined(2, ())
+SENDER6 = combined(1, (2, 0, 2, 1, 0, 1))
 
 
 @pytest.mark.parametrize(
     "claim, own, expected",
     [
-        # one position: the values lookup yields a scalar, not a tuple
-        (Claim(1, (1,)), OWN3, True),
-        (Claim(0, (0,)), OWN3, True),
-        (Claim(0, (1,)), OWN3, False),
+        # one position on a length-3 list
+        (at(1, 1), OWN3, True),
+        (at(0, 0), OWN3, True),
+        (at(0, 1), OWN3, False),
         # an empty list asks for no positions, so only the empty claim fits
-        (Claim(0, ()), EMPTY, True),
-        (Claim(0, (0,)), EMPTY, False),
-        # negative positions are out of range even where Python would wrap
-        # them onto a matching value
-        (Claim(0, (-1,)), OWN3, False),
+        (at(0), EMPTY, True),
+        (at(0, 0), EMPTY, False),
+        # one bit too many, though both claimed positions hold the bit
+        (at(0, 0, 2), OWN3, False),
         # a position equal to the list length
-        (Claim(0, (3,)), OWN3, False),
+        (at(0, 3), OWN3, False),
         # bit 2 fails even against a list holding 2 at every claimed position
-        (Claim(2, (0, 2)), SENDER6, False),
-        (Claim(1, (3, 5)), SENDER6, True),
+        (at(2, 0, 2), SENDER6, False),
+        (at(1, 3, 5), SENDER6, True),
+        # one bit too few, and a position far beyond the list's end
+        (at(1), OWN3, False),
+        (at(0, 64), OWN3, False),
     ],
 )
 def test_check_claim_edge_cases(claim, own, expected):
     assert check_claim(claim, own) is expected
-    assert reference_check_claim(claim, own) is expected
+    assert reference_check_claim(claim.bit, claim.positions, entries(own)) is expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), total=st.sampled_from([0, 1, 3, 6, 12]), bit=st.integers(-1, 2))
 def test_check_claim_matches_the_positionwise_reference(data, total, bit):
-    entries = tuple(data.draw(st.lists(st.integers(0, 2), min_size=total, max_size=total)))
-    own = CombinedList(party=2, entries=entries)
+    own_entries = tuple(data.draw(st.lists(st.integers(0, 2), min_size=total, max_size=total)))
+    own = combined(2, own_entries)
+    assert entries(own) == own_entries
     size = data.draw(st.integers(max(0, total // 3 - 1), total // 3 + 1))
-    positions = tuple(data.draw(st.lists(st.integers(-2, total + 1), min_size=size, max_size=size)))
-    claim = Claim(bit, positions)
-    assert check_claim(claim, own) == reference_check_claim(claim, own)
+    positions = tuple(sorted(data.draw(st.sets(st.integers(0, total + 1), min_size=size, max_size=size))))
+    claim = at(bit, *positions)
+    assert claim.positions == positions
+    assert check_claim(claim, own) == reference_check_claim(bit, positions, own_entries)
 
 
 def test_relay_passes_consistent_claims_and_flags_the_rest():
@@ -175,7 +185,7 @@ def test_decide_rejects_unknown_rule():
         decide({2: GOOD_1, 3: GOOD_1}, OWN, rule="lenient")
 
 
-_messages = st.sampled_from([GOOD_1, GOOD_0, BAD_1, Claim(0, (1, 3)), Claim(1, (0, 5)), BOT])
+_messages = st.sampled_from([GOOD_1, GOOD_0, BAD_1, at(0, 1, 3), at(1, 0, 5), BOT])
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,10 +227,10 @@ def reference_decide(inbox, own_list, rule):
 
 def _claim_from(rng, own_list, bit, wrong=0):
     """A claim for ``bit`` with ``wrong`` positions that do not carry it on ``own_list``."""
-    need = len(own_list.entries) // 3
-    right = [x for x, v in enumerate(own_list.entries) if v == bit]
-    other = [x for x, v in enumerate(own_list.entries) if v != bit]
-    return Claim(bit, tuple(sorted(rng.sample(right, need - wrong) + rng.sample(other, wrong))))
+    need = own_list.length // 3
+    right = mask_positions(own_list.mask(bit))
+    other = mask_positions(own_list.mask(1 - bit))
+    return at(bit, *rng.sample(right, need - wrong), *rng.sample(other, wrong))
 
 
 # what each relayer forwards: the shared claim object, a fresh object equal to
@@ -244,9 +254,9 @@ def test_decide_matches_the_recheck_everything_reference(seed, m, d, kinds, rule
     shared_other = _claim_from(rng, own, 0)
     make = {
         "shared": lambda: shared,
-        "copy": lambda: Claim(shared.bit, shared.positions),
+        "copy": lambda: Claim(shared.bit, shared.mask),
         "shared-other": lambda: shared_other,
-        "copy-other": lambda: Claim(shared_other.bit, shared_other.positions),
+        "copy-other": lambda: Claim(shared_other.bit, shared_other.mask),
         "failing": lambda: _claim_from(rng, own, rng.randrange(2), wrong=1),
         "flag": lambda: BOT,
     }
@@ -264,7 +274,7 @@ def test_decide_checks_each_distinct_claim_object_once(monkeypatch):
         return check_claim(claim, own_list)
 
     monkeypatch.setattr(protocol, "check_claim", counting_check)
-    copies = [Claim(GOOD_1.bit, GOOD_1.positions) for _ in range(2)]
+    copies = [Claim(GOOD_1.bit, GOOD_1.mask) for _ in range(2)]
     inbox = {j: GOOD_1 for j in range(2, 12)}
     inbox.update({12: copies[0], 13: copies[1], 14: BAD_1, 15: BOT, 16: BAD_1})
     assert decide(inbox, OWN, rule="merged") == Decision(1)
@@ -272,7 +282,8 @@ def test_decide_checks_each_distinct_claim_object_once(monkeypatch):
 
 
 def test_render_message_forms():
-    assert render_message(Claim(1, (0, 4))) == "1:[0,4]"
+    assert render_message(at(1, 4, 0)) == "1:[0,4]"
+    assert render_message(at(0)) == "0:[]"
     assert render_message(BOT) == "BOT"
     assert render_message(None) == "SILENT"
 
