@@ -2,8 +2,9 @@
 
 ``golden/outputs.jsonl`` holds, one line each and in this order: the
 canonical batch JSON of every sweep point of the built-in scenarios, of three
-extra configurations, and the per-trial records (with transcripts) of the
-first trials of two of those configurations.  Changes meant to keep output
+extra configurations, the per-trial records (with transcripts) of the first
+trials of two of those configurations, and one per-trial record for every
+sender x receiver strategy pair.  Changes meant to keep output
 identical, such as speed-ups and list-representation refactors, must leave
 every byte of it unchanged.
 
@@ -52,6 +53,38 @@ EXTRA_CONFIGS = {
 TRANSCRIPT_CONFIGS = ("random-junk sender, forging receivers", "equivocate sender, merged rule")
 TRANSCRIPT_TRIALS = range(5)
 
+#: every strategy name, spelled out so the pinned pairs do not follow the
+#: order of the package's tables
+SENDER_NAMES = ("honest-mimic", "silent", "random-junk", "equivocate", "flag-always")
+RECEIVER_NAMES = ("honest-mimic", "silent", "random-junk", "forge", "omniscient-forge", "flag-always")
+
+
+def pair_config(sender: str, receiver: str) -> SimConfig:
+    """Sender and receiver 4 controlled, both distributors bribed.
+
+    At p = 0.75 and seed 7 both segments leak in most trials, so
+    ``omniscient-forge`` reaches its attack in some of the pinned trials and
+    relays honestly in others.
+    """
+    return SimConfig(
+        participants=5,
+        distributors=2,
+        segment_length=12,
+        adversary=AdversarySpec(
+            controlled=frozenset({1, 4}),
+            bribed=frozenset({6, 7}),
+            disclosure_probability=0.75,
+            sender_strategy=sender,
+            receiver_strategy=receiver,
+        ),
+        trials=TRIALS,
+        master_seed=SEED,
+    )
+
+
+def strategy_pairs() -> list[tuple[str, str]]:
+    return [(s, r) for s in SENDER_NAMES for r in RECEIVER_NAMES]
+
 
 def golden_lines() -> list[tuple[str, str]]:
     """(label, output line) for every guarded output, in file order."""
@@ -66,6 +99,10 @@ def golden_lines() -> list[tuple[str, str]]:
         for t in TRANSCRIPT_TRIALS:
             record = run_trial(EXTRA_CONFIGS[label], t, capture_transcript=True).to_record()
             out.append((f"{label} trial {t}", json.dumps(record, sort_keys=True, separators=(",", ":"))))
+    for t, (sender, receiver) in enumerate(strategy_pairs()):  # pair i pins trial i
+        record = run_trial(pair_config(sender, receiver), t, capture_transcript=True).to_record()
+        label = f"{sender} sender, {receiver} receivers trial {t}"
+        out.append((label, json.dumps(record, sort_keys=True, separators=(",", ":"))))
     return out
 
 
