@@ -1,7 +1,7 @@
 """Detectable agreement over distributor-issued correlated reference lists.
 
 The package splits along the protocol's own seams: ``listgen`` builds and
-verifies the correlated lists handed out in the setup stage, ``protocol``
+combines the correlated lists handed out in the setup stage, ``protocol``
 implements claim checking and the decision rule, ``adversary`` holds the
 corruption model and forging strategies, ``harness`` runs seeded Monte Carlo
 batches, and ``cli`` wires scenario files to all of it.
@@ -10,12 +10,9 @@ batches, and ``cli`` wires scenario files to all of it.
 from .listgen import (
     CombinedList,
     Segment,
-    Violation,
     combine_segments,
     combined_lists_from_segments,
     generate_segment,
-    positions_of,
-    verify_segment,
 )
 from .protocol import ABORT, BOT, Bot, Claim, Decision, check_claim, decide, make_claim, relay_step
 from .adversary import AdversarySpec, Knowledge, forge_claim, forge_success_oracle, resolve_bribes
@@ -34,7 +31,6 @@ __all__ = [
     "Segment",
     "SimConfig",
     "TrialReport",
-    "Violation",
     "check_claim",
     "combine_segments",
     "combined_lists_from_segments",
@@ -43,12 +39,10 @@ __all__ = [
     "forge_success_oracle",
     "generate_segment",
     "make_claim",
-    "positions_of",
     "relay_step",
     "resolve_bribes",
     "run_batch",
     "run_trial",
-    "verify_segment",
 ]
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from math import comb
 from random import Random
 from typing import Mapping, Optional, Sequence
 
-from .listgen import CombinedList, Segment, concat_masks, mask_of, mask_positions
+from .listgen import SENDER, CombinedList, Segment, concat_masks, mask_of, mask_positions
 from .protocol import BOT, Claim, Message, make_claim, relay_step
 
 #: receiver strategies that can break agreement with positive probability;
@@ -74,8 +74,9 @@ class Knowledge:
 
     Leaked segments arrive whole: a disclosing distributor reveals every
     list it generated, so a covered position is known for every party.
-    Controlled parties contribute their own combined lists; a controlled
-    receiver's round-1 message reaches it through ``ActContext.received``.
+    Controlled parties contribute their own combined lists, keyed by party,
+    so ``own_lists`` also names the controlled set; a controlled receiver's
+    round-1 message reaches its strategy as an argument.
     Positions are reported as masks over the combined list, segment i
     occupying bits ``i*m`` to ``i*m + m - 1``.
     Nothing else is representable here, which is the structural guarantee
@@ -125,21 +126,11 @@ def resolve_bribes(
     )
 
 
-def split_sender_claims(sender_list: CombinedList, assignment: Mapping[int, int]) -> dict[int, Claim]:
-    """Per-receiver claims for a controlled sender.
-
-    Each receiver gets the full honest claim for its assigned bit, so every
-    claim individually passes every receiver's consistency check; receivers
-    only notice the split when they compare notes in the relay round.
-    """
-    return {k: make_claim(bit, sender_list) for k, bit in sorted(assignment.items())}
-
-
 def forge_claim(
     target_bit: int,
     own_list: CombinedList,
     sender_claim: Optional[Claim],
-    know: Optional[Knowledge],
+    know: Knowledge,
     targets: Sequence[int],
     rng: Random,
 ) -> dict[int, Claim]:
@@ -165,13 +156,13 @@ def forge_claim(
     pool: Optional[list[int]] = None
     out: dict[int, Claim] = {}
     for target in sorted(targets):
-        picked = know.known_positions(target, target_bit) if know is not None else 0
+        picked = know.known_positions(target, target_bit)
         count = picked.bit_count()
         if count > need:
             picked &= (1 << mask_positions(picked)[need]) - 1  # the lowest ``need`` positions
         elif count < need:
             if pool is None:
-                excluded = know.covered() if know is not None else 0
+                excluded = know.covered()
                 if sender_claim is not None:
                     excluded |= sender_claim.mask
                 pool = mask_positions(own_list.mask(target_bit) & ~excluded)
@@ -300,92 +291,81 @@ def forge_heuristic(m: int, d: int) -> float:
 
 
 # --- strategies -------------------------------------------------------------
+#
+# Every strategy is ``strategy(party, incoming, know, receivers, rng)`` and
+# returns ``(messages, forged)``: one message per receiver, None meaning
+# silence, and the targets that were sent a fabricated claim, which the
+# harness counts as forging attempts.  ``incoming`` is the sender's input
+# bit in round 1 and the received round-1 message in round 2.  The party's
+# own list is ``know.own_lists[party]``.  Strategies that act the same from
+# either role sit in both tables below.
+
+Outgoing = tuple[dict[int, Optional[Message]], tuple[int, ...]]
 
 
-@dataclass
-class ActContext:
-    """Round inputs for one controlled party."""
-
-    party: int
-    receivers: tuple[int, ...]
-    own_list: CombinedList
-    knowledge: Knowledge
-    sender_input: Optional[int] = None  # sender role only
-    received: Optional[Message] = None  # receiver role only
+def _silent(party: int, incoming: object, know: Knowledge, receivers: Sequence[int], rng: Random) -> Outgoing:
+    return {k: None for k in receivers}, ()
 
 
-@dataclass
-class ActResult:
-    """Outgoing messages per target; None means staying silent.
-
-    ``forged`` lists the targets that were sent a fabricated claim, which is
-    what the harness counts as forging attempts.
-    """
-
-    messages: dict[int, Optional[Message]]
-    forged: tuple[int, ...] = ()
+def _flag_always(party: int, incoming: object, know: Knowledge, receivers: Sequence[int], rng: Random) -> Outgoing:
+    return {k: BOT for k in receivers}, ()
 
 
-# Strategies that act the same from either role sit in both tables below.
-
-
-def _silent(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    return ActResult({k: None for k in ctx.receivers})
-
-
-def _flag_always(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    return ActResult({k: BOT for k in ctx.receivers})
-
-
-def _random_junk(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    total = ctx.own_list.length
+def _random_junk(party: int, incoming: object, know: Knowledge, receivers: Sequence[int], rng: Random) -> Outgoing:
+    total = know.own_lists[party].length
     msgs: dict[int, Optional[Message]] = {}
-    for k in ctx.receivers:  # ascending, so the rng stream is reproducible
+    for k in receivers:  # ascending, so the rng stream is reproducible
         bit = rng.randrange(2)
         msgs[k] = Claim(bit, mask_of(rng.sample(range(total), total // 3), total))
-    return ActResult(msgs)
+    return msgs, ()
 
 
-def _sender_honest(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    claim = make_claim(ctx.sender_input, ctx.own_list)
-    return ActResult({k: claim for k in ctx.receivers})
+def _sender_honest(party: int, bit: int, know: Knowledge, receivers: Sequence[int], rng: Random) -> Outgoing:
+    claim = make_claim(bit, know.own_lists[party])
+    return {k: claim for k in receivers}, ()
 
 
-def _sender_equivocate(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
+def _sender_equivocate(party: int, bit: int, know: Knowledge, receivers: Sequence[int], rng: Random) -> Outgoing:
     """Split the receivers: first half get the input, the rest its negation.
 
-    Every claim is individually consistent everywhere, so the split only
-    surfaces when receivers compare relays and hit the conflicting-bits
-    criterion.
+    Each receiver gets the full honest claim for its bit, so every claim is
+    individually consistent everywhere and the split only surfaces when
+    receivers compare relays and hit the conflicting-bits criterion.
     """
-    half = (len(ctx.receivers) + 1) // 2
-    assignment = {k: ctx.sender_input if i < half else 1 - ctx.sender_input for i, k in enumerate(ctx.receivers)}
-    return ActResult(dict(split_sender_claims(ctx.own_list, assignment)))
+    own = know.own_lists[party]
+    half = (len(receivers) + 1) // 2
+    return {k: make_claim(bit if i < half else 1 - bit, own) for i, k in enumerate(receivers)}, ()
 
 
-def _receiver_honest(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    msg = relay_step(ctx.received, ctx.own_list)
-    return ActResult({k: msg for k in ctx.receivers})
+def _receiver_honest(
+    party: int, received: Optional[Message], know: Knowledge, receivers: Sequence[int], rng: Random
+) -> Outgoing:
+    msg = relay_step(received, know.own_lists[party])
+    return {k: msg for k in receivers}, ()
 
 
-def _receiver_forge(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
+def _receiver_forge(
+    party: int, received: Optional[Message], know: Knowledge, receivers: Sequence[int], rng: Random
+) -> Outgoing:
     """Fabricate a claim for the opposite bit, separately per fellow receiver.
 
     Each target gets its own draw; the claims only check out where the
     target's hidden discord bits happen to cooperate.
     """
-    if isinstance(ctx.received, Claim):
-        bit = 1 - ctx.received.bit
-        sender_claim: Optional[Claim] = ctx.received
+    if isinstance(received, Claim):
+        bit = 1 - received.bit
+        sender_claim: Optional[Claim] = received
     else:
         bit = rng.randrange(2)
         sender_claim = None
-    targets = tuple(k for k in ctx.receivers if k != ctx.party)
-    forged = forge_claim(bit, ctx.own_list, sender_claim, ctx.knowledge, targets, rng)
-    return ActResult({k: forged.get(k, BOT) for k in ctx.receivers}, targets)
+    targets = tuple(k for k in receivers if k != party)
+    forged = forge_claim(bit, know.own_lists[party], sender_claim, know, targets, rng)
+    return {k: forged.get(k, BOT) for k in receivers}, targets
 
 
-def _receiver_omniscient_forge(ctx: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
+def _receiver_omniscient_forge(
+    party: int, received: Optional[Message], know: Knowledge, receivers: Sequence[int], rng: Random
+) -> Outgoing:
     """Forge only on full disclosure, against a single chosen victim.
 
     With every segment leaked the fabricated opposite-bit claim is built
@@ -394,14 +374,15 @@ def _receiver_omniscient_forge(ctx: ActContext, spec: AdversarySpec, rng: Random
     consistent bits while the rest decide.  Without full disclosure this
     behaves exactly like an honest receiver.
     """
-    honest_peers = [k for k in ctx.receivers if k != ctx.party and k not in spec.controlled]
-    if not ctx.knowledge.full_disclosure or not isinstance(ctx.received, Claim) or not honest_peers:
-        return _receiver_honest(ctx, spec, rng)
+    honest_peers = [k for k in receivers if k not in know.own_lists]
+    if not know.full_disclosure or not isinstance(received, Claim) or not honest_peers:
+        return _receiver_honest(party, received, know, receivers, rng)
     victim = honest_peers[0]
-    honest_msg = relay_step(ctx.received, ctx.own_list)
-    msgs: dict[int, Optional[Message]] = {k: honest_msg for k in ctx.receivers}
-    msgs.update(forge_claim(1 - ctx.received.bit, ctx.own_list, ctx.received, ctx.knowledge, (victim,), rng))
-    return ActResult(msgs, (victim,))
+    own = know.own_lists[party]
+    honest_msg = relay_step(received, own)
+    msgs: dict[int, Optional[Message]] = {k: honest_msg for k in receivers}
+    msgs.update(forge_claim(1 - received.bit, own, received, know, (victim,), rng))
+    return msgs, (victim,)
 
 
 SENDER_STRATEGIES = {
@@ -422,16 +403,16 @@ RECEIVER_STRATEGIES = {
 }
 
 
-def adversary_act(role: str, context: ActContext, spec: AdversarySpec, rng: Random) -> ActResult:
-    """Dispatch one controlled party's round to its named strategy."""
-    if role == "sender":
-        table, name = SENDER_STRATEGIES, spec.sender_strategy
-    elif role == "receiver":
-        table, name = RECEIVER_STRATEGIES, spec.receiver_strategy
+def adversary_act(
+    spec: AdversarySpec, party: int, incoming: object, know: Knowledge, receivers: Sequence[int], rng: Random
+) -> Outgoing:
+    """One controlled party's round: the sender strategy for party 1, the receiver strategy otherwise.
+
+    ``spec`` must have passed :meth:`AdversarySpec.validate`, which rejects
+    unknown strategy names.
+    """
+    if party == SENDER:
+        strategy = SENDER_STRATEGIES[spec.sender_strategy]
     else:
-        raise ValueError(f"role must be 'sender' or 'receiver', got {role!r}")
-    try:
-        strategy = table[name]
-    except KeyError:
-        raise ValueError(f"unknown {role} strategy {name!r}; known: {sorted(table)}") from None
-    return strategy(context, spec, rng)
+        strategy = RECEIVER_STRATEGIES[spec.receiver_strategy]
+    return strategy(party, incoming, know, receivers, rng)

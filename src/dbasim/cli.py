@@ -25,7 +25,7 @@ from .adversary import (
     RECEIVER_STRATEGIES,
     SENDER_STRATEGIES,
 )
-from .harness import SCHEMA_VERSION, BatchReport, SimConfig, TrialReport, run_batch
+from .harness import BatchReport, SimConfig, TrialReport, run_batch
 from .protocol import DECIDE_RULES
 
 SWEEPABLE = ("distributors", "p", "receiver_strategy", "segment_length", "sender_strategy")
@@ -36,10 +36,11 @@ REQUIRABLE = ("agreement_rate", "all_abort_rate", "validity_rate", "honest_succe
 OUTPUT_MODES = ("human", "machine", "both")
 
 #: the most work one trial may take: n^2 relay messages plus n*d*m list
-#: entries, n = receivers + 1.  run_trial on a 2-vCPU Xeon VM, Python 3.11:
-#: n=1000, d*m=6 (1006000 units) took 0.49 s and 55 MB; n=4, d*m=600000
-#: (2400016 units) took 0.83 s and 81 MB.  The trial count is not bounded;
-#: run time grows linearly in it.
+#: entries, n = receivers + 1.  One run_trial at the bound, timed in-process
+#: on a 2-vCPU Xeon VM with Python 3.11.7: n=4, d=41666, m=6 (1000000
+#: units) took 1.5-2.2 s at 40 MB peak RSS; n=997, d=1, m=6 (999991 units)
+#: took 0.6-0.9 s at 55 MB.  The trial count is not bounded; run time grows
+#: linearly in it.
 MAX_TRIAL_WORK = 10**6
 
 BUILTIN_SCENARIOS = ("all-honest", "equivocating-sender", "forging-receiver", "bribery", "forge-curve")
@@ -129,15 +130,6 @@ class Scenario:
             point.update(dict(zip(keys, values)))
             out.append(point)
         return out
-
-    def to_document(self) -> dict:
-        doc = {"schema_version": SCHEMA_VERSION, "name": self.name, **self.base}
-        if self.sweep:
-            doc["sweep"] = self.sweep
-        if self.require:
-            doc["require"] = self.require
-        doc["output"] = self.output
-        return doc
 
 
 def build_config(point: Mapping) -> SimConfig:

@@ -19,10 +19,8 @@ from math import sqrt
 from typing import Callable, Collection, Mapping, Optional
 
 from .adversary import (
-    ActContext,
     AdversarySpec,
     FORGING_RECEIVER_STRATEGIES,
-    Knowledge,
     adversary_act,
     forge_heuristic,
     forge_success_closed_form,
@@ -32,7 +30,6 @@ from .listgen import combined_lists_from_segments, generate_segment
 from .protocol import (
     BOT,
     DECIDE_RULES,
-    Claim,
     Decision,
     check_claim,
     decide,
@@ -185,7 +182,8 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
 
     List generation, bribery coins, and each adversary party draw from
     independent derived streams, so changing one stream's consumption never
-    disturbs the others.
+    disturbs the others.  ``cfg`` must have passed :meth:`SimConfig.validate`,
+    as :func:`run_batch` ensures.
     """
     spec = cfg.adversary
     receivers = cfg.receivers
@@ -204,14 +202,8 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     # Round 1: the sender announces one claim per receiver.
     transcript: Optional[list[str]] = [] if capture_transcript else None
     if 1 in controlled:
-        ctx = ActContext(
-            party=1,
-            receivers=receivers,
-            own_list=knowledge.own_lists[1],
-            knowledge=knowledge,
-            sender_input=cfg.sender_input,
-        )
-        round1 = adversary_act("sender", ctx, spec, derive_rng(cfg.master_seed, trial, "adversary", 1)).messages
+        rng = derive_rng(cfg.master_seed, trial, "adversary", 1)
+        round1, _ = adversary_act(spec, 1, cfg.sender_input, knowledge, receivers, rng)
     else:
         claim = make_claim(cfg.sender_input, lists[1])
         round1 = {k: claim for k in receivers}
@@ -224,20 +216,12 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     outbox: dict[int, dict[int, object]] = {}
     for j in receivers:
         if j in controlled:
-            ctx = ActContext(
-                party=j,
-                receivers=receivers,
-                own_list=knowledge.own_lists[j],
-                knowledge=knowledge,
-                received=round1.get(j),
-            )
-            result = adversary_act("receiver", ctx, spec, derive_rng(cfg.master_seed, trial, "adversary", j))
-            outbox[j] = result.messages
-            for k in result.forged:
-                if k in receivers and k not in controlled:
+            rng = derive_rng(cfg.master_seed, trial, "adversary", j)
+            outbox[j], forged = adversary_act(spec, j, round1.get(j), knowledge, receivers, rng)
+            for k in forged:
+                if k not in controlled:
                     forge_attempts += 1
-                    msg = result.messages.get(k)
-                    forge_successes += isinstance(msg, Claim) and check_claim(msg, lists[k])
+                    forge_successes += check_claim(outbox[j][k], lists[k])
         else:
             msg = relay_step(round1.get(j), lists[j])
             outbox[j] = {k: msg for k in receivers}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .listgen import CombinedList, mask_positions, positions_of
+from .listgen import CombinedList, mask_positions
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ DECIDE_RULES = ("literal", "merged")
 
 def make_claim(bit: int, sender_list: CombinedList) -> Claim:
     """The honest sender's claim for ``bit``: every position of it on the sender's list."""
-    return Claim(bit=bit, mask=positions_of(sender_list, bit))
+    return Claim(bit, sender_list.mask(bit))
 
 
 def check_claim(claim: Claim, own_list: CombinedList) -> bool:

@@ -24,7 +24,8 @@ from dbasim.adversary import (
 )
 from dbasim.cli import build_config, load_builtin_scenario, run_scenario
 from dbasim.harness import SimConfig, run_batch
-from dbasim.listgen import combined_lists_from_segments, generate_segment, positions_of, verify_segment
+from dbasim.listgen import combined_lists_from_segments, generate_segment
+from listprops import verify_segment
 
 # frozen before the build by exhaustive enumeration; re-derived below by two routes
 FORGE_RATE_BY_LENGTH = {6: Fraction(2, 3), 12: Fraction(2, 5), 18: Fraction(5, 21)}
@@ -189,7 +190,7 @@ def test_criterion_7_list_properties_at_random_sizes():
         if any(verify_segment(seg) for seg in segs):
             bad_segments += 1
         sender = combined_lists_from_segments(segs)[1]
-        if any(positions_of(sender, bit).bit_count() != d * m // 3 for bit in (0, 1)):
+        if any(sender.mask(bit).bit_count() != d * m // 3 for bit in (0, 1)):
             bad_positions += 1
     ok = bad_segments == 0 and bad_positions == 0
     _verdict(7, "list structure at 1000 random sizes", ok, f"violations: {bad_segments} / {bad_positions}")

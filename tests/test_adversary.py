@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbasim.adversary import (
-    ActContext,
     AdversarySpec,
     FORGING_RECEIVER_STRATEGIES,
     Knowledge,
@@ -20,7 +19,6 @@ from dbasim.adversary import (
     forge_success_closed_form,
     forge_success_oracle,
     resolve_bribes,
-    split_sender_claims,
 )
 from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_positions
 from dbasim.protocol import BOT, Claim, check_claim, make_claim
@@ -133,19 +131,6 @@ def test_partial_disclosure_covers_only_that_segment():
     assert know.covered() == (1 << 6) - 1
     for bit in (0, 1):
         assert know.known_positions(2, bit) == lists[2].mask(bit) & know.covered()
-
-
-# --- controlled-sender claim splitting ----------------------------------------
-
-
-def test_split_claims_are_individually_consistent_everywhere():
-    segs, lists = _setup()
-    claims = split_sender_claims(lists[1], {2: 0, 3: 1, 4: 0})
-    assert claims[2] == make_claim(0, lists[1])
-    assert claims[3] == make_claim(1, lists[1])
-    for claim in claims.values():
-        for k in (2, 3, 4):
-            assert check_claim(claim, lists[k])
 
 
 # --- forging ------------------------------------------------------------------
@@ -272,8 +257,9 @@ def test_forge_draws_cover_all_candidate_subsets():
 
 def test_forge_stays_wellformed_when_candidates_run_dry():
     own = combined(4, (1, 1, 0, 0, 1, 0))
+    nothing_leaked = Knowledge(segment_length=6, distributors=(6,), disclosed={}, own_lists={4: own})
     starving = Claim(0, bits((0, 1, 4)))  # covers every position the forger holds 1 on
-    claims = forge_claim(1, own, starving, None, (2, 3), rng=random.Random(3))
+    claims = forge_claim(1, own, starving, nothing_leaked, (2, 3), rng=random.Random(3))
     for claim in claims.values():
         assert claim.bit == 1
         assert len(claim.positions) == 2
@@ -334,43 +320,34 @@ def test_one_forge_call_equals_a_loop_of_single_target_calls(seed, m, d, leaked,
 # --- strategy dispatch ---------------------------------------------------------
 
 
-def _context(party, lists, know, received=None, sender_input=None, receivers=(2, 3, 4)):
-    return ActContext(
-        party=party,
-        receivers=receivers,
-        own_list=lists[party] if party in lists else know.own_lists[party],
-        knowledge=know,
-        sender_input=sender_input,
-        received=received,
-    )
+def _act(spec, party, incoming, know, seed=0, receivers=(2, 3, 4)):
+    return adversary_act(spec, party, incoming, know, receivers, random.Random(seed))
 
 
 def test_honest_mimic_sender_matches_the_honest_claim():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1,))
     spec = AdversarySpec(controlled=frozenset({1}), sender_strategy="honest-mimic")
-    result = adversary_act("sender", _context(1, lists, know, sender_input=1), spec, random.Random(0))
+    messages, forged = _act(spec, 1, 1, know)
     honest = make_claim(1, lists[1])
-    assert result.messages == {2: honest, 3: honest, 4: honest}
-    assert result.forged == ()
+    assert messages == {2: honest, 3: honest, 4: honest}
+    assert forged == ()
 
 
 def test_silent_and_flag_strategies():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1, 4))
     spec = AdversarySpec(controlled=frozenset({1, 4}), sender_strategy="silent", receiver_strategy="flag-always")
-    sent = adversary_act("sender", _context(1, lists, know, sender_input=0), spec, random.Random(0))
-    assert sent.messages == {2: None, 3: None, 4: None}
-    relayed = adversary_act("receiver", _context(4, lists, know), spec, random.Random(0))
-    assert relayed.messages == {2: BOT, 3: BOT, 4: BOT}
+    assert _act(spec, 1, 0, know) == ({2: None, 3: None, 4: None}, ())
+    assert _act(spec, 4, None, know) == ({2: BOT, 3: BOT, 4: BOT}, ())
 
 
 def test_random_junk_claims_have_the_right_shape():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1,))
     spec = AdversarySpec(controlled=frozenset({1}), sender_strategy="random-junk")
-    result = adversary_act("sender", _context(1, lists, know, sender_input=0), spec, random.Random(4))
-    for msg in result.messages.values():
+    messages, _ = _act(spec, 1, 0, know, seed=4)
+    for msg in messages.values():
         assert isinstance(msg, Claim)
         assert msg.bit in (0, 1)
         assert len(msg.positions) == 8
@@ -380,11 +357,22 @@ def test_equivocate_splits_the_receivers():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1,))
     spec = AdversarySpec(controlled=frozenset({1}), sender_strategy="equivocate")
-    result = adversary_act("sender", _context(1, lists, know, sender_input=1), spec, random.Random(0))
-    bits = [result.messages[k].bit for k in (2, 3, 4)]
-    assert bits == [1, 1, 0]
+    messages, _ = _act(spec, 1, 1, know)
+    assert [messages[k].bit for k in (2, 3, 4)] == [1, 1, 0]
     for k in (2, 3, 4):
-        assert check_claim(result.messages[k], lists[k])
+        assert check_claim(messages[k], lists[k])
+
+
+def test_split_claims_are_individually_consistent_everywhere():
+    segs, lists = _setup()
+    know = _knowledge(segs, controlled=(1,))
+    spec = AdversarySpec(controlled=frozenset({1}), sender_strategy="equivocate")
+    messages, _ = _act(spec, 1, 0, know)
+    assert messages[2] == messages[3] == make_claim(0, lists[1])
+    assert messages[4] == make_claim(1, lists[1])
+    for claim in messages.values():
+        for k in (2, 3, 4):
+            assert check_claim(claim, lists[k])
 
 
 def test_honest_mimic_receiver_relays():
@@ -392,21 +380,18 @@ def test_honest_mimic_receiver_relays():
     know = _knowledge(segs, controlled=(4,))
     spec = AdversarySpec(controlled=frozenset({4}))
     claim = make_claim(1, lists[1])
-    result = adversary_act("receiver", _context(4, lists, know, received=claim), spec, random.Random(0))
-    assert result.messages == {2: claim, 3: claim, 4: claim}
+    assert _act(spec, 4, claim, know) == ({2: claim, 3: claim, 4: claim}, ())
 
 
 def test_forge_strategy_targets_every_other_receiver():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(4,))
     spec = AdversarySpec(controlled=frozenset({4}), receiver_strategy="forge")
-    claim = make_claim(0, lists[1])
-    result = adversary_act("receiver", _context(4, lists, know, received=claim), spec, random.Random(0))
-    assert result.forged == (2, 3)
-    assert result.messages[4] is BOT
+    messages, forged = _act(spec, 4, make_claim(0, lists[1]), know)
+    assert forged == (2, 3)
+    assert messages[4] is BOT
     for k in (2, 3):
-        forged = result.messages[k]
-        assert isinstance(forged, Claim) and forged.bit == 1
+        assert isinstance(messages[k], Claim) and messages[k].bit == 1
 
 
 def test_omniscient_forge_is_honest_without_full_knowledge():
@@ -414,9 +399,7 @@ def test_omniscient_forge_is_honest_without_full_knowledge():
     know = _knowledge(segs, controlled=(4,))
     spec = AdversarySpec(controlled=frozenset({4}), receiver_strategy="omniscient-forge")
     claim = make_claim(1, lists[1])
-    result = adversary_act("receiver", _context(4, lists, know, received=claim), spec, random.Random(0))
-    assert result.messages == {2: claim, 3: claim, 4: claim}
-    assert result.forged == ()
+    assert _act(spec, 4, claim, know) == ({2: claim, 3: claim, 4: claim}, ())
 
 
 def test_omniscient_forge_attacks_one_victim_under_full_knowledge():
@@ -424,23 +407,35 @@ def test_omniscient_forge_attacks_one_victim_under_full_knowledge():
     know = _knowledge(segs, disclosed=sorted(segs), controlled=(4,))
     spec = AdversarySpec(controlled=frozenset({4}), receiver_strategy="omniscient-forge")
     claim = make_claim(1, lists[1])
-    result = adversary_act("receiver", _context(4, lists, know, received=claim), spec, random.Random(0))
-    assert result.forged == (2,)
-    forged = result.messages[2]
-    assert forged.bit == 0
-    assert check_claim(forged, lists[2])  # guaranteed hit, every position known
-    assert result.messages[3] is claim
+    messages, forged = _act(spec, 4, claim, know)
+    assert forged == (2,)
+    assert messages[2].bit == 0
+    assert check_claim(messages[2], lists[2])  # guaranteed hit, every position known
+    assert messages[3] is claim
 
 
-def test_adversary_act_rejects_unknown_roles_and_strategies():
+def test_omniscient_forge_spares_fellow_controlled_receivers():
     segs, lists = _setup()
-    know = _knowledge(segs, controlled=(4,))
-    spec = AdversarySpec(controlled=frozenset({4}))
-    with pytest.raises(ValueError, match="role must be"):
-        adversary_act("distributor", _context(4, lists, know), spec, random.Random(0))
-    bogus = AdversarySpec(controlled=frozenset({4}), receiver_strategy="mystery")
-    with pytest.raises(ValueError, match="unknown receiver strategy"):
-        adversary_act("receiver", _context(4, lists, know), bogus, random.Random(0))
+    know = _knowledge(segs, disclosed=sorted(segs), controlled=(2, 4))
+    spec = AdversarySpec(controlled=frozenset({2, 4}), receiver_strategy="omniscient-forge")
+    messages, forged = _act(spec, 4, make_claim(1, lists[1]), know)
+    assert forged == (3,)
+    assert messages[3].bit == 0
+
+
+def test_adversary_act_picks_the_table_by_party():
+    # honest-mimic in both tables: party 1 builds a claim from its input
+    # bit, any other party relays the message it received
+    segs, lists = _setup()
+    know = _knowledge(segs, controlled=(1, 4))
+    spec = AdversarySpec(controlled=frozenset({1, 4}))
+    sent, _ = _act(spec, 1, 0, know)
+    assert set(sent.values()) == {make_claim(0, lists[1])}
+    relayed, _ = _act(spec, 4, sent[4], know)
+    assert all(msg is sent[4] for msg in relayed.values())
+    # the receiver table ignores the bit a sender would build from: a bit
+    # is no claim, so the honest relay is the flag
+    assert _act(spec, 4, 0, know) == ({2: BOT, 3: BOT, 4: BOT}, ())
 
 
 def test_strategy_tables_mark_forging_capability():

@@ -1,4 +1,4 @@
-"""Reference-list generation, verification, composition."""
+"""Reference-list generation and composition, checked against the six list properties."""
 
 import random
 
@@ -13,9 +13,8 @@ from dbasim.listgen import (
     generate_segment,
     mask_of,
     mask_positions,
-    positions_of,
-    verify_segment,
 )
+from listprops import verify_segment
 from symbols import bits, entries
 
 LENGTHS = st.sampled_from([6, 12, 18, 24, 30, 60])
@@ -155,7 +154,7 @@ def test_combine_segments_concatenates_in_order():
     combined = combine_segments(2, [first, second])
     assert combined.party == 2
     assert entries(combined) == (0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0)
-    assert len(combined) == 12
+    assert combined.length == 12
     assert entries(combine_segments(1, [first, second])) == (0, 1, 2, 0, 1, 2, 1, 1, 2, 0, 2, 0)
 
 
@@ -189,17 +188,16 @@ def test_sender_bit_positions_always_cover_a_third(m, d, seed):
     sender = combined_lists_from_segments(segs)[1]
     total = d * m
     for bit in (0, 1):
-        pos = mask_positions(positions_of(sender, bit))
+        pos = mask_positions(sender.mask(bit))
         assert len(pos) == total // 3
         assert pos == [x for x, v in enumerate(entries(sender)) if v == bit]
 
 
-def test_positions_of_rejects_non_sender_lists_and_bad_bits():
+def test_mask_rejects_bad_bits():
     lists = combined_lists_from_segments([generate_segment(6, 2, random.Random(3))])
-    with pytest.raises(ValueError, match="sender"):
-        positions_of(lists[2], 1)
-    with pytest.raises(ValueError, match="bit must be 0 or 1"):
-        positions_of(lists[1], 2)
+    for party in (1, 2):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            lists[party].mask(2)
 
 
 @settings(max_examples=200, deadline=None)
