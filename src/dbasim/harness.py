@@ -28,9 +28,9 @@ from .adversary import (
 )
 from .listgen import combined_lists_from_segments, generate_segment
 from .protocol import (
-    BOT,
     DECIDE_RULES,
     Decision,
+    Message,
     check_claim,
     decide,
     make_claim,
@@ -210,31 +210,41 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     if transcript is not None:
         transcript.extend(f"1 1 {k} {render_message(round1.get(k))}" for k in receivers)
 
-    # Round 2: every receiver relays to every receiver, itself included.
+    # Round 2: every receiver relays to every receiver, itself included.  An
+    # honest relayer sends one message to all, so honest relays are kept as
+    # one [message, count] group per distinct object; a controlled relayer
+    # keeps its per-target messages.
     forge_attempts = 0
     forge_successes = 0
-    outbox: dict[int, dict[int, object]] = {}
+    relayed: dict[int, Message] = {}
+    targeted: dict[int, dict[int, Optional[Message]]] = {}
+    groups: dict[int, list] = {}
     for j in receivers:
         if j in controlled:
             rng = derive_rng(cfg.master_seed, trial, "adversary", j)
-            outbox[j], forged = adversary_act(spec, j, round1.get(j), knowledge, receivers, rng)
+            targeted[j], forged = adversary_act(spec, j, round1.get(j), knowledge, receivers, rng)
             for k in forged:
                 if k not in controlled:
                     forge_attempts += 1
-                    forge_successes += check_claim(outbox[j][k], lists[k])
+                    forge_successes += check_claim(targeted[j][k], lists[k])
         else:
-            msg = relay_step(round1.get(j), lists[j])
-            outbox[j] = {k: msg for k in receivers}
+            msg = relayed[j] = relay_step(round1.get(j), lists[j])
+            groups.setdefault(id(msg), [msg, 0])[1] += 1
     if transcript is not None:
-        transcript.extend(f"2 {j} {k} {render_message(outbox[j].get(k))}" for j in receivers for k in receivers)
+        for j in receivers:
+            if j in controlled:
+                transcript.extend(f"2 {j} {k} {render_message(targeted[j].get(k))}" for k in receivers)
+            else:
+                text = render_message(relayed[j])
+                transcript.extend(f"2 {j} {k} {text}" for k in receivers)
 
-    # Silence is consumed as the inconsistency flag.
+    shared = list(groups.values())
     decisions: dict[int, Optional[Decision]] = {p: None for p in range(1, cfg.participants + 1)}
     for k in receivers:
         if k in controlled:
             continue
-        inbox = {j: BOT if (msg := outbox[j].get(k)) is None else msg for j in receivers}
-        decisions[k] = decide(inbox, lists[k], rule=cfg.decide_rule)
+        direct = [(sent.get(k), 1) for sent in targeted.values()]
+        decisions[k] = decide(shared + direct, lists[k], rule=cfg.decide_rule)
     if 1 not in controlled:
         decisions[1] = sender_decision(cfg.sender_input)
 

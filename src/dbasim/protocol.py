@@ -15,7 +15,7 @@ of that bit, is one AND against the receiver's mask for the bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .listgen import CombinedList, mask_positions
 
@@ -101,11 +101,16 @@ def sender_decision(bit: int) -> Decision:
 
 
 def decide(
-    inbox: Mapping[int, Message],
+    relays: Iterable[tuple[Optional[Message], int]],
     own_list: CombinedList,
     rule: str = "literal",
 ) -> Decision:
-    """Decide from the relay-round messages of every receiver, self included.
+    """Decide from the relay round, given as (message, count) pairs.
+
+    Each pair stands for ``count`` receivers, self included, that relayed
+    ``message`` to this party; the counts are positive.  Silence (None) is
+    consumed as the inconsistency flag.  Each pair is checked once, so one
+    shared claim relayed by many costs one check.
 
     Let H be the receivers whose message is a claim consistent with
     ``own_list``.  With fewer than two members the evidence is too thin and
@@ -124,32 +129,22 @@ def decide(
     if rule not in DECIDE_RULES:
         raise ValueError(f"unknown decide rule {rule!r}, expected one of {DECIDE_RULES}")
 
-    # Relayers usually forward one shared claim object, so each distinct
-    # object is checked once; equal claims in distinct objects are simply
-    # checked again.  Every message lives as long as the inbox, so ids are
-    # unique for the whole call.
-    verdicts: dict[int, bool] = {}
-    consistent: dict[int, Claim] = {}
-    for j, msg in inbox.items():
-        if isinstance(msg, Claim):
-            ok = verdicts.get(id(msg))
-            if ok is None:
-                ok = verdicts[id(msg)] = check_claim(msg, own_list)
-            if ok:
-                consistent[j] = msg
-    if len(consistent) < 2:
+    members = 0
+    bits: set[int] = set()
+    failing = flagged = False
+    for msg, count in relays:
+        if not isinstance(msg, Claim):
+            flagged = True
+        elif check_claim(msg, own_list):
+            members += count
+            bits.add(msg.bit)
+        else:
+            failing = True
+    if members < 2 or len(bits) > 1:  # too thin, or (a)
         return ABORT
-    bits = {c.bit for c in consistent.values()}
-    if len(bits) > 1:  # (a)
+    if failing and flagged and rule == "literal":  # (d)
         return ABORT
-    complement = [msg for j, msg in inbox.items() if j not in consistent]
-    claims_only = all(isinstance(msg, Claim) for msg in complement)
-    flags_only = all(isinstance(msg, Bot) for msg in complement)
-    if claims_only or flags_only:  # (b) or (c)
-        return Decision(bits.pop())
-    if rule == "merged":
-        return Decision(bits.pop())
-    return ABORT  # (d)
+    return Decision(bits.pop())  # (b), (c), or the merged mix
 
 
 def render_message(msg: Optional[Message]) -> str:

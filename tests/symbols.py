@@ -1,6 +1,7 @@
-"""Position-by-position views of the mask lists, for tests that spell lists out."""
+"""Position-by-position views of the mask lists, and the decide rule over full inboxes, for tests that spell them out."""
 
 from dbasim.listgen import CombinedList
+from dbasim.protocol import ABORT, BOT, Claim, Decision, check_claim
 
 
 def bits(positions):
@@ -18,3 +19,25 @@ def combined(party, entries):
 def entries(lst):
     """The symbol at each position of ``lst``: 0, 1, or 2 where neither mask holds the position."""
     return tuple(0 if lst.zeros >> j & 1 else 1 if lst.ones >> j & 1 else 2 for j in range(lst.length))
+
+
+def relays(inbox):
+    """An inbox {relayer: message} as decide's (message, count) pairs, one per distinct message object."""
+    groups = {}
+    for msg in inbox.values():
+        groups.setdefault(id(msg), [msg, 0])[1] += 1
+    return [tuple(group) for group in groups.values()]
+
+
+def reference_decide(inbox, own_list, rule):
+    """The decision rule over a full {relayer: message} inbox with every message checked on its own."""
+    consistent = {j: m for j, m in inbox.items() if isinstance(m, Claim) and check_claim(m, own_list)}
+    if len(consistent) < 2:
+        return ABORT
+    bits = {c.bit for c in consistent.values()}
+    if len(bits) > 1:
+        return ABORT
+    complement = [m for j, m in inbox.items() if j not in consistent]
+    if rule == "merged" or all(isinstance(m, Claim) for m in complement) or all(m is BOT for m in complement):
+        return Decision(bits.pop())
+    return ABORT

@@ -13,7 +13,7 @@ from scipy.stats import binom, binomtest
 
 import dbasim
 import dbasim.harness
-from dbasim.adversary import AdversarySpec
+from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, AdversarySpec
 from dbasim.harness import (
     BatchReport,
     SimConfig,
@@ -26,8 +26,9 @@ from dbasim.harness import (
     run_trial,
     wilson_interval,
 )
-from dbasim.listgen import generate_segment, mask_of, mask_positions
-from dbasim.protocol import ABORT, Decision
+from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_of, mask_positions
+from dbasim.protocol import ABORT, BOT, Claim, Decision
+from symbols import bits, reference_decide
 
 
 def _cfg(**kw):
@@ -177,6 +178,98 @@ def test_trial_report_serialization_round_trip_fields():
     assert rec["decisions"]["1"] == "NA"
     assert rec["decisions"]["2"] == "ABORT"
     assert rec["transcript"][0].startswith("1 1 2 ")
+
+
+# --- the grouped relay round against a full n x n inbox -----------------------------
+
+
+def _parse_message(text):
+    """A transcript message back as a message; silence reads as the flag, as decide consumes it."""
+    if text in ("BOT", "SILENT"):
+        return BOT
+    bit, _, positions = text.partition(":")
+    return Claim(int(bit), bits(int(p) for p in positions.strip("[]").split(",") if p))
+
+
+# (participants, controlled): the sender alone, the sender with receivers, and
+# receivers alone, at n = 4..7
+_CONTROLLED_SETS = ((4, {1}), (5, {1, 5}), (6, {1, 2, 6}), (7, {1, 6, 7}), (7, {5, 6, 7}))
+
+
+@pytest.mark.parametrize("rule", ["literal", "merged"])
+@pytest.mark.parametrize("receiver_strategy", sorted(RECEIVER_STRATEGIES))
+@pytest.mark.parametrize("sender_strategy", sorted(SENDER_STRATEGIES))
+def test_grouped_decisions_match_the_full_inbox_reference(sender_strategy, receiver_strategy, rule):
+    for participants, controlled in _CONTROLLED_SETS:
+        cfg = _cfg(
+            participants=participants,
+            distributors=1,
+            segment_length=6,
+            controlled=controlled,
+            bribed={participants + 1},
+            sender_strategy=sender_strategy,
+            receiver_strategy=receiver_strategy,
+            decide_rule=rule,
+            master_seed=participants,
+        )
+        cfg.validate()
+        for trial in range(4):
+            rep = run_trial(cfg, trial, capture_transcript=True)
+            inboxes = {k: {} for k in cfg.receivers}
+            for line in rep.transcript:
+                stage, j, k, text = line.split()
+                if stage == "2":
+                    inboxes[int(k)][int(j)] = _parse_message(text)
+            segments = [
+                generate_segment(cfg.segment_length, participants - 1, derive_rng(cfg.master_seed, trial, "segment", dist))
+                for dist in cfg.distributor_indices
+            ]
+            lists = combined_lists_from_segments(segments)
+            for k in cfg.receivers:
+                if k not in controlled:
+                    assert rep.decisions[k] == reference_decide(inboxes[k], lists[k], rule), (participants, controlled, trial, k)
+
+
+def _record_decide_sizes(monkeypatch):
+    """Patch run_trial's decide to record how many (message, count) pairs each call gets."""
+    sizes = []
+    real = dbasim.harness.decide
+
+    def recording(relays, own_list, rule="literal"):
+        relays = list(relays)
+        sizes.append(len(relays))
+        return real(relays, own_list, rule=rule)
+
+    monkeypatch.setattr(dbasim.harness, "decide", recording)
+    return sizes
+
+
+def test_all_honest_decide_calls_get_at_most_two_pairs(monkeypatch):
+    # one pair per distinct relay (the sender's claim, or the flag), not one
+    # per relayer, which would be 31 here
+    sizes = _record_decide_sizes(monkeypatch)
+    run_batch(SimConfig(participants=32, distributors=2, segment_length=60, trials=3))
+    assert len(sizes) == 3 * 31
+    assert max(sizes) <= 2
+
+
+def test_forging_decide_calls_get_one_pair_per_distinct_honest_relay_and_forger(monkeypatch):
+    sizes = _record_decide_sizes(monkeypatch)
+    forgers = {5, 6, 7, 8}
+    cfg = _cfg(
+        participants=8,
+        segment_length=60,
+        controlled=forgers,
+        receiver_strategy="forge",
+        bribed={9, 10},
+        disclosure_probability=0.5,
+    )
+    for trial in range(6):
+        sizes.clear()
+        rep = run_trial(cfg, trial, capture_transcript=True)
+        honest_relays = {ln.split()[3] for ln in rep.transcript if ln.startswith("2 ") and int(ln.split()[1]) not in forgers}
+        assert len(sizes) == 3
+        assert max(sizes) <= len(honest_relays) + len(forgers) < len(cfg.receivers)
 
 
 # --- batches ---------------------------------------------------------------------

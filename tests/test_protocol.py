@@ -19,7 +19,7 @@ from dbasim.protocol import (
     render_message,
     sender_decision,
 )
-from symbols import bits, combined, entries
+from symbols import bits, combined, entries, reference_decide, relays
 
 # two positions per bit, four distinct consistent claims available
 OWN = combined(2, (0, 1, 0, 1, 0, 1))
@@ -146,43 +146,49 @@ def test_sender_decision_outputs_own_bit():
 
 
 def test_decide_needs_two_consistent_claims():
-    assert decide({2: GOOD_1, 3: BOT, 4: BOT}, OWN) is ABORT
-    assert decide({2: BOT, 3: BOT, 4: BOT}, OWN) is ABORT
+    assert decide(relays({2: GOOD_1, 3: BOT, 4: BOT}), OWN) is ABORT
+    assert decide(relays({2: BOT, 3: BOT, 4: BOT}), OWN) is ABORT
 
 
 def test_decide_aborts_on_conflicting_consistent_bits():
     # conflict wins even when a third consistent claim agrees with one side
-    assert decide({2: GOOD_1, 3: GOOD_0, 4: GOOD_1}, OWN) is ABORT
-    assert decide({2: GOOD_1, 3: GOOD_0, 4: BOT}, OWN) is ABORT
+    assert decide(relays({2: GOOD_1, 3: GOOD_0, 4: GOOD_1}), OWN) is ABORT
+    assert decide(relays({2: GOOD_1, 3: GOOD_0, 4: BOT}), OWN) is ABORT
 
 
 def test_decide_accepts_unanimous_with_failing_claim_complement():
-    assert decide({2: GOOD_1, 3: GOOD_1, 4: BAD_1}, OWN) == Decision(1)
+    assert decide(relays({2: GOOD_1, 3: GOOD_1, 4: BAD_1}), OWN) == Decision(1)
 
 
 def test_decide_accepts_unanimous_with_flag_complement():
-    assert decide({2: GOOD_1, 3: GOOD_1, 4: BOT}, OWN) == Decision(1)
-    assert decide({2: GOOD_0, 3: BOT, 4: GOOD_0}, OWN) == Decision(0)
+    assert decide(relays({2: GOOD_1, 3: GOOD_1, 4: BOT}), OWN) == Decision(1)
+    assert decide(relays({2: GOOD_0, 3: BOT, 4: GOOD_0}), OWN) == Decision(0)
 
 
 def test_decide_accepts_unanimous_with_empty_complement():
-    assert decide({2: GOOD_1, 3: GOOD_1, 4: GOOD_1}, OWN) == Decision(1)
+    assert decide(relays({2: GOOD_1, 3: GOOD_1, 4: GOOD_1}), OWN) == Decision(1)
 
 
 def test_decide_mixed_complement_aborts_unless_merged():
     inbox = {2: GOOD_1, 3: GOOD_1, 4: BAD_1, 5: BOT}
-    assert decide(inbox, OWN, rule="literal") is ABORT
-    assert decide(inbox, OWN, rule="merged") == Decision(1)
+    assert decide(relays(inbox), OWN, rule="literal") is ABORT
+    assert decide(relays(inbox), OWN, rule="merged") == Decision(1)
 
 
 def test_decide_merged_still_aborts_on_conflict_and_thin_evidence():
-    assert decide({2: GOOD_1, 3: GOOD_0, 4: BOT}, OWN, rule="merged") is ABORT
-    assert decide({2: GOOD_1, 3: BOT, 4: BAD_1}, OWN, rule="merged") is ABORT
+    assert decide(relays({2: GOOD_1, 3: GOOD_0, 4: BOT}), OWN, rule="merged") is ABORT
+    assert decide(relays({2: GOOD_1, 3: BOT, 4: BAD_1}), OWN, rule="merged") is ABORT
+
+
+def test_decide_reads_silence_as_the_flag():
+    assert decide([(GOOD_1, 2), (None, 1)], OWN) == Decision(1)
+    assert decide([(GOOD_1, 2), (BAD_1, 1), (None, 1)], OWN, rule="literal") is ABORT
+    assert decide([(GOOD_1, 2), (BAD_1, 1), (None, 1)], OWN, rule="merged") == Decision(1)
 
 
 def test_decide_rejects_unknown_rule():
     with pytest.raises(ValueError, match="unknown decide rule"):
-        decide({2: GOOD_1, 3: GOOD_1}, OWN, rule="lenient")
+        decide(relays({2: GOOD_1, 3: GOOD_1}), OWN, rule="lenient")
 
 
 _messages = st.sampled_from([GOOD_1, GOOD_0, BAD_1, at(0, 1, 3), at(1, 0, 5), BOT])
@@ -194,7 +200,7 @@ _messages = st.sampled_from([GOOD_1, GOOD_0, BAD_1, at(0, 1, 3), at(1, 0, 5), BO
     rule=st.sampled_from(["literal", "merged"]),
 )
 def test_decide_is_total_over_arbitrary_inboxes(inbox, rule):
-    out = decide(inbox, OWN, rule=rule)
+    out = decide(relays(inbox), OWN, rule=rule)
     assert out in (ABORT, Decision(0), Decision(1))
     consistent_bits = {m.bit for m in inbox.values() if isinstance(m, Claim) and check_claim(m, OWN)}
     if len(consistent_bits) != 1:
@@ -208,21 +214,7 @@ def test_decide_is_total_over_arbitrary_inboxes(inbox, rule):
 def test_unanimous_consistent_inbox_decides_that_bit(bit, size):
     claim = GOOD_1 if bit else GOOD_0
     inbox = {k: claim for k in range(2, 2 + size)}
-    assert decide(inbox, OWN) == Decision(bit)
-
-
-def reference_decide(inbox, own_list, rule):
-    """The decision rule with every message checked on its own, as the reference for decide."""
-    consistent = {j: m for j, m in inbox.items() if isinstance(m, Claim) and check_claim(m, own_list)}
-    if len(consistent) < 2:
-        return ABORT
-    bits = {c.bit for c in consistent.values()}
-    if len(bits) > 1:
-        return ABORT
-    complement = [m for j, m in inbox.items() if j not in consistent]
-    if rule == "merged" or all(isinstance(m, Claim) for m in complement) or all(m is BOT for m in complement):
-        return Decision(bits.pop())
-    return ABORT
+    assert decide(relays(inbox), OWN) == Decision(bit)
 
 
 def _claim_from(rng, own_list, bit, wrong=0):
@@ -239,17 +231,7 @@ def _claim_from(rng, own_list, bit, wrong=0):
 _RELAY_KINDS = ("shared", "copy", "shared-other", "copy-other", "failing", "flag")
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    m=st.sampled_from([6, 12]),
-    d=st.integers(1, 2),
-    kinds=st.lists(st.sampled_from(_RELAY_KINDS), min_size=1, max_size=12),
-    rule=st.sampled_from(["literal", "merged"]),
-)
-def test_decide_matches_the_recheck_everything_reference(seed, m, d, kinds, rule):
-    rng = random.Random(seed)
-    own = combined_lists_from_segments([generate_segment(m, 2, rng) for _ in range(d)])[2]
+def _inbox(rng, own, kinds):
     shared = _claim_from(rng, own, 1)
     shared_other = _claim_from(rng, own, 0)
     make = {
@@ -260,8 +242,44 @@ def test_decide_matches_the_recheck_everything_reference(seed, m, d, kinds, rule
         "failing": lambda: _claim_from(rng, own, rng.randrange(2), wrong=1),
         "flag": lambda: BOT,
     }
-    inbox = {j: make[kind]() for j, kind in enumerate(kinds, start=2)}
-    assert decide(inbox, own, rule=rule) == reference_decide(inbox, own, rule)
+    return {j: make[kind]() for j, kind in enumerate(kinds, start=2)}
+
+
+_inbox_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([6, 12]),
+    d=st.integers(1, 2),
+    kinds=st.lists(st.sampled_from(_RELAY_KINDS), min_size=1, max_size=12),
+    rule=st.sampled_from(["literal", "merged"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_inbox_cases)
+def test_decide_matches_the_recheck_everything_reference(seed, m, d, kinds, rule):
+    rng = random.Random(seed)
+    own = combined_lists_from_segments([generate_segment(m, 2, rng) for _ in range(d)])[2]
+    inbox = _inbox(rng, own, kinds)
+    assert decide(relays(inbox), own, rule=rule) == reference_decide(inbox, own, rule)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_inbox_cases)
+def test_decide_ignores_how_relays_are_grouped(seed, m, d, kinds, rule):
+    # split each count into positive parts, give some parts an equal copy of
+    # the claim instead of the shared object, and shuffle the pairs
+    rng = random.Random(seed)
+    own = combined_lists_from_segments([generate_segment(m, 2, rng) for _ in range(d)])[2]
+    pairs = relays(_inbox(rng, own, kinds))
+    regrouped = []
+    for msg, count in pairs:
+        while count:
+            part = rng.randint(1, count)
+            count -= part
+            copy = isinstance(msg, Claim) and rng.random() < 0.5
+            regrouped.append((Claim(msg.bit, msg.mask) if copy else msg, part))
+    rng.shuffle(regrouped)
+    assert decide(regrouped, own, rule=rule) == decide(pairs, own, rule=rule)
 
 
 def test_decide_checks_each_distinct_claim_object_once(monkeypatch):
@@ -277,7 +295,7 @@ def test_decide_checks_each_distinct_claim_object_once(monkeypatch):
     copies = [Claim(GOOD_1.bit, GOOD_1.mask) for _ in range(2)]
     inbox = {j: GOOD_1 for j in range(2, 12)}
     inbox.update({12: copies[0], 13: copies[1], 14: BAD_1, 15: BOT, 16: BAD_1})
-    assert decide(inbox, OWN, rule="merged") == Decision(1)
+    assert decide(relays(inbox), OWN, rule="merged") == Decision(1)
     assert sorted(checked) == sorted({id(GOOD_1), id(copies[0]), id(copies[1]), id(BAD_1)})
 
 
