@@ -80,7 +80,9 @@ class Knowledge:
     Positions are reported as masks over the combined list, segment i
     occupying bits ``i*m`` to ``i*m + m - 1``.
     Nothing else is representable here, which is the structural guarantee
-    that strategies cannot peek at honest secrets.
+    that strategies cannot peek at honest secrets: own lists are built, so
+    they reference no segment, and leaked segments hold plain dicts, so no
+    undrawn coin or rng is reachable.
     """
 
     segment_length: int
@@ -111,18 +113,21 @@ def resolve_bribes(
     Coins are independent, one per bribed distributor, drawn in ascending
     distributor order so a fixed rng state reproduces the outcome.  Unbribed
     distributors never leak.  ``lists`` holds every party's combined list;
-    only the controlled parties' lists go into the Knowledge.
+    only the controlled parties' lists go into the Knowledge, built.  A
+    leaked segment goes in with every receiver's coins drawn into a plain
+    dict, so neither a coin store nor its rng is reachable from the result.
     """
     distributors = tuple(sorted(segments))
     disclosed: dict[int, Segment] = {}
     for dist in distributors:
         if dist in spec.bribed and rng.random() < spec.disclosure_probability:
-            disclosed[dist] = segments[dist]
+            seg = segments[dist]
+            disclosed[dist] = Segment(seg.length, seg.sender_zeros, seg.sender_ones, dict(seg.receiver_ones))
     return Knowledge(
         segment_length=segments[distributors[0]].length,
         distributors=distributors,
         disclosed=disclosed,
-        own_lists={party: lists[party] for party in sorted(spec.controlled)},
+        own_lists={party: lists[party].build() for party in sorted(spec.controlled)},
     )
 
 

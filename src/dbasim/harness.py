@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Collection, Mapping, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .adversary import (
     AdversarySpec,
@@ -238,13 +238,22 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
                 text = render_message(relayed[j])
                 transcript.extend(f"2 {j} {k} {text}" for k in receivers)
 
+    # Each honest receiver decides from the groups with the controlled
+    # relayers' messages to it merged in by identity, so it checks every
+    # distinct object in its inbox once.
     shared = list(groups.values())
     decisions: dict[int, Optional[Decision]] = {p: None for p in range(1, cfg.participants + 1)}
     for k in receivers:
         if k in controlled:
             continue
-        direct = [(sent.get(k), 1) for sent in targeted.values()]
-        decisions[k] = decide(shared + direct, lists[k], rule=cfg.decide_rule)
+        inbox: Iterable[list] = shared
+        if targeted:
+            merged = {key: [msg, count] for key, (msg, count) in groups.items()}
+            for sent in targeted.values():
+                msg = sent.get(k)
+                merged.setdefault(id(msg), [msg, 0])[1] += 1
+            inbox = merged.values()
+        decisions[k] = decide(inbox, lists[k], rule=cfg.decide_rule)
     if 1 not in controlled:
         decisions[1] = sender_decision(cfg.sender_input)
 

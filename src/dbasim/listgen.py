@@ -14,6 +14,13 @@ positions are the list positions in neither.  A receiver has a 1-mask, and
 its 0-mask is every other list position.  Since a receiver differs from the
 sender only at discord positions, its 1-mask is the sender's 1-mask OR its
 own coin positions.  Positions are 0-based throughout.
+
+Receivers' coins are drawn lazily.  A segment keeps its rng and draws a
+receiver's coin set the first time anything reads it, and a receiver's
+combined list builds its own masks the first time anything reads them.
+Until then a list answers from the positions every list of the family
+shares with the sender (its agreement positions), which is all an honest
+claim ever touches.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 SENDER = 1
 DISCORD = 2
@@ -47,12 +54,63 @@ def mask_of(positions: Iterable[int], length: int) -> int:
     return int(digits[::-1].translate(_BITS), 2) if length else 0
 
 
+class CoinStore(Mapping[int, int]):
+    """The receivers' 1-masks of one segment, each receiver's coins drawn on first read.
+
+    Reading receiver k draws, in ascending order, every receiver up to k
+    still undrawn, each as one ``rng.shuffle`` of a balanced coin list laid
+    over the discord positions.  So every value is the one an eager draw in
+    ascending receiver order would give, whatever the order of reads, and
+    once the last receiver is drawn the rng stands where that eager draw
+    would have left it; the store then lets go of it.  Iteration, ``len``
+    and ``in`` see every receiver without drawing; ``dict(store)``, ``==``
+    and ``items()`` draw whatever is still undrawn.
+    """
+
+    __slots__ = ("_rng", "_discord", "_coins", "_ones", "_length", "_keys", "_drawn")
+
+    def __init__(self, rng: random.Random, discord: list[int], ones: int, length: int, receiver_count: int):
+        half = len(discord) // 2
+        self._rng: Optional[random.Random] = rng
+        self._discord = discord
+        self._coins = [0] * half + [1] * half
+        self._ones = ones
+        self._length = length
+        self._keys = range(2, receiver_count + 2)
+        self._drawn: dict[int, int] = {}
+
+    def __getitem__(self, k: int) -> int:
+        drawn = self._drawn
+        if k in drawn:
+            return drawn[k]
+        if k not in self._keys:
+            raise KeyError(k)
+        rng, discord, template, ones, m = self._rng, self._discord, self._coins, self._ones, self._length
+        for j in range(len(drawn) + 2, k + 1):
+            coins = template.copy()
+            rng.shuffle(coins)
+            drawn[j] = ones | mask_of(compress(discord, coins), m)
+        if len(drawn) == len(self._keys):
+            self._rng = None
+        return drawn[k]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, k: object) -> bool:
+        return k in self._keys
+
+
 @dataclass(frozen=True)
 class Segment:
     """One distributor's output: the sender's 0- and 1-masks plus one 1-mask per receiver.
 
     ``receiver_ones`` maps the receiver's party index (2 and up) to its
-    1-mask; all lists share ``length``.
+    1-mask; all lists share ``length``.  A generated segment's
+    ``receiver_ones`` is a :class:`CoinStore`; any mapping will do.
     """
 
     length: int
@@ -72,52 +130,94 @@ class Segment:
         return ((1 << self.length) - 1) & ~ones, ones
 
 
-@dataclass(frozen=True)
 class CombinedList:
     """A party's concatenation of its per-distributor lists, in distributor order.
 
     Segment i occupies bits ``i*m`` to ``i*m + m - 1`` of each mask.
+    ``agreed`` is a (0-mask, 1-mask) pair of positions known to hold that
+    bit on this list: a receiver's list still unbuilt shares the sender's
+    masks there, since every list of the family copies the sender's 0/1
+    entries; a built list holds its own masks.  A built list references
+    nothing but its masks.
     """
 
-    party: int
-    length: int
-    zeros: int
-    ones: int
+    __slots__ = ("party", "length", "agreed", "_masks", "_segments")
+
+    def __init__(self, party: int, length: int, zeros: int, ones: int):
+        self.party = party
+        self.length = length
+        self.agreed = self._masks = (zeros, ones)
+        self._segments: Optional[Sequence[Segment]] = None
+
+    @classmethod
+    def unbuilt(cls, party: int, segments: Sequence[Segment], agreed: tuple[int, int]) -> CombinedList:
+        """Receiver ``party``'s list over ``segments``, with the sender's masks ``agreed``; built on first read."""
+        lst = cls.__new__(cls)
+        lst.party = party
+        lst.length = segments[0].length * len(segments)
+        lst.agreed = agreed
+        lst._masks = None
+        lst._segments = segments
+        return lst
+
+    def build(self) -> CombinedList:
+        """Build the list's own masks now if they are not built yet, drawing its coins; returns the list."""
+        segments = self._segments
+        if segments is not None:
+            ones = concat_masks([seg.receiver_ones[self.party] for seg in segments], segments[0].length)
+            self.agreed = self._masks = (((1 << self.length) - 1) ^ ones, ones)
+            self._segments = None
+        return self
 
     def mask(self, bit: int) -> int:
         """The positions holding ``bit`` (0 or 1)."""
-        if bit == 0:
-            return self.zeros
-        if bit == 1:
-            return self.ones
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
+        if bit not in (0, 1):
+            raise ValueError(f"bit must be 0 or 1, got {bit}")
+        masks = self._masks
+        return (masks if masks is not None else self.build()._masks)[bit]
+
+    @property
+    def zeros(self) -> int:
+        return self.mask(0)
+
+    @property
+    def ones(self) -> int:
+        return self.mask(1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CombinedList):
+            return NotImplemented
+        return (self.party, self.length, self.zeros, self.ones) == (other.party, other.length, other.zeros, other.ones)
+
+    def __repr__(self) -> str:
+        return f"CombinedList(party={self.party}, length={self.length}, zeros={self.zeros:#x}, ones={self.ones:#x})"
 
 
 def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment:
     """Draw one distributor's segment uniformly at random.
 
     The sender arrangement is a uniform shuffle of m/3 copies each of 0, 1
-    and 2.  Every receiver copies the 0/1 positions and gets an independent
-    uniform balanced assignment (m/6 zeros, m/6 ones) on the discord
-    positions, ascending.  Receivers are drawn in ascending party order, so
-    a fixed rng state reproduces the segment exactly.
+    and 2, drawn at once.  Every receiver copies the 0/1 positions and gets
+    an independent uniform balanced assignment (m/6 zeros, m/6 ones) on the
+    discord positions, ascending; those are drawn on first read by the
+    segment's :class:`CoinStore`, in ascending receiver order whatever the
+    order of reads.  The segment owns ``rng`` from here on: given a stream
+    nothing else draws from, a fixed rng state reproduces the segment
+    exactly, and it ends in the state an eager draw of every receiver would
+    leave once all receivers are read.
     """
     if m <= 0 or m % 6 != 0:
         raise ValueError(f"segment length must be a positive multiple of 6, got {m}")
     if receiver_count < 2:
         raise ValueError(f"need at least 2 receivers, got {receiver_count}")
-    third, sixth = m // 3, m // 6
+    third = m // 3
     trits = [0] * third + [1] * third + [DISCORD] * third
     rng.shuffle(trits)
     digits = bytes(trits)[::-1]
     zeros, ones = int(digits.translate(_ZEROS), 2), int(digits.translate(_ONES), 2)
     discord = [j for j, v in enumerate(trits) if v == DISCORD]
-    receiver_ones: dict[int, int] = {}
-    for k in range(2, receiver_count + 2):
-        coins = [0] * sixth + [1] * sixth
-        rng.shuffle(coins)
-        receiver_ones[k] = ones | mask_of(compress(discord, coins), m)
-    return Segment(length=m, sender_zeros=zeros, sender_ones=ones, receiver_ones=receiver_ones)
+    coins = CoinStore(rng, discord, ones, m, receiver_count)
+    return Segment(length=m, sender_zeros=zeros, sender_ones=ones, receiver_ones=coins)
 
 
 def concat_masks(masks: Sequence[int], m: int) -> int:
@@ -150,13 +250,22 @@ def combine_segments(party: int, segments: Sequence[Segment]) -> CombinedList:
 
 
 def combined_lists_from_segments(segments: Sequence[Segment]) -> dict[int, CombinedList]:
-    """Every party's combined list, from segments already in distributor order."""
+    """Every party's combined list, from segments already in distributor order.
+
+    The sender's list is built at once, and its masks are every receiver's
+    ``agreed`` masks; each receiver's list builds its own masks, drawing its
+    coins, on first read.
+    """
     if not segments:
         raise ValueError("need at least one segment")
     first = segments[0].receiver_indices
     for seg in segments[1:]:
         if seg.receiver_indices != first:
             raise ValueError(f"segments disagree on receiver indices: {first} vs {seg.receiver_indices}")
-    parties = (SENDER, *first)
-    return {p: combine_segments(p, segments) for p in parties}
+    sender = combine_segments(SENDER, segments)
+    segments = tuple(segments)
+    lists = {SENDER: sender}
+    for k in first:
+        lists[k] = CombinedList.unbuilt(k, segments, sender.agreed)
+    return lists
 

@@ -1,8 +1,31 @@
-"""The paper's six structural list properties, as the tests' reference checker."""
+"""The paper's six structural list properties, as the tests' reference checker, and the eager reference generator."""
 
 from dataclasses import dataclass
+from itertools import compress
 
-from dbasim.listgen import Segment, mask_positions
+from dbasim.listgen import DISCORD, Segment, mask_of, mask_positions
+
+
+def reference_segment(m, receiver_count, rng):
+    """The segment ``generate_segment`` draws, drawn eagerly into a plain dict.
+
+    The sender's trits are one shuffle of m/3 each of 0, 1 and 2; then each
+    receiver, ascending, gets one shuffle of m/6 zeros and m/6 ones laid over
+    the discord positions.  This is the stream layout the lazy generator
+    must reproduce value for value and draw for draw.
+    """
+    third, sixth = m // 3, m // 6
+    trits = [0] * third + [1] * third + [DISCORD] * third
+    rng.shuffle(trits)
+    zeros = mask_of((j for j, v in enumerate(trits) if v == 0), m)
+    ones = mask_of((j for j, v in enumerate(trits) if v == 1), m)
+    discord = [j for j, v in enumerate(trits) if v == DISCORD]
+    receiver_ones = {}
+    for k in range(2, receiver_count + 2):
+        coins = [0] * sixth + [1] * sixth
+        rng.shuffle(coins)
+        receiver_ones[k] = ones | mask_of(compress(discord, coins), m)
+    return Segment(length=m, sender_zeros=zeros, sender_ones=ones, receiver_ones=receiver_ones)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Trial execution, decision predicates, batch aggregation, determinism."""
 
 import dataclasses
+import gc
 import math
 import os
 import random
@@ -13,7 +14,7 @@ from scipy.stats import binom, binomtest
 
 import dbasim
 import dbasim.harness
-from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, AdversarySpec
+from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, AdversarySpec, Knowledge
 from dbasim.harness import (
     BatchReport,
     SimConfig,
@@ -26,7 +27,7 @@ from dbasim.harness import (
     run_trial,
     wilson_interval,
 )
-from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_of, mask_positions
+from dbasim.listgen import CoinStore, Segment, combined_lists_from_segments, generate_segment, mask_of, mask_positions
 from dbasim.protocol import ABORT, BOT, Claim, Decision
 from symbols import bits, reference_decide
 
@@ -272,6 +273,64 @@ def test_forging_decide_calls_get_one_pair_per_distinct_honest_relay_and_forger(
         assert max(sizes) <= len(honest_relays) + len(forgers) < len(cfg.receivers)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(receiver_strategy="honest-mimic"),
+        dict(receiver_strategy="silent"),
+        dict(receiver_strategy="flag-always"),
+        dict(receiver_strategy="omniscient-forge"),
+        dict(receiver_strategy="omniscient-forge", controlled={7}, bribed={8, 9}, disclosure_probability=0.9),
+    ],
+    ids=["honest-mimic", "silent", "flag-always", "omniscient-honest", "omniscient-forging"],
+)
+def test_controlled_relays_merge_into_the_groups_by_identity(monkeypatch, kw):
+    # a controlled relayer's message counts in the group of the very object
+    # it relays, as an honest one does: each decide gets the sender's claim
+    # and at most one other message (the flag, silence, or the forged claim
+    # to the victim), where one pair per controlled relayer's message would
+    # make three for the first four cases and, for everyone but the victim,
+    # two for the last
+    sizes = _record_decide_sizes(monkeypatch)
+    cfg = _cfg(participants=7, trials=8, **{"controlled": {6, 7}, **kw})
+    reports = []
+    run_batch(cfg, on_trial=reports.append)
+    assert len(sizes) == 8 * (6 - len(cfg.adversary.controlled))
+    assert max(sizes) <= 2
+    if "bribed" in kw:
+        # the victim alone sees the forged claim beside the shared one
+        assert any(rep.forge_attempts for rep in reports)
+        assert sizes.count(2) == sum(rep.forge_attempts for rep in reports)
+
+
+# --- lazy coins -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(participants=32, distributors=2, segment_length=60, trials=3),
+        SimConfig(participants=5, distributors=3, segment_length=6, trials=6, sender_input=0),
+        _cfg(controlled={1}, sender_strategy="equivocate", trials=6),
+        _cfg(participants=9, distributors=1, segment_length=18, controlled={1}, sender_strategy="equivocate", trials=6),
+    ],
+    ids=["honest-wide", "honest-small", "equivocate", "equivocate-wide"],
+)
+def test_trials_whose_claims_stay_on_agreement_positions_shuffle_once_per_segment(monkeypatch, cfg):
+    # every claim is a full honest claim, so no receiver's coins are ever
+    # read: the only shuffle per segment is the sender's
+    shuffles = []
+    real = random.Random.shuffle
+
+    def counting(self, x):
+        shuffles.append(len(x))
+        return real(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", counting)
+    run_batch(cfg)
+    assert shuffles == [cfg.segment_length] * (cfg.distributors * cfg.trials)
+
+
 # --- batches ---------------------------------------------------------------------
 
 
@@ -462,3 +521,54 @@ def test_full_reports_survive_redraws_when_claims_do_not_touch_discord(monkeypat
         assert base.decisions == shuffled.decisions
         assert base.agreement == shuffled.agreement
         assert _adversary_lines(base, {1}) == _adversary_lines(shuffled, {1})
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through ``gc.get_referents``, classes left out."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if not isinstance(ref, type) and id(ref) not in seen:
+                seen[id(ref)] = ref
+                stack.append(ref)
+    return list(seen.values())
+
+
+def _check_closed(know):
+    """Assert that ``know`` reaches no undisclosed segment, no coin store and no rng."""
+    reached = _reachable(know)
+    disclosed = {id(seg) for seg in know.disclosed.values()}
+    stray = [type(obj).__name__ for obj in reached if isinstance(obj, (CoinStore, random.Random))]
+    stray += ["undisclosed Segment" for obj in reached if isinstance(obj, Segment) and id(obj) not in disclosed]
+    assert not stray, stray
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(controlled={4}, receiver_strategy="forge"),
+        dict(participants=8, controlled={5, 6, 7, 8}, receiver_strategy="forge", bribed={9, 10}),
+        dict(controlled={4}, receiver_strategy="omniscient-forge", bribed={5, 6}),
+        dict(participants=6, controlled={1, 3}, sender_strategy="equivocate", receiver_strategy="random-junk", bribed={7}),
+    ],
+    ids=["forge", "forge-bribed", "omniscient-bribed", "sender-and-receiver"],
+)
+def test_knowledge_reaches_no_undisclosed_segment_coin_store_or_rng(monkeypatch, kw):
+    # walked the moment resolve_bribes hands it over, before any strategy
+    # or honest check has drawn coins
+    real = dbasim.harness.resolve_bribes
+    handed = []
+
+    def walking(spec, rng, segments, lists):
+        know = real(spec, rng, segments, lists)
+        _check_closed(know)
+        handed.append(know)
+        return know
+
+    monkeypatch.setattr(dbasim.harness, "resolve_bribes", walking)
+    cfg = _cfg(trials=12, **kw)
+    run_batch(cfg)
+    assert len(handed) == 12 and all(isinstance(know, Knowledge) for know in handed)
+    if cfg.adversary.bribed:
+        assert any(know.disclosed for know in handed)

@@ -1,5 +1,6 @@
 """Reference-list generation and composition, checked against the six list properties."""
 
+import gc
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from dbasim.listgen import (
     mask_of,
     mask_positions,
 )
-from listprops import verify_segment
+from listprops import reference_segment, verify_segment
 from symbols import bits, entries
 
 LENGTHS = st.sampled_from([6, 12, 18, 24, 30, 60])
@@ -207,3 +208,71 @@ def test_masks_and_positions_convert_both_ways(data, length):
     mask = mask_of(positions, length)
     assert mask == bits(positions)
     assert mask_positions(mask) == sorted(positions)
+
+
+# --- lazy coins against the eager reference ---------------------------------------
+
+
+class CountingRandom(random.Random):
+    """A Random that counts its shuffles."""
+
+    shuffles = 0
+
+    def shuffle(self, x):
+        self.shuffles += 1
+        super().shuffle(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=LENGTHS, receivers=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_lazy_segment_matches_the_eager_reference_in_any_read_order(data, m, receivers, seed):
+    lazy_rng, eager_rng = random.Random(seed), random.Random(seed)
+    seg = generate_segment(m, receivers, lazy_rng)
+    ref = reference_segment(m, receivers, eager_rng)
+    assert seg.party_masks(1) == ref.party_masks(1)
+    indices = range(2, receivers + 2)
+    # some reads, repeats allowed, then every receiver in some order
+    reads = data.draw(st.lists(st.sampled_from(indices), max_size=10)) + data.draw(st.permutations(indices))
+    for k in reads:
+        assert seg.party_masks(k) == ref.party_masks(k)
+    assert lazy_rng.getstate() == eager_rng.getstate()
+    assert dict(seg.receiver_ones) == ref.receiver_ones
+    assert seg == ref
+
+
+def test_receivers_are_drawn_on_first_read_in_ascending_order():
+    rng = CountingRandom(3)
+    seg = generate_segment(12, 5, rng)
+    coins = seg.receiver_ones
+    assert rng.shuffles == 1  # the sender's trits only
+    # keys, length and membership never draw; neither do absent receivers
+    assert list(coins) == [2, 3, 4, 5, 6] and len(coins) == 5 and 4 in coins and 7 not in coins
+    assert seg.receiver_indices == (2, 3, 4, 5, 6)
+    for absent in (1, 7):
+        with pytest.raises(KeyError):
+            coins[absent]
+    assert rng.shuffles == 1
+    coins[4]  # draws receivers 2, 3 and 4
+    assert rng.shuffles == 4
+    coins[2]
+    coins[4]
+    assert rng.shuffles == 4
+    assert any(isinstance(obj, random.Random) for obj in gc.get_referents(coins))
+    assert len(dict(coins)) == 5 and rng.shuffles == 6
+    # every receiver drawn: the store lets go of its rng
+    assert not any(isinstance(obj, random.Random) for obj in gc.get_referents(coins))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=LENGTHS, d=st.integers(1, 3), receivers=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_lazy_lists_match_lists_combined_from_reference_segments(data, m, d, receivers, seed):
+    lazy = combined_lists_from_segments([generate_segment(m, receivers, random.Random(seed + i)) for i in range(d)])
+    refs = [reference_segment(m, receivers, random.Random(seed + i)) for i in range(d)]
+    # before any read, every receiver's agreement masks are the sender's
+    assert all(lazy[k].agreed == lazy[1].agreed for k in range(2, receivers + 2))
+    for party in data.draw(st.permutations(range(1, receivers + 2))):
+        expected = combine_segments(party, refs)
+        assert lazy[party] == expected
+        assert entries(lazy[party]) == entries(expected)
+        # once built, a list's agreement masks are its own
+        assert lazy[party].agreed == (expected.mask(0), expected.mask(1))

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_positions
+from dbasim.listgen import combine_segments, combined_lists_from_segments, generate_segment, mask_positions
 from dbasim.protocol import (
     ABORT,
     BOT,
@@ -19,6 +19,7 @@ from dbasim.protocol import (
     render_message,
     sender_decision,
 )
+from listprops import reference_segment
 from symbols import bits, combined, entries, reference_decide, relays
 
 # two positions per bit, four distinct consistent claims available
@@ -126,6 +127,43 @@ def test_check_claim_matches_the_positionwise_reference(data, total, bit):
     claim = at(bit, *positions)
     assert claim.positions == positions
     assert check_claim(claim, own) == reference_check_claim(bit, positions, own_entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=st.sampled_from([6, 12, 18]),
+    d=st.integers(1, 3),
+    party=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    bit=st.integers(-1, 2),
+)
+def test_check_claim_on_lazy_lists_matches_the_positionwise_reference(data, m, d, party, seed, bit):
+    # a lazy list, fresh so the check is its first read, against the list
+    # combined from eagerly drawn reference segments of the same streams
+    rngs = [random.Random(seed + i) for i in range(d)]
+    own = combined_lists_from_segments([generate_segment(m, 3, rng) for rng in rngs])[party]
+    expected = combine_segments(party, [reference_segment(m, 3, random.Random(seed + i)) for i in range(d)])
+    sender = combine_segments(1, [reference_segment(m, 3, random.Random(seed + i)) for i in range(d)])
+    total = d * m
+    # start from the sender's positions of the bit (an honest claim), swap
+    # some for other positions, then maybe add or drop one
+    agreed = mask_positions(sender.mask(bit if bit in (0, 1) else 1))
+    others = [x for x in range(total + 2) if x not in agreed]
+    swap = data.draw(st.integers(0, len(agreed)))
+    positions = set(data.draw(st.permutations(agreed))[swap:]) | set(data.draw(st.permutations(others))[:swap])
+    resize = data.draw(st.sampled_from(["keep", "add", "drop"]))
+    if resize == "add":
+        positions.add(data.draw(st.sampled_from(others)))
+    elif resize == "drop" and positions:
+        positions.discard(data.draw(st.sampled_from(sorted(positions))))
+    positions = tuple(sorted(positions))
+    states = [rng.getstate() for rng in rngs]
+    assert check_claim(at(bit, *positions), own) == reference_check_claim(bit, positions, entries(expected))
+    if set(positions) <= set(agreed):
+        # a claim on the agreement positions draws no coin
+        assert [rng.getstate() for rng in rngs] == states
+    assert own == expected
 
 
 def test_relay_passes_consistent_claims_and_flags_the_rest():
