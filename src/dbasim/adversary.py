@@ -23,7 +23,7 @@ from math import comb
 from random import Random
 from typing import Mapping, Optional, Sequence
 
-from .listgen import SENDER, CombinedList, Segment, concat_masks, mask_of, mask_positions
+from .listgen import SENDER, CombinedList, Segment, concat_masks, mask_of, mask_positions, sample
 from .protocol import BOT, Claim, Message, make_claim, relay_step
 
 #: receiver strategies that can break agreement with positive probability;
@@ -106,16 +106,20 @@ class Knowledge:
 
 
 def resolve_bribes(
-    spec: AdversarySpec, rng: Random, segments: Mapping[int, Segment], lists: Mapping[int, CombinedList]
+    spec: AdversarySpec,
+    rng: Optional[Random],
+    segments: Mapping[int, Segment],
+    lists: Mapping[int, CombinedList],
 ) -> Knowledge:
     """Flip each bribed distributor's disclosure coin and assemble Knowledge.
 
     Coins are independent, one per bribed distributor, drawn in ascending
     distributor order so a fixed rng state reproduces the outcome.  Unbribed
-    distributors never leak.  ``lists`` holds every party's combined list;
-    only the controlled parties' lists go into the Knowledge, built.  A
-    leaked segment goes in with every receiver's coins drawn into a plain
-    dict, so neither a coin store nor its rng is reachable from the result.
+    distributors never leak, and ``rng`` may be None when none is bribed.
+    ``lists`` holds every party's combined list; only the controlled
+    parties' lists go into the Knowledge, built.  A leaked segment goes in
+    with every receiver's coins drawn into a plain dict, so neither a coin
+    store nor its rng is reachable from the result.
     """
     distributors = tuple(sorted(segments))
     disclosed: dict[int, Segment] = {}
@@ -149,7 +153,7 @@ def forge_claim(
     candidates look identical to the forger, and the discord ones only match
     the target's hidden bit half the time; that is the whole exposure.  The
     pool is the same for every target, so it is built once; targets draw
-    from it in ascending order, each with its own ``rng.sample``.
+    from it in ascending order, each with its own :func:`~dbasim.listgen.sample`.
 
     Always returns well-formed claims (right size, in range).  If the pool
     runs dry, which needs a sender claim overlapping the forger's own
@@ -173,10 +177,10 @@ def forge_claim(
                 pool = mask_positions(own_list.mask(target_bit) & ~excluded)
             fill = need - count
             take = min(fill, len(pool))
-            picked |= mask_of(rng.sample(pool, take), total)
+            picked |= mask_of(sample(pool, take, rng), total)
             if take < fill:
                 leftovers = mask_positions(((1 << total) - 1) & ~picked)
-                picked |= mask_of(rng.sample(leftovers, fill - take), total)
+                picked |= mask_of(sample(leftovers, fill - take, rng), total)
         out[target] = Claim(bit=target_bit, mask=picked)
     return out
 
@@ -321,7 +325,7 @@ def _random_junk(party: int, incoming: object, know: Knowledge, receivers: Seque
     msgs: dict[int, Optional[Message]] = {}
     for k in receivers:  # ascending, so the rng stream is reproducible
         bit = rng.randrange(2)
-        msgs[k] = Claim(bit, mask_of(rng.sample(range(total), total // 3), total))
+        msgs[k] = Claim(bit, mask_of(sample(range(total), total // 3, rng), total))
     return msgs, ()
 
 

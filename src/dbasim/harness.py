@@ -182,8 +182,9 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
 
     List generation, bribery coins, and each adversary party draw from
     independent derived streams, so changing one stream's consumption never
-    disturbs the others.  ``cfg`` must have passed :meth:`SimConfig.validate`,
-    as :func:`run_batch` ensures.
+    disturbs the others; the bribery stream is derived only when a
+    distributor is bribed, since nothing else reads it.  ``cfg`` must have
+    passed :meth:`SimConfig.validate`, as :func:`run_batch` ensures.
     """
     spec = cfg.adversary
     receivers = cfg.receivers
@@ -197,7 +198,8 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     ordered = [segments[dist] for dist in cfg.distributor_indices]
     lists = combined_lists_from_segments(ordered)
 
-    knowledge = resolve_bribes(spec, derive_rng(cfg.master_seed, trial, "bribes"), segments, lists)
+    bribe_rng = derive_rng(cfg.master_seed, trial, "bribes") if spec.bribed else None
+    knowledge = resolve_bribes(spec, bribe_rng, segments, lists)
 
     # Round 1: the sender announces one claim per receiver.
     transcript: Optional[list[str]] = [] if capture_transcript else None

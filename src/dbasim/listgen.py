@@ -21,6 +21,10 @@ combined list builds its own masks the first time anything reads them.
 Until then a list answers from the positions every list of the family
 shares with the sender (its agreement positions), which is all an honest
 claim ever touches.
+
+Lists are drawn with :func:`shuffle`, and the adversary's picks with
+:func:`sample`.  Both equal ``Random.shuffle`` and ``Random.sample`` draw
+for draw, so what they draw rests only on the rng's ``getrandbits`` words.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress
+from math import ceil, log
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 SENDER = 1
@@ -54,11 +59,63 @@ def mask_of(positions: Iterable[int], length: int) -> int:
     return int(digits[::-1].translate(_BITS), 2) if length else 0
 
 
+def shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does.
+
+    Same result, same final rng state: each swap index is drawn by the
+    ``getrandbits`` rejection loop of ``Random._randbelow``, inlined.
+    """
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def sample(population: Sequence, k: int, rng: random.Random) -> list:
+    """``k`` distinct picks from ``population`` exactly as ``rng.sample(population, k)`` makes them.
+
+    Same result, same final rng state: both branches of ``Random.sample``
+    (a shrinking pool, or a set of indices already taken when the set is
+    the smaller, by the same size rule) with ``Random._randbelow`` inlined.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for size in range(n, n - k, -1):
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[size - 1]
+    else:
+        bits = n.bit_length()
+        selected: set[int] = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result.append(population[j])
+    return result
+
+
 class CoinStore(Mapping[int, int]):
     """The receivers' 1-masks of one segment, each receiver's coins drawn on first read.
 
     Reading receiver k draws, in ascending order, every receiver up to k
-    still undrawn, each as one ``rng.shuffle`` of a balanced coin list laid
+    still undrawn, each as one :func:`shuffle` of a balanced coin list laid
     over the discord positions.  So every value is the one an eager draw in
     ascending receiver order would give, whatever the order of reads, and
     once the last receiver is drawn the rng stands where that eager draw
@@ -88,7 +145,7 @@ class CoinStore(Mapping[int, int]):
         rng, discord, template, ones, m = self._rng, self._discord, self._coins, self._ones, self._length
         for j in range(len(drawn) + 2, k + 1):
             coins = template.copy()
-            rng.shuffle(coins)
+            shuffle(coins, rng)
             drawn[j] = ones | mask_of(compress(discord, coins), m)
         if len(drawn) == len(self._keys):
             self._rng = None
@@ -212,7 +269,7 @@ def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment
         raise ValueError(f"need at least 2 receivers, got {receiver_count}")
     third = m // 3
     trits = [0] * third + [1] * third + [DISCORD] * third
-    rng.shuffle(trits)
+    shuffle(trits, rng)
     digits = bytes(trits)[::-1]
     zeros, ones = int(digits.translate(_ZEROS), 2), int(digits.translate(_ONES), 2)
     discord = [j for j, v in enumerate(trits) if v == DISCORD]

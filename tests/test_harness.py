@@ -14,6 +14,7 @@ from scipy.stats import binom, binomtest
 
 import dbasim
 import dbasim.harness
+import dbasim.listgen
 from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, AdversarySpec, Knowledge
 from dbasim.harness import (
     BatchReport,
@@ -56,6 +57,29 @@ def test_derived_streams_are_reproducible_and_distinct():
 
 def test_label_boundaries_do_not_collide():
     assert derive_rng(1, "ab", "c").random() != derive_rng(1, "a", "bc").random()
+
+
+@pytest.mark.parametrize(
+    "kw, bribe_streams",
+    [
+        (dict(), 0),
+        (dict(controlled={4}, receiver_strategy="forge"), 0),
+        (dict(controlled={4}, receiver_strategy="forge", bribed={6}), 1),
+        (dict(bribed={5, 6}), 1),
+    ],
+)
+def test_the_bribery_stream_is_derived_only_when_a_distributor_is_bribed(monkeypatch, kw, bribe_streams):
+    purposes = []
+    real = dbasim.harness.derive_rng
+
+    def recording(master_seed, trial, purpose, *labels):
+        purposes.append(purpose)
+        return real(master_seed, trial, purpose, *labels)
+
+    monkeypatch.setattr(dbasim.harness, "derive_rng", recording)
+    run_trial(_cfg(participants=4, **kw), 0)
+    assert purposes.count("bribes") == bribe_streams
+    assert purposes.count("segment") == 2
 
 
 # --- config validation ----------------------------------------------------------
@@ -320,13 +344,13 @@ def test_trials_whose_claims_stay_on_agreement_positions_shuffle_once_per_segmen
     # every claim is a full honest claim, so no receiver's coins are ever
     # read: the only shuffle per segment is the sender's
     shuffles = []
-    real = random.Random.shuffle
+    real = dbasim.listgen.shuffle
 
-    def counting(self, x):
+    def counting(x, rng):
         shuffles.append(len(x))
-        return real(self, x)
+        real(x, rng)
 
-    monkeypatch.setattr(random.Random, "shuffle", counting)
+    monkeypatch.setattr(dbasim.listgen, "shuffle", counting)
     run_batch(cfg)
     assert shuffles == [cfg.segment_length] * (cfg.distributors * cfg.trials)
 

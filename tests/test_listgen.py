@@ -1,11 +1,13 @@
 """Reference-list generation and composition, checked against the six list properties."""
 
 import gc
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbasim import listgen
 from dbasim.listgen import (
     DISCORD,
     Segment,
@@ -210,17 +212,97 @@ def test_masks_and_positions_convert_both_ways(data, length):
     assert mask_positions(mask) == sorted(positions)
 
 
+# --- draw kernels against the standard library ------------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _stdlib_setsize(k):
+    """The population size above which ``Random.sample`` tracks picks in a set (its own rule, restated)."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def _same_sample(population, k, seed):
+    """``listgen.sample`` and ``Random.sample`` on one seed: same picks, same final state."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert listgen.sample(population, k, ours) == theirs.sample(population, k)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_shuffle_equals_the_stdlib_at_every_length_up_to_300():
+    for n in range(301):
+        ours, theirs = random.Random(n), random.Random(n)
+        x, y = list(range(n)), list(range(n))
+        listgen.shuffle(x, ours)
+        theirs.shuffle(y)
+        assert x == y, n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(st.integers(0, 2)), seed=SEEDS)
+def test_shuffle_equals_the_stdlib_on_repeated_items(items, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    x, y = items.copy(), items.copy()
+    listgen.shuffle(x, ours)
+    theirs.shuffle(y)
+    assert x == y
+    assert ours.getstate() == theirs.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 300), as_range=st.booleans(), seed=SEEDS)
+def test_sample_equals_the_stdlib_for_any_size(data, n, as_range, seed):
+    k = data.draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    _same_sample(range(n) if as_range else list(range(100, 100 + n)), k, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), few=st.booleans(), as_range=st.booleans(), seed=SEEDS)
+def test_sample_equals_the_stdlib_on_its_set_branch(data, few, as_range, seed):
+    if few:  # at most five picks from more than 21
+        k, n = data.draw(st.integers(0, 5)), data.draw(st.integers(22, 300))
+    else:  # more than five picks, from more than three times as many and beyond the set size
+        k = data.draw(st.integers(6, 60))
+        n = data.draw(st.integers(_stdlib_setsize(k) + 1, _stdlib_setsize(k) + 200))
+    _same_sample(range(n) if as_range else list(range(n)), k, seed)
+
+
+def test_sample_equals_the_stdlib_on_both_sides_of_the_branch_boundary():
+    for k in range(0, 80):
+        for n in range(_stdlib_setsize(k) - 1, _stdlib_setsize(k) + 2):
+            if k <= n:
+                _same_sample(range(n), k, k * 1000 + n)
+                _same_sample(list(range(n)), k, k * 1000 + n)
+
+
+def test_sample_rejects_what_the_stdlib_rejects():
+    for population, k in ((range(3), 4), ([1, 2], -1), ([], 1)):
+        with pytest.raises(ValueError):
+            random.Random(0).sample(population, k)
+        with pytest.raises(ValueError):
+            listgen.sample(population, k, random.Random(0))
+
+
 # --- lazy coins against the eager reference ---------------------------------------
 
 
 class CountingRandom(random.Random):
-    """A Random that counts its shuffles."""
+    """A Random whose ``shuffles`` counts the ``listgen.shuffle`` calls drawing from it, under ``counting_shuffles``."""
 
     shuffles = 0
 
-    def shuffle(self, x):
-        self.shuffles += 1
-        super().shuffle(x)
+
+@pytest.fixture
+def counting_shuffles(monkeypatch):
+    real = listgen.shuffle
+
+    def counting(x, rng):
+        if isinstance(rng, CountingRandom):
+            rng.shuffles += 1
+        real(x, rng)
+
+    monkeypatch.setattr(listgen, "shuffle", counting)
 
 
 @settings(max_examples=150, deadline=None)
@@ -240,7 +322,7 @@ def test_lazy_segment_matches_the_eager_reference_in_any_read_order(data, m, rec
     assert seg == ref
 
 
-def test_receivers_are_drawn_on_first_read_in_ascending_order():
+def test_receivers_are_drawn_on_first_read_in_ascending_order(counting_shuffles):
     rng = CountingRandom(3)
     seg = generate_segment(12, 5, rng)
     coins = seg.receiver_ones
