@@ -339,11 +339,13 @@ def _sender_equivocate(party: int, bit: int, know: Knowledge, receivers: Sequenc
 
     Each receiver gets the full honest claim for its bit, so every claim is
     individually consistent everywhere and the split only surfaces when
-    receivers compare relays and hit the conflicting-bits criterion.
+    receivers compare relays and hit the conflicting-bits criterion.  Each
+    half shares one claim object, as an honest sender's receivers do.
     """
     own = know.own_lists[party]
     half = (len(receivers) + 1) // 2
-    return {k: make_claim(bit if i < half else 1 - bit, own) for i, k in enumerate(receivers)}, ()
+    first, second = make_claim(bit, own), make_claim(1 - bit, own)
+    return {k: first if i < half else second for i, k in enumerate(receivers)}, ()
 
 
 def _receiver_honest(

@@ -26,12 +26,14 @@ from .adversary import (
     forge_success_closed_form,
     resolve_bribes,
 )
-from .listgen import combined_lists_from_segments, generate_segment
+from .listgen import SENDER, combined_lists_from_segments, generate_segment
 from .protocol import (
+    BOT,
     DECIDE_RULES,
     Decision,
     Message,
     check_claim,
+    class_relay,
     decide,
     make_claim,
     relay_step,
@@ -215,12 +217,18 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     # Round 2: every receiver relays to every receiver, itself included.  An
     # honest relayer sends one message to all, so honest relays are kept as
     # one [message, count] group per distinct object; a controlled relayer
-    # keeps its per-target messages.
+    # keeps its per-target messages.  Every receiver's list copies the
+    # sender's 0/1 entries, so each distinct round-1 object is classed once,
+    # against the sender's list, for every honest receiver that got it; only
+    # a claim failing there is relayed per receiver, from its own list.
+    sender_list = lists[SENDER]
     forge_attempts = 0
     forge_successes = 0
     relayed: dict[int, Message] = {}
     targeted: dict[int, dict[int, Optional[Message]]] = {}
     groups: dict[int, list] = {}
+    classes: dict[int, Optional[Message]] = {}
+    own_claims = False  # some relayed claim fails against the sender's list
     for j in receivers:
         if j in controlled:
             rng = derive_rng(cfg.master_seed, trial, "adversary", j)
@@ -230,7 +238,15 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
                     forge_attempts += 1
                     forge_successes += check_claim(targeted[j][k], lists[k])
         else:
-            msg = relayed[j] = relay_step(round1.get(j), lists[j])
+            got = round1.get(j)
+            key = id(got)
+            if key not in classes:
+                classes[key] = class_relay(got, sender_list)
+            msg = classes[key]
+            if msg is None:
+                msg = relay_step(got, lists[j])
+                own_claims |= msg is not BOT
+            relayed[j] = msg
             groups.setdefault(id(msg), [msg, 0])[1] += 1
     if transcript is not None:
         for j in receivers:
@@ -240,22 +256,27 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
                 text = render_message(relayed[j])
                 transcript.extend(f"2 {j} {k} {text}" for k in receivers)
 
-    # Each honest receiver decides from the groups with the controlled
-    # relayers' messages to it merged in by identity, so it checks every
-    # distinct object in its inbox once.
-    shared = list(groups.values())
+    # With no controlled relayer every honest receiver gets the same groups,
+    # and if each claim in them is consistent with the sender's list it is
+    # consistent with every receiver's list: one decision serves them all.
+    # Otherwise each honest receiver decides from the groups with the
+    # controlled relayers' messages to it merged in by identity, so it
+    # checks every distinct object in its inbox once.
     decisions: dict[int, Optional[Decision]] = {p: None for p in range(1, cfg.participants + 1)}
-    for k in receivers:
-        if k in controlled:
-            continue
-        inbox: Iterable[list] = shared
-        if targeted:
-            merged = {key: [msg, count] for key, (msg, count) in groups.items()}
-            for sent in targeted.values():
-                msg = sent.get(k)
-                merged.setdefault(id(msg), [msg, 0])[1] += 1
-            inbox = merged.values()
-        decisions[k] = decide(inbox, lists[k], rule=cfg.decide_rule)
+    honest_receivers = [k for k in receivers if k not in controlled]
+    if not targeted and not own_claims:
+        decisions.update(dict.fromkeys(honest_receivers, decide(groups.values(), sender_list, rule=cfg.decide_rule)))
+    else:
+        shared = list(groups.values())
+        for k in honest_receivers:
+            inbox: Iterable[list] = shared
+            if targeted:
+                merged = {key: [msg, count] for key, (msg, count) in groups.items()}
+                for sent in targeted.values():
+                    msg = sent.get(k)
+                    merged.setdefault(id(msg), [msg, 0])[1] += 1
+                inbox = merged.values()
+            decisions[k] = decide(inbox, lists[k], rule=cfg.decide_rule)
     if 1 not in controlled:
         decisions[1] = sender_decision(cfg.sender_input)
 

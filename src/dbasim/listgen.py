@@ -39,7 +39,12 @@ SENDER = 1
 DISCORD = 2
 
 # Masks convert to and from symbols through binary digit strings, in time
-# linear in the list length; OR-ing one bit at a time would be quadratic.
+# linear in the list length.  OR-ing one bit at a time is quadratic but has
+# no fixed cost, so :func:`mask_of` ORs up to _OR_MAX_LENGTH positions long:
+# at length 60 the OR loop took 1.0 us against the digit string's 1.5 us
+# with a sixth of the positions set, and tied with a third set; at 72 the
+# digit string won with a third set (CPython 3.11, ``timeit``).
+_OR_MAX_LENGTH = 64
 _ZEROS = bytes.maketrans(b"\x00\x01\x02", b"100")
 _ONES = bytes.maketrans(b"\x00\x01\x02", b"010")
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -53,6 +58,19 @@ def mask_positions(mask: int) -> list[int]:
 
 def mask_of(positions: Iterable[int], length: int) -> int:
     """The mask with exactly ``positions`` set, each below ``length``."""
+    if length <= _OR_MAX_LENGTH:
+        return _or_mask(positions)
+    return _digit_mask(positions, length)
+
+
+def _or_mask(positions: Iterable[int]) -> int:
+    mask = 0
+    for x in positions:
+        mask |= 1 << x
+    return mask
+
+
+def _digit_mask(positions: Iterable[int], length: int) -> int:
     digits = bytearray(length)
     for x in positions:
         digits[x] = 1

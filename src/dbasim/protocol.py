@@ -102,6 +102,21 @@ def relay_step(received: Optional[Message], own_list: CombinedList) -> Message:
     return BOT
 
 
+def class_relay(received: Optional[Message], sender_list: CombinedList) -> Optional[Message]:
+    """What every honest receiver relays on ``received``, or None when that depends on its own list.
+
+    Every receiver's list copies the sender's 0/1 entries, so a claim
+    consistent with ``sender_list`` is consistent with every receiver's
+    list and is relayed as-is, and anything short of a claim is relayed as
+    the flag.  Only a claim failing against the sender's list can pass at
+    one receiver and fail at another; that one needs :func:`relay_step`
+    per receiver.
+    """
+    if not isinstance(received, Claim):
+        return BOT
+    return received if check_claim(received, sender_list) else None
+
+
 def sender_decision(bit: int) -> Decision:
     """The honest sender simply outputs its own input."""
     if bit not in (0, 1):
@@ -134,6 +149,12 @@ def decide(
     Both (b) and (c) hold vacuously when H covers everyone.  Under the
     literal rule a complement mixing failing claims with flags falls to (d);
     the merged rule accepts that mix and decides.
+
+    ``own_list`` matters only for claims that fail against the sender's
+    list, since a claim consistent with the sender's list is consistent
+    with every receiver's.  So when every claim in ``relays`` passes there,
+    one call with the sender's list as ``own_list`` decides for every
+    receiver that got those relays.
     """
     if rule not in DECIDE_RULES:
         raise ValueError(f"unknown decide rule {rule!r}, expected one of {DECIDE_RULES}")

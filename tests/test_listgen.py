@@ -212,6 +212,14 @@ def test_masks_and_positions_convert_both_ways(data, length):
     assert mask_positions(mask) == sorted(positions)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), length=st.integers(0, 200))
+def test_the_or_loop_and_the_digit_string_build_the_same_mask(data, length):
+    # mask_of picks one of the two by length; both must agree on either side
+    positions = data.draw(st.lists(st.integers(0, max(length - 1, 0)), max_size=length if length else 0))
+    assert listgen._or_mask(positions) == listgen._digit_mask(positions, length) == bits(set(positions))
+
+
 # --- draw kernels against the standard library ------------------------------------
 
 SEEDS = st.integers(0, 2**32 - 1)
