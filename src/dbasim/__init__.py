@@ -14,7 +14,7 @@ from .listgen import (
     combined_lists_from_segments,
     generate_segment,
 )
-from .protocol import ABORT, BOT, Bot, Claim, Decision, check_claim, decide, make_claim, relay_step
+from .protocol import ABORT, BOT, Bot, Claim, Decision, check_claim, class_relay, decide, make_claim, relay_step
 from .adversary import AdversarySpec, Knowledge, forge_claim, forge_success_oracle, resolve_bribes
 from .harness import BatchReport, SimConfig, TrialReport, run_batch, run_trial
 
@@ -32,6 +32,7 @@ __all__ = [
     "SimConfig",
     "TrialReport",
     "check_claim",
+    "class_relay",
     "combine_segments",
     "combined_lists_from_segments",
     "decide",

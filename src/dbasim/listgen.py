@@ -40,10 +40,10 @@ DISCORD = 2
 
 # Masks convert to and from symbols through binary digit strings, in time
 # linear in the list length.  OR-ing one bit at a time is quadratic but has
-# no fixed cost, so :func:`mask_of` ORs up to _OR_MAX_LENGTH positions long:
-# at length 60 the OR loop took 1.0 us against the digit string's 1.5 us
-# with a sixth of the positions set, and tied with a third set; at 72 the
-# digit string won with a third set (CPython 3.11, ``timeit``).
+# no fixed cost, so :func:`mask_of` ORs for lists up to _OR_MAX_LENGTH
+# positions long: at length 60 the OR loop took 1.0 us against the digit
+# string's 1.5 us with a sixth of the positions set, and tied with a third
+# set; at 72 the digit string won with a third set (CPython 3.11, ``timeit``).
 _OR_MAX_LENGTH = 64
 _ZEROS = bytes.maketrans(b"\x00\x01\x02", b"100")
 _ONES = bytes.maketrans(b"\x00\x01\x02", b"010")

@@ -12,6 +12,7 @@ from dbasim.protocol import (
     Claim,
     Decision,
     check_claim,
+    class_relay,
     decide,
     make_claim,
     relay_step,
@@ -318,6 +319,48 @@ def test_decide_ignores_how_relays_are_grouped(seed, m, d, kinds, rule):
             regrouped.append((Claim(msg.bit, msg.mask) if copy else msg, part))
     rng.shuffle(regrouped)
     assert decide(regrouped, own, rule=rule) == decide(pairs, own, rule=rule)
+
+
+# --- honest receivers as one class ---------------------------------------------------
+
+_class_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([6, 12]),
+    d=st.integers(1, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_class_cases, bit=st.sampled_from([0, 1]), off_sender=st.integers(0, 2))
+def test_class_relay_is_every_receivers_relay_or_none(seed, m, d, bit, off_sender):
+    # a claim with ``off_sender`` positions on the sender's discord positions,
+    # which pass exactly at the receivers whose coins there match ``bit``
+    rng = random.Random(seed)
+    lists = combined_lists_from_segments([generate_segment(m, 5, rng) for _ in range(d)])
+    sender = lists[1]
+    need = sender.length // 3
+    discord = mask_positions(((1 << sender.length) - 1) & ~sender.mask(0) & ~sender.mask(1))
+    claim = at(bit, *rng.sample(mask_positions(sender.mask(bit)), need - off_sender), *rng.sample(discord, off_sender))
+    shared = class_relay(claim, sender)
+    if off_sender:
+        assert shared is None
+    else:
+        assert shared is claim
+        assert all(relay_step(claim, lists[k].build()) is claim for k in range(2, 7))
+    for msg in (None, BOT):
+        assert class_relay(msg, sender) is BOT
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_class_cases, kinds=st.lists(st.sampled_from([k for k in _RELAY_KINDS if k != "failing"]), min_size=1, max_size=12))
+def test_one_decision_on_the_senders_list_serves_every_receiver(seed, m, d, kinds):
+    # every claim in the inbox is consistent with the sender's list
+    rng = random.Random(seed)
+    lists = combined_lists_from_segments([generate_segment(m, 4, rng) for _ in range(d)])
+    pairs = relays(_inbox(rng, lists[1], kinds))
+    for rule in ("literal", "merged"):
+        shared = decide(pairs, lists[1], rule=rule)
+        assert all(decide(pairs, lists[k].build(), rule=rule) == shared for k in range(2, 6))
 
 
 def test_decide_checks_each_distinct_claim_object_once(monkeypatch):
