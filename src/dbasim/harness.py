@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Collection, Iterable, Mapping, Optional
+from typing import AbstractSet, Callable, Iterable, Optional
 
 from .adversary import (
     AdversarySpec,
@@ -150,33 +150,27 @@ class TrialReport:
         return rec
 
 
-def eval_agreement(decisions: Mapping[int, Optional[Decision]], honest: Collection[int]) -> bool:
-    """All honest parties abort, or all decide the same value."""
-    return len({decisions[p].value for p in honest}) <= 1
+def eval_agreement(values: AbstractSet[Optional[int]]) -> bool:
+    """All honest parties abort, or all decide the same value.
+
+    ``values`` is the set of the honest parties' decision values, None
+    standing for an abort, so each distinct decision counts once.
+    """
+    return len(values) <= 1
 
 
-def eval_validity(
-    decisions: Mapping[int, Optional[Decision]],
-    honest: Collection[int],
-    all_honest: bool,
-    sender_input: int,
-) -> Optional[bool]:
+def eval_validity(values: AbstractSet[Optional[int]], all_honest: bool, sender_input: int) -> Optional[bool]:
     """With no corruption at all, everyone must output the sender's input."""
     if not all_honest:
         return None
-    return all(decisions[p].value == sender_input for p in honest)
+    return values == {sender_input}
 
 
-def eval_honest_success(
-    decisions: Mapping[int, Optional[Decision]],
-    honest: Collection[int],
-    sender_honest: bool,
-    sender_input: int,
-) -> Optional[bool]:
+def eval_honest_success(values: AbstractSet[Optional[int]], sender_honest: bool, sender_input: int) -> Optional[bool]:
     """With an honest sender, every honest party must output its input."""
     if not sender_honest:
         return None
-    return all(decisions[p].value == sender_input for p in honest)
+    return values == {sender_input}
 
 
 def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> TrialReport:
@@ -187,30 +181,45 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     disturbs the others; the bribery stream is derived only when a
     distributor is bribed, since nothing else reads it.  ``cfg`` must have
     passed :meth:`SimConfig.validate`, as :func:`run_batch` ensures.
+
+    Honest receivers are handled per class, the receivers that got the same
+    round-1 object, from relaying to tallying.  A receiver's list is made
+    only where something reads it: a relay of a claim failing against the
+    sender's list, a forge check, a per-receiver decision, or a controlled
+    party's knowledge.
     """
     spec = cfg.adversary
     receivers = cfg.receivers
     controlled = spec.controlled
-    honest = [p for p in range(1, cfg.participants + 1) if p not in controlled]
+    honest_receivers = [k for k in receivers if k not in controlled] if controlled else receivers
 
-    segments = {
-        dist: generate_segment(cfg.segment_length, cfg.participants - 1, derive_rng(cfg.master_seed, trial, "segment", dist))
-        for dist in cfg.distributor_indices
-    }
-    ordered = [segments[dist] for dist in cfg.distributor_indices]
+    distributors = cfg.distributor_indices
+    ordered = [
+        generate_segment(cfg.segment_length, cfg.participants - 1, derive_rng(cfg.master_seed, trial, "segment", dist))
+        for dist in distributors
+    ]
+    segments = dict(zip(distributors, ordered))
     lists = combined_lists_from_segments(ordered)
+    sender_list = lists[SENDER]
 
     bribe_rng = derive_rng(cfg.master_seed, trial, "bribes") if spec.bribed else None
     knowledge = resolve_bribes(spec, bribe_rng, segments, lists)
 
-    # Round 1: the sender announces one claim per receiver.
+    # Round 1: the sender announces one claim per receiver.  The honest
+    # receivers that got one object form a class; an honest sender's
+    # receivers are all one class.
     transcript: Optional[list[str]] = [] if capture_transcript else None
-    if 1 in controlled:
-        rng = derive_rng(cfg.master_seed, trial, "adversary", 1)
-        round1, _ = adversary_act(spec, 1, cfg.sender_input, knowledge, receivers, rng)
+    if SENDER in controlled:
+        rng = derive_rng(cfg.master_seed, trial, "adversary", SENDER)
+        round1, _ = adversary_act(spec, SENDER, cfg.sender_input, knowledge, receivers, rng)
+        classes: dict[int, tuple[Optional[Message], list[int]]] = {}
+        for j in honest_receivers:
+            got = round1.get(j)
+            classes.setdefault(id(got), (got, []))[1].append(j)
     else:
-        claim = make_claim(cfg.sender_input, lists[1])
-        round1 = {k: claim for k in receivers}
+        claim = make_claim(cfg.sender_input, sender_list)
+        round1 = dict.fromkeys(receivers, claim)
+        classes = {id(claim): (claim, honest_receivers)}
     if transcript is not None:
         transcript.extend(f"1 1 {k} {render_message(round1.get(k))}" for k in receivers)
 
@@ -218,36 +227,35 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     # honest relayer sends one message to all, so honest relays are kept as
     # one [message, count] group per distinct object; a controlled relayer
     # keeps its per-target messages.  Every receiver's list copies the
-    # sender's 0/1 entries, so each distinct round-1 object is classed once,
-    # against the sender's list, for every honest receiver that got it; only
-    # a claim failing there is relayed per receiver, from its own list.
-    sender_list = lists[SENDER]
+    # sender's 0/1 entries, so each class is classed once, against the
+    # sender's list, and counted by its size; only a claim failing there is
+    # relayed per member, from the member's own list.
     forge_attempts = 0
     forge_successes = 0
-    relayed: dict[int, Message] = {}
-    targeted: dict[int, dict[int, Optional[Message]]] = {}
+    relayed: Optional[dict[int, Message]] = {} if transcript is not None else None
     groups: dict[int, list] = {}
-    classes: dict[int, Optional[Message]] = {}
     own_claims = False  # some relayed claim fails against the sender's list
-    for j in receivers:
-        if j in controlled:
-            rng = derive_rng(cfg.master_seed, trial, "adversary", j)
-            targeted[j], forged = adversary_act(spec, j, round1.get(j), knowledge, receivers, rng)
-            for k in forged:
-                if k not in controlled:
-                    forge_attempts += 1
-                    forge_successes += check_claim(targeted[j][k], lists[k])
-        else:
-            got = round1.get(j)
-            key = id(got)
-            if key not in classes:
-                classes[key] = class_relay(got, sender_list)
-            msg = classes[key]
-            if msg is None:
-                msg = relay_step(got, lists[j])
-                own_claims |= msg is not BOT
-            relayed[j] = msg
+    for got, members in classes.values():
+        msg = class_relay(got, sender_list)
+        if msg is not None:
+            groups.setdefault(id(msg), [msg, 0])[1] += len(members)
+            if relayed is not None:
+                relayed.update(dict.fromkeys(members, msg))
+            continue
+        for j in members:
+            msg = relay_step(got, lists[j])
+            own_claims |= msg is not BOT
             groups.setdefault(id(msg), [msg, 0])[1] += 1
+            if relayed is not None:
+                relayed[j] = msg
+    targeted: dict[int, dict[int, Optional[Message]]] = {}
+    for j in sorted(controlled.difference((SENDER,))):
+        rng = derive_rng(cfg.master_seed, trial, "adversary", j)
+        targeted[j], forged = adversary_act(spec, j, round1.get(j), knowledge, receivers, rng)
+        for k in forged:
+            if k not in controlled:
+                forge_attempts += 1
+                forge_successes += check_claim(targeted[j][k], lists[k])
     if transcript is not None:
         for j in receivers:
             if j in controlled:
@@ -261,34 +269,39 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     # consistent with every receiver's list: one decision serves them all.
     # Otherwise each honest receiver decides from the groups with the
     # controlled relayers' messages to it merged in by identity, so it
-    # checks every distinct object in its inbox once.
-    decisions: dict[int, Optional[Decision]] = {p: None for p in range(1, cfg.participants + 1)}
-    honest_receivers = [k for k in receivers if k not in controlled]
+    # checks every distinct object in its inbox once.  The trial's
+    # predicates read only the distinct honest decision values.
+    decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
     if not targeted and not own_claims:
-        decisions.update(dict.fromkeys(honest_receivers, decide(groups.values(), sender_list, rule=cfg.decide_rule)))
+        shared = decide(groups.values(), sender_list, rule=cfg.decide_rule)
+        decisions.update(dict.fromkeys(honest_receivers, shared))
+        values = {shared.value}
     else:
-        shared = list(groups.values())
+        values = set()
+        shared_groups = list(groups.values())
         for k in honest_receivers:
-            inbox: Iterable[list] = shared
+            inbox: Iterable[list] = shared_groups
             if targeted:
                 merged = {key: [msg, count] for key, (msg, count) in groups.items()}
                 for sent in targeted.values():
                     msg = sent.get(k)
                     merged.setdefault(id(msg), [msg, 0])[1] += 1
                 inbox = merged.values()
-            decisions[k] = decide(inbox, lists[k], rule=cfg.decide_rule)
-    if 1 not in controlled:
-        decisions[1] = sender_decision(cfg.sender_input)
+            decision = decisions[k] = decide(inbox, lists[k], rule=cfg.decide_rule)
+            values.add(decision.value)
+    if SENDER not in controlled:
+        decisions[SENDER] = sender_decision(cfg.sender_input)
+        values.add(cfg.sender_input)
 
-    disclosed = tuple(dist in knowledge.disclosed for dist in cfg.distributor_indices)
+    disclosed = tuple(dist in knowledge.disclosed for dist in distributors)
     return TrialReport(
         trial=trial,
         controlled=tuple(sorted(controlled)),
         disclosed=disclosed,
         decisions=decisions,
-        agreement=eval_agreement(decisions, honest),
-        validity=eval_validity(decisions, honest, not controlled, cfg.sender_input),
-        honest_success=eval_honest_success(decisions, honest, 1 not in controlled, cfg.sender_input),
+        agreement=eval_agreement(values),
+        validity=eval_validity(values, not controlled, cfg.sender_input),
+        honest_success=eval_honest_success(values, SENDER not in controlled, cfg.sender_input),
         forge_attempts=forge_attempts,
         forge_successes=forge_successes,
         full_knowledge=knowledge.full_disclosure and bool(knowledge.disclosed),
@@ -429,12 +442,13 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
     honest_app = honest_ok = 0
     attempts = successes = 0
     full_know = 0
-    honest = [p for p in range(1, cfg.participants + 1) if p not in cfg.adversary.controlled]
+    # under agreement every honest party holds the same decision, so one of them tells
+    first_honest = min(p for p in range(1, cfg.participants + 1) if p not in cfg.adversary.controlled)
     for t in range(cfg.trials):
         rep = run_trial(cfg, t, capture_transcript=on_trial is not None)
         agreement += rep.agreement
         if rep.agreement:
-            if all(rep.decisions[p].aborted for p in honest):
+            if rep.decisions[first_honest].aborted:
                 all_abort += 1
             else:
                 common_value += 1

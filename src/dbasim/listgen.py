@@ -16,8 +16,9 @@ sender only at discord positions, its 1-mask is the sender's 1-mask OR its
 own coin positions.  Positions are 0-based throughout.
 
 Receivers' coins are drawn lazily.  A segment keeps its rng and draws a
-receiver's coin set the first time anything reads it, and a receiver's
-combined list builds its own masks the first time anything reads them.
+receiver's coin set the first time anything reads it, a receiver's
+combined list is made the first time anything looks it up, and it builds
+its own masks the first time anything reads them.
 Until then a list answers from the positions every list of the family
 shares with the sender (its agreement positions), which is all an honest
 claim ever touches.
@@ -137,18 +138,20 @@ class CoinStore(Mapping[int, int]):
     over the discord positions.  So every value is the one an eager draw in
     ascending receiver order would give, whatever the order of reads, and
     once the last receiver is drawn the rng stands where that eager draw
-    would have left it; the store then lets go of it.  Iteration, ``len``
-    and ``in`` see every receiver without drawing; ``dict(store)``, ``==``
-    and ``items()`` draw whatever is still undrawn.
+    would have left it; the store then lets go of it.  The discord
+    positions and the coin list are made from the discord mask on the
+    first draw, so a store nothing reads costs no per-position work.
+    Iteration, ``len`` and ``in`` see every receiver without drawing;
+    ``dict(store)``, ``==`` and ``items()`` draw whatever is still undrawn.
     """
 
-    __slots__ = ("_rng", "_discord", "_coins", "_ones", "_length", "_keys", "_drawn")
+    __slots__ = ("_rng", "_discord", "_positions", "_coins", "_ones", "_length", "_keys", "_drawn")
 
-    def __init__(self, rng: random.Random, discord: list[int], ones: int, length: int, receiver_count: int):
-        half = len(discord) // 2
+    def __init__(self, rng: random.Random, discord: int, ones: int, length: int, receiver_count: int):
         self._rng: Optional[random.Random] = rng
         self._discord = discord
-        self._coins = [0] * half + [1] * half
+        self._positions: Optional[list[int]] = None
+        self._coins: Optional[list[int]] = None
         self._ones = ones
         self._length = length
         self._keys = range(2, receiver_count + 2)
@@ -160,7 +163,11 @@ class CoinStore(Mapping[int, int]):
             return drawn[k]
         if k not in self._keys:
             raise KeyError(k)
-        rng, discord, template, ones, m = self._rng, self._discord, self._coins, self._ones, self._length
+        if self._positions is None:
+            self._positions = mask_positions(self._discord)
+            half = len(self._positions) // 2
+            self._coins = [0] * half + [1] * half
+        rng, discord, template, ones, m = self._rng, self._positions, self._coins, self._ones, self._length
         for j in range(len(drawn) + 2, k + 1):
             coins = template.copy()
             shuffle(coins, rng)
@@ -268,6 +275,43 @@ class CombinedList:
         return f"CombinedList(party={self.party}, length={self.length}, zeros={self.zeros:#x}, ones={self.ones:#x})"
 
 
+class PartyLists(Mapping[int, CombinedList]):
+    """Every party's combined list, keyed by party; a receiver's list is made on first lookup.
+
+    The sender's list is built at once.  A receiver's list is made unbuilt
+    (:meth:`CombinedList.unbuilt`, sharing the sender's masks as ``agreed``)
+    the first time it is looked up, and kept.  Iteration, ``len`` and ``in``
+    see every party without making a list, so a trial that reads only the
+    sender's list makes no receiver's.
+    """
+
+    __slots__ = ("_made", "_segments", "_receivers")
+
+    def __init__(self, sender: CombinedList, segments: tuple[Segment, ...], receivers: tuple[int, ...]):
+        self._made = {SENDER: sender}
+        self._segments = segments
+        self._receivers = receivers
+
+    def __getitem__(self, party: int) -> CombinedList:
+        made = self._made
+        if party in made:
+            return made[party]
+        if party not in self._segments[0].receiver_ones:
+            raise KeyError(party)
+        lst = made[party] = CombinedList.unbuilt(party, self._segments, made[SENDER].agreed)
+        return lst
+
+    def __iter__(self) -> Iterator[int]:
+        yield SENDER
+        yield from self._receivers
+
+    def __len__(self) -> int:
+        return len(self._receivers) + 1
+
+    def __contains__(self, party: object) -> bool:
+        return party == SENDER or party in self._segments[0].receiver_ones
+
+
 def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment:
     """Draw one distributor's segment uniformly at random.
 
@@ -290,8 +334,7 @@ def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment
     shuffle(trits, rng)
     digits = bytes(trits)[::-1]
     zeros, ones = int(digits.translate(_ZEROS), 2), int(digits.translate(_ONES), 2)
-    discord = [j for j, v in enumerate(trits) if v == DISCORD]
-    coins = CoinStore(rng, discord, ones, m, receiver_count)
+    coins = CoinStore(rng, ((1 << m) - 1) ^ zeros ^ ones, ones, m, receiver_count)
     return Segment(length=m, sender_zeros=zeros, sender_ones=ones, receiver_ones=coins)
 
 
@@ -324,12 +367,13 @@ def combine_segments(party: int, segments: Sequence[Segment]) -> CombinedList:
     return CombinedList(party=party, length=total, zeros=zeros, ones=ones)
 
 
-def combined_lists_from_segments(segments: Sequence[Segment]) -> dict[int, CombinedList]:
+def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
     """Every party's combined list, from segments already in distributor order.
 
     The sender's list is built at once, and its masks are every receiver's
-    ``agreed`` masks; each receiver's list builds its own masks, drawing its
-    coins, on first read.
+    ``agreed`` masks; a receiver's list is made on first lookup and builds
+    its own masks, drawing its coins, on first read.  Rejects empty input
+    and segments that disagree on the receivers.
     """
     if not segments:
         raise ValueError("need at least one segment")
@@ -337,10 +381,5 @@ def combined_lists_from_segments(segments: Sequence[Segment]) -> dict[int, Combi
     for seg in segments[1:]:
         if seg.receiver_indices != first:
             raise ValueError(f"segments disagree on receiver indices: {first} vs {seg.receiver_indices}")
-    sender = combine_segments(SENDER, segments)
     segments = tuple(segments)
-    lists = {SENDER: sender}
-    for k in first:
-        lists[k] = CombinedList.unbuilt(k, segments, sender.agreed)
-    return lists
-
+    return PartyLists(combine_segments(SENDER, segments), segments, first)

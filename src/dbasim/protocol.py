@@ -134,7 +134,8 @@ def decide(
     Each pair stands for ``count`` receivers, self included, that relayed
     ``message`` to this party; the counts are positive.  Silence (None) is
     consumed as the inconsistency flag.  Each pair is checked once, so one
-    shared claim relayed by many costs one check.
+    shared claim relayed by many costs one check, and the pairs after the
+    first consistent claim for a second bit are not read at all.
 
     Let H be the receivers whose message is a claim consistent with
     ``own_list``.  With fewer than two members the evidence is too thin and
@@ -160,21 +161,24 @@ def decide(
         raise ValueError(f"unknown decide rule {rule!r}, expected one of {DECIDE_RULES}")
 
     members = 0
-    bits: set[int] = set()
+    bit: Optional[int] = None
     failing = flagged = False
     for msg, count in relays:
         if not isinstance(msg, Claim):
             flagged = True
         elif check_claim(msg, own_list):
+            if bit is None:
+                bit = msg.bit
+            elif msg.bit != bit:  # (a): H has two members, nothing read later changes that
+                return ABORT
             members += count
-            bits.add(msg.bit)
         else:
             failing = True
-    if members < 2 or len(bits) > 1:  # too thin, or (a)
+    if members < 2:  # too thin
         return ABORT
     if failing and flagged and rule == "literal":  # (d)
         return ABORT
-    return Decision(bits.pop())  # (b), (c), or the merged mix
+    return Decision(bit)  # (b), (c), or the merged mix
 
 
 def render_message(msg: Optional[Message]) -> str:

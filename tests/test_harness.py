@@ -15,6 +15,7 @@ from scipy.stats import binom, binomtest
 import dbasim
 import dbasim.harness
 import dbasim.listgen
+import dbasim.protocol
 from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, AdversarySpec, Knowledge
 from dbasim.harness import (
     BatchReport,
@@ -28,7 +29,7 @@ from dbasim.harness import (
     run_trial,
     wilson_interval,
 )
-from dbasim.listgen import CoinStore, Segment, combined_lists_from_segments, generate_segment, mask_of, mask_positions
+from dbasim.listgen import CoinStore, CombinedList, Segment, combined_lists_from_segments, generate_segment, mask_of, mask_positions
 from dbasim.protocol import ABORT, BOT, Claim, Decision
 from symbols import bits, reference_decide
 
@@ -118,24 +119,24 @@ def test_config_derived_layout():
 
 
 def test_agreement_predicate_cases():
-    assert eval_agreement({1: ABORT, 2: ABORT, 3: ABORT}, [1, 2, 3])
-    assert not eval_agreement({1: Decision(1), 2: Decision(1), 3: ABORT}, [1, 2, 3])
-    assert eval_agreement({1: Decision(0), 2: Decision(0), 3: Decision(0)}, [1, 2, 3])
-    assert not eval_agreement({1: Decision(0), 2: Decision(1), 3: Decision(0)}, [1, 2, 3])
-    # controlled parties are simply not consulted
-    assert eval_agreement({1: Decision(1), 2: None, 3: Decision(1)}, [1, 3])
+    assert eval_agreement({None})
+    assert not eval_agreement({1, None})
+    assert eval_agreement({0})
+    assert not eval_agreement({0, 1})
 
 
 def test_validity_predicate_cases():
-    assert eval_validity({1: Decision(1), 2: Decision(1)}, [1, 2], True, 1)
-    assert eval_validity({1: Decision(1), 2: ABORT}, [1, 2], True, 1) is False
-    assert eval_validity({1: Decision(1), 2: Decision(1)}, [1, 2], False, 1) is None
+    assert eval_validity({1}, True, 1)
+    assert eval_validity({1, None}, True, 1) is False
+    assert eval_validity({0}, True, 1) is False
+    assert eval_validity({1}, False, 1) is None
 
 
 def test_honest_success_predicate_cases():
-    assert eval_honest_success({1: Decision(0), 2: Decision(0)}, [1, 2], True, 0)
-    assert eval_honest_success({1: Decision(0), 2: ABORT}, [1, 2], True, 0) is False
-    assert eval_honest_success({2: Decision(0)}, [2], False, 0) is None
+    assert eval_honest_success({0}, True, 0)
+    assert eval_honest_success({0, None}, True, 0) is False
+    assert eval_honest_success({1}, True, 0) is False
+    assert eval_honest_success({0}, False, 0) is None
 
 
 # --- single trials ---------------------------------------------------------------
@@ -241,20 +242,81 @@ def test_grouped_decisions_match_the_full_inbox_reference(sender_strategy, recei
         )
         cfg.validate()
         for trial in range(4):
-            rep = run_trial(cfg, trial, capture_transcript=True)
-            inboxes = {k: {} for k in cfg.receivers}
-            for line in rep.transcript:
-                stage, j, k, text = line.split()
-                if stage == "2":
-                    inboxes[int(k)][int(j)] = _parse_message(text)
-            segments = [
-                generate_segment(cfg.segment_length, participants - 1, derive_rng(cfg.master_seed, trial, "segment", dist))
-                for dist in cfg.distributor_indices
-            ]
-            lists = combined_lists_from_segments(segments)
-            for k in cfg.receivers:
-                if k not in controlled:
-                    assert rep.decisions[k] == reference_decide(inboxes[k], lists[k], rule), (participants, controlled, trial, k)
+            _assert_reference_decisions(cfg, trial, run_trial(cfg, trial, capture_transcript=True))
+
+
+def _assert_reference_decisions(cfg, trial, rep):
+    """Every honest receiver's decision in ``rep`` equals ``reference_decide`` on its full round-2 inbox."""
+    inboxes = {k: {} for k in cfg.receivers}
+    for line in rep.transcript:
+        stage, j, k, text = line.split()
+        if stage == "2":
+            inboxes[int(k)][int(j)] = _parse_message(text)
+    segments = [
+        generate_segment(cfg.segment_length, cfg.participants - 1, derive_rng(cfg.master_seed, trial, "segment", dist))
+        for dist in cfg.distributor_indices
+    ]
+    lists = combined_lists_from_segments(segments)
+    for k in cfg.receivers:
+        if k not in cfg.adversary.controlled:
+            expected = reference_decide(inboxes[k], lists[k], cfg.decide_rule)
+            assert rep.decisions[k] == expected, (cfg.participants, cfg.adversary.controlled, trial, k)
+
+
+@pytest.mark.parametrize("sender_strategy", ["honest-mimic", "equivocate", "random-junk"])
+@pytest.mark.parametrize("controlled", [{1}, {1, 6}])
+@pytest.mark.parametrize("shape", ["copies", "one-object"])
+def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypatch, sender_strategy, controlled, shape):
+    # classes go by object identity.  A controlled sender that sends every
+    # receiver its own copy of a claim makes one class per receiver, which
+    # must not change any decision.  One that sends every receiver the same
+    # object makes one class, which a random-junk claim fails against the
+    # sender's list, so its members relay from their own lists.  Either way
+    # each decision stays the per-receiver reference's.
+    cfg = _cfg(
+        participants=7,
+        distributors=1,
+        segment_length=6,
+        controlled=controlled,
+        sender_strategy=sender_strategy,
+        master_seed=11,
+    )
+    cfg.validate()
+    unchanged = [run_trial(cfg, trial, capture_transcript=True) for trial in range(16)]
+    real = dbasim.harness.adversary_act
+
+    def reshaped(spec, party, incoming, know, receivers, rng):
+        messages, forged = real(spec, party, incoming, know, receivers, rng)
+        if party == 1 and shape == "copies":
+            messages = {k: Claim(msg.bit, msg.mask) if isinstance(msg, Claim) else msg for k, msg in messages.items()}
+        elif party == 1:
+            messages = dict.fromkeys(messages, messages[receivers[0]])
+        return messages, forged
+
+    classed = []
+    real_class_relay = dbasim.harness.class_relay
+
+    def counting_class_relay(received, sender_list):
+        classed.append(received)
+        return real_class_relay(received, sender_list)
+
+    monkeypatch.setattr(dbasim.harness, "adversary_act", reshaped)
+    monkeypatch.setattr(dbasim.harness, "class_relay", counting_class_relay)
+    honest_receivers = [k for k in cfg.receivers if k not in controlled]
+    split = 0  # trials where one class's members relayed differently
+    for trial in range(16):
+        classed.clear()
+        rep = run_trial(cfg, trial, capture_transcript=True)
+        _assert_reference_decisions(cfg, trial, rep)
+        if shape == "copies":
+            assert rep == unchanged[trial]
+            assert len(classed) == len(honest_receivers)  # one class per receiver
+        else:
+            assert len(classed) == 1
+            relays = {ln.split()[3] for ln in rep.transcript if ln.startswith("2 ") and int(ln.split()[1]) in honest_receivers}
+            split += len(relays) > 1
+    if shape == "one-object" and sender_strategy == "random-junk":
+        assert split
 
 
 def _record_decide_sizes(monkeypatch):
@@ -298,6 +360,49 @@ def test_forging_decide_calls_get_one_pair_per_distinct_honest_relay_and_forger(
         honest_relays = {ln.split()[3] for ln in rep.transcript if ln.startswith("2 ") and int(ln.split()[1]) not in forgers}
         assert len(sizes) == 3
         assert max(sizes) <= len(honest_relays) + len(forgers) < len(cfg.receivers)
+
+
+def test_all_honest_trials_make_no_receiver_list_at_any_size(monkeypatch):
+    # an all-honest trial reads only the sender's list, so no receiver's
+    # list is made or built, and the check and decide calls per trial do not
+    # grow with the party count
+    made = []
+    real_unbuilt = CombinedList.unbuilt.__func__
+    real_build = CombinedList.build
+
+    def unbuilt(cls, party, segments, agreed):
+        made.append(party)
+        return real_unbuilt(cls, party, segments, agreed)
+
+    def build(self):
+        made.append(self.party)
+        return real_build(self)
+
+    monkeypatch.setattr(CombinedList, "unbuilt", classmethod(unbuilt))
+    monkeypatch.setattr(CombinedList, "build", build)
+    calls = {}
+    real_check = dbasim.protocol.check_claim
+    real_decide = dbasim.harness.decide
+
+    def counting_check(claim, own_list):
+        calls["check_claim"] += 1
+        return real_check(claim, own_list)
+
+    def counting_decide(relays, own_list, rule="literal"):
+        calls["decide"] += 1
+        return real_decide(relays, own_list, rule=rule)
+
+    monkeypatch.setattr(dbasim.protocol, "check_claim", counting_check)
+    monkeypatch.setattr(dbasim.harness, "check_claim", counting_check)
+    monkeypatch.setattr(dbasim.harness, "decide", counting_decide)
+    per_size = {}
+    for participants in (32, 200):
+        calls.update(check_claim=0, decide=0)
+        report = run_batch(SimConfig(participants=participants, distributors=2, segment_length=60, trials=3))
+        assert report.agreement_count == report.validity_count == 3
+        per_size[participants] = dict(calls)
+    assert made == []
+    assert per_size[32] == per_size[200] == {"check_claim": 6, "decide": 3}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Claim checking, relaying, the decision rule, and transcript rendering."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -378,6 +379,51 @@ def test_decide_checks_each_distinct_claim_object_once(monkeypatch):
     inbox.update({12: copies[0], 13: copies[1], 14: BAD_1, 15: BOT, 16: BAD_1})
     assert decide(relays(inbox), OWN, rule="merged") == Decision(1)
     assert sorted(checked) == sorted({id(GOOD_1), id(copies[0]), id(copies[1]), id(BAD_1)})
+
+
+def test_decide_stops_at_the_first_conflicting_pair(monkeypatch):
+    import dbasim.protocol as protocol
+
+    checked = []
+
+    def counting_check(claim, own_list):
+        checked.append(claim)
+        return check_claim(claim, own_list)
+
+    monkeypatch.setattr(protocol, "check_claim", counting_check)
+    # the flag comes first and is not checked; a failing claim, silence and
+    # more consistent claims come after the conflict and are never read
+    pairs = [(BOT, 2), (GOOD_1, 1), (GOOD_0, 1), (BAD_1, 3), (at(1, 1, 3), 4), (None, 1), (GOOD_0, 2)]
+    for rule in ("literal", "merged"):
+        checked.clear()
+        assert decide(pairs, OWN, rule=rule) is ABORT
+        assert checked == [GOOD_1, GOOD_0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_inbox_cases)
+def test_decide_reads_up_to_the_first_conflict_and_matches_the_reference(seed, m, d, kinds, rule):
+    import dbasim.protocol as protocol
+
+    rng = random.Random(seed)
+    own = combined_lists_from_segments([generate_segment(m, 2, rng) for _ in range(d)])[2]
+    inbox = _inbox(rng, own, kinds)
+    pairs = relays(inbox)
+    # the claims decide must check: every one up to the first consistent
+    # claim whose bit differs from an earlier consistent claim's, or all
+    expected = []
+    first_bit = None
+    for msg, _ in pairs:
+        if isinstance(msg, Claim):
+            expected.append(msg)
+            if check_claim(msg, own):
+                if first_bit is None:
+                    first_bit = msg.bit
+                elif msg.bit != first_bit:
+                    break
+    with mock.patch.object(protocol, "check_claim", wraps=check_claim) as spy:
+        assert decide(pairs, own, rule=rule) == reference_decide(inbox, own, rule)
+    assert [call.args[0] for call in spy.call_args_list] == expected
 
 
 def test_render_message_forms():
