@@ -280,9 +280,9 @@ class PartyLists(Mapping[int, CombinedList]):
 
     The sender's list is built at once.  A receiver's list is made unbuilt
     (:meth:`CombinedList.unbuilt`, sharing the sender's masks as ``agreed``)
-    the first time it is looked up, and kept.  Iteration, ``len`` and ``in``
-    see every party without making a list, so a trial that reads only the
-    sender's list makes no receiver's.
+    the first time it is looked up, and kept, so a trial that reads only
+    the sender's list makes no receiver's.  Iteration and ``len`` see every
+    party without making a list.
     """
 
     __slots__ = ("_made", "_segments", "_receivers")
@@ -307,9 +307,6 @@ class PartyLists(Mapping[int, CombinedList]):
 
     def __len__(self) -> int:
         return len(self._receivers) + 1
-
-    def __contains__(self, party: object) -> bool:
-        return party == SENDER or party in self._segments[0].receiver_ones
 
 
 def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment:

@@ -171,9 +171,13 @@ def test_combine_segments_rejects_mismatched_lengths_and_empty():
 def test_combined_lists_cover_every_party():
     segs = [generate_segment(6, 3, random.Random(s)) for s in (1, 2)]
     lists = combined_lists_from_segments(segs)
-    assert sorted(lists) == [1, 2, 3, 4]
+    assert sorted(lists) == [1, 2, 3, 4] and len(lists) == 4
     assert entries(lists[1]) == _symbols(segs[0], 1) + _symbols(segs[1], 1)
     assert entries(lists[3]) == _symbols(segs[0], 3) + _symbols(segs[1], 3)
+    assert lists[3] is lists[3]
+    for absent in (0, 5):
+        with pytest.raises(KeyError):
+            lists[absent]
 
 
 def test_combined_lists_reject_disagreeing_receiver_sets():
