@@ -15,7 +15,7 @@ from .listgen import (
     generate_segment,
 )
 from .protocol import ABORT, BOT, Bot, Claim, Decision, check_claim, class_relay, decide, make_claim, relay_step
-from .adversary import AdversarySpec, Knowledge, forge_claim, forge_success_oracle, resolve_bribes
+from .adversary import AdversarySpec, Knowledge, forge_claim, resolve_bribes
 from .harness import BatchReport, SimConfig, TrialReport, run_batch, run_trial
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "combined_lists_from_segments",
     "decide",
     "forge_claim",
-    "forge_success_oracle",
     "generate_segment",
     "make_claim",
     "relay_step",

@@ -14,10 +14,9 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from typing import IO, Mapping, Optional, Sequence
+from typing import IO, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import (
     FORGING_RECEIVER_STRATEGIES,
@@ -113,8 +112,7 @@ def _check_type(key: str, value: object, what: str = "") -> None:
         raise ValueError(f"{what or repr(key)} must be {expected}, got {value!r}")
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A validated scenario: base fields, sweep grid, and requirements."""
 
     name: str

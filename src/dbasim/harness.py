@@ -13,10 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, fields, is_dataclass
-from fractions import Fraction
 from math import sqrt
-from typing import AbstractSet, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, NamedTuple, Optional
 
 from .adversary import (
     AdversarySpec,
@@ -42,6 +40,9 @@ from .protocol import (
     sender_decision,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 SCHEMA_VERSION = 1
 
 #: two-sided 95% normal quantile, the double ``scipy.special.ndtri(0.975)``
@@ -62,8 +63,7 @@ def derive_rng(master_seed: int, *labels: object) -> random.Random:
     return random.Random(seed)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Everything one batch needs: sizes, input, adversary, seed, rule."""
 
     participants: int = 4
@@ -103,19 +103,17 @@ class SimConfig:
         return _flat_record(self)
 
 
-def _flat_record(obj: object) -> dict:
+def _flat_record(obj: NamedTuple) -> dict:
     rec = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
+    for name, value in zip(obj._fields, obj):
+        if isinstance(value, AdversarySpec):
             rec.update(_flat_record(value))
         else:
-            rec[f.name] = sorted(value) if isinstance(value, frozenset) else value
+            rec[name] = sorted(value) if isinstance(value, frozenset) else value
     return rec
 
 
-@dataclass
-class TrialReport:
+class TrialReport(NamedTuple):
     """One trial's outcome: who was corrupt, what leaked, who decided what."""
 
     trial: int
@@ -330,8 +328,7 @@ def wilson_interval(successes: int, total: int) -> Optional[tuple[float, float]]
     return (lo, hi)
 
 
-@dataclass
-class BatchReport:
+class BatchReport(NamedTuple):
     """Aggregated counts over one batch, with the exact references alongside.
 
     ``forge_oracle`` is the exact per-attempt success rate when the

@@ -31,10 +31,9 @@ for draw, so what they draw rests only on the rng's ``getrandbits`` words.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import compress
 from math import ceil, log
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 SENDER = 1
 DISCORD = 2
@@ -186,8 +185,7 @@ class CoinStore(Mapping[int, int]):
         return k in self._keys
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One distributor's output: the sender's 0- and 1-masks plus one 1-mask per receiver.
 
     ``receiver_ones`` maps the receiver's party index (2 and up) to its
@@ -199,10 +197,6 @@ class Segment:
     sender_zeros: int
     sender_ones: int
     receiver_ones: Mapping[int, int]
-
-    @property
-    def receiver_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.receiver_ones))
 
     def party_masks(self, party: int) -> tuple[int, int]:
         """The 0-mask and 1-mask this segment gives to ``party`` (1 is the sender)."""
@@ -282,15 +276,15 @@ class PartyLists(Mapping[int, CombinedList]):
     (:meth:`CombinedList.unbuilt`, sharing the sender's masks as ``agreed``)
     the first time it is looked up, and kept, so a trial that reads only
     the sender's list makes no receiver's.  Iteration and ``len`` see every
-    party without making a list.
+    party without making a list; iteration gives the sender, then the
+    receivers in the first segment's order.
     """
 
-    __slots__ = ("_made", "_segments", "_receivers")
+    __slots__ = ("_made", "_segments")
 
-    def __init__(self, sender: CombinedList, segments: tuple[Segment, ...], receivers: tuple[int, ...]):
+    def __init__(self, sender: CombinedList, segments: tuple[Segment, ...]):
         self._made = {SENDER: sender}
         self._segments = segments
-        self._receivers = receivers
 
     def __getitem__(self, party: int) -> CombinedList:
         made = self._made
@@ -303,10 +297,10 @@ class PartyLists(Mapping[int, CombinedList]):
 
     def __iter__(self) -> Iterator[int]:
         yield SENDER
-        yield from self._receivers
+        yield from self._segments[0].receiver_ones
 
     def __len__(self) -> int:
-        return len(self._receivers) + 1
+        return len(self._segments[0].receiver_ones) + 1
 
 
 def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment:
@@ -374,9 +368,13 @@ def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
     """
     if not segments:
         raise ValueError("need at least one segment")
-    first = segments[0].receiver_indices
-    for seg in segments[1:]:
-        if seg.receiver_indices != first:
-            raise ValueError(f"segments disagree on receiver indices: {first} vs {seg.receiver_indices}")
+    first, *rest = segments
+    if rest:
+        receivers = set(first.receiver_ones)
+        for seg in rest:
+            if set(seg.receiver_ones) != receivers:
+                raise ValueError(
+                    f"segments disagree on receiver indices: {sorted(receivers)} vs {sorted(seg.receiver_ones)}"
+                )
     segments = tuple(segments)
-    return PartyLists(combine_segments(SENDER, segments), segments, first)
+    return PartyLists(combine_segments(SENDER, segments), segments)

@@ -14,14 +14,12 @@ of that bit, is one AND against the receiver's mask for the bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .listgen import CombinedList, mask_positions
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A bit plus the mask of the positions said to carry it on the sender's list."""
 
     bit: int
@@ -45,8 +43,7 @@ BOT = Bot()
 Message = Union[Claim, Bot]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """A party's final output: ``value`` is the agreed bit, or None on abort."""
 
     value: Optional[int]

@@ -20,11 +20,11 @@ from dbasim.adversary import (
     FORGING_RECEIVER_STRATEGIES,
     forge_heuristic,
     forge_success_closed_form,
-    forge_success_oracle,
 )
 from dbasim.cli import build_config, load_builtin_scenario, run_scenario
 from dbasim.harness import SimConfig, run_batch
 from dbasim.listgen import combined_lists_from_segments, generate_segment
+from forgeoracle import forge_success_oracle
 from listprops import verify_segment
 
 # frozen before the build by exhaustive enumeration; re-derived below by two routes

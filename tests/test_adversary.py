@@ -17,11 +17,11 @@ from dbasim.adversary import (
     forge_claim,
     forge_heuristic,
     forge_success_closed_form,
-    forge_success_oracle,
     resolve_bribes,
 )
 from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_positions
 from dbasim.protocol import BOT, Claim, check_claim, make_claim
+from forgeoracle import forge_success_oracle
 from symbols import bits, combined, entries
 
 
@@ -351,6 +351,20 @@ def test_random_junk_claims_have_the_right_shape():
         assert isinstance(msg, Claim)
         assert msg.bit in (0, 1)
         assert len(msg.positions) == 8
+
+
+def test_bit_draws_equal_a_getrandbits_rejection_draw():
+    # random-junk and forge draw a bit with rng.randrange(2), so the output
+    # bytes rest on it being getrandbits(2) redrawn until below 2, as the
+    # draw kernels' picks are; same bits, same final state on this Python
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            bit = ours.getrandbits(2)
+            while bit >= 2:
+                bit = ours.getrandbits(2)
+            assert theirs.randrange(2) == bit
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_equivocate_splits_the_receivers():

@@ -36,7 +36,7 @@ def test_empty_document_yields_the_defaults():
     s = parse_config({})
     assert s.name == "adhoc"
     assert s.points() == [s.base]
-    # the field table's defaults are the dataclasses' defaults
+    # the field table's defaults are the records' defaults
     assert build_config(s.base) == SimConfig()
 
 

@@ -1,7 +1,7 @@
 """Trial execution, decision predicates, batch aggregation, determinism."""
 
-import dataclasses
 import gc
+import json
 import math
 import os
 import random
@@ -567,6 +567,22 @@ def test_importing_the_cli_does_not_import_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_out_dataclasses_and_fractions():
+    # the records are NamedTuples and fractions loads only for a forge
+    # reference, so start-up pays for neither; a forging run still prints one
+    src = os.path.dirname(os.path.dirname(dbasim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, dbasim.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules))\n"
+        "dbasim.cli.main(['--scenario', 'forging-receiver', '--trials', '20', '--output', 'machine'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    loaded, *batches = out.stdout.splitlines()
+    assert loaded == "[]"
+    assert [json.loads(line)["forge_oracle"] for line in batches] == ["2/5"]
+
+
 def test_expected_full_knowledge_needs_every_distributor_bribed():
     full = _cfg(controlled={4}, bribed={5, 6}, disclosure_probability=0.5, trials=1)
     assert run_batch(full).expected_full_knowledge == 0.25
@@ -603,7 +619,7 @@ def _run_redrawn(monkeypatch, cfg, trial, salts):
             coins = [0] * sixth + [1] * sixth
             perturb.shuffle(coins)
             ones[k] = seg.sender_ones | mask_of((pos for pos, coin in zip(discord, coins) if coin), m)
-        return dataclasses.replace(seg, receiver_ones=ones)
+        return seg._replace(receiver_ones=ones)
 
     with monkeypatch.context() as patch:
         patch.setattr(dbasim.harness, "generate_segment", redrawn)

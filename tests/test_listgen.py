@@ -28,7 +28,7 @@ LENGTHS = st.sampled_from([6, 12, 18, 24, 30, 60])
 def test_generated_segment_passes_every_check(m, receivers, seed):
     seg = generate_segment(m, receivers, random.Random(seed))
     assert verify_segment(seg) == []
-    assert seg.receiver_indices == tuple(range(2, receivers + 2))
+    assert list(seg.receiver_ones) == list(range(2, receivers + 2))
 
 
 def _discord(seg):
@@ -47,7 +47,7 @@ def test_generated_segment_structure():
     sender = _symbols(seg, 1)
     for v in (0, 1, DISCORD):
         assert sender.count(v) == 4
-    for k in seg.receiver_indices:
+    for k in sorted(seg.receiver_ones):
         row = _symbols(seg, k)
         assert set(row) <= {0, 1}
         assert seg.receiver_ones[k] >> 12 == 0
@@ -185,6 +185,9 @@ def test_combined_lists_reject_disagreeing_receiver_sets():
     b = generate_segment(6, 3, random.Random(2))
     with pytest.raises(ValueError, match="disagree on receiver indices"):
         combined_lists_from_segments([a, b])
+    # the same receivers in another order agree
+    c = b._replace(receiver_ones=dict(reversed(dict(b.receiver_ones).items())))
+    assert sorted(combined_lists_from_segments([b, c])) == [1, 2, 3, 4]
 
 
 @settings(max_examples=40, deadline=None)
@@ -341,7 +344,8 @@ def test_receivers_are_drawn_on_first_read_in_ascending_order(counting_shuffles)
     assert rng.shuffles == 1  # the sender's trits only
     # keys, length and membership never draw; neither do absent receivers
     assert list(coins) == [2, 3, 4, 5, 6] and len(coins) == 5 and 4 in coins and 7 not in coins
-    assert seg.receiver_indices == (2, 3, 4, 5, 6)
+    # neither does the receiver-set check across segments
+    assert list(combined_lists_from_segments([seg, seg])) == [1, 2, 3, 4, 5, 6]
     for absent in (1, 7):
         with pytest.raises(KeyError):
             coins[absent]
