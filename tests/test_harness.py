@@ -558,23 +558,15 @@ def test_wilson_interval_equals_scipy_bit_for_bit(case):
     assert wilson_interval(k, n) == (ci.low, ci.high)
 
 
-def test_importing_the_cli_does_not_import_scipy():
-    # a fresh interpreter, so a transitive import anywhere in the package shows
-    src = os.path.dirname(os.path.dirname(dbasim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, dbasim.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_importing_the_cli_leaves_out_dataclasses_and_fractions():
-    # the records are NamedTuples and fractions loads only for a forge
-    # reference, so start-up pays for neither; a forging run still prints one
+def test_importing_the_cli_leaves_out_scipy_dataclasses_and_fractions():
+    # a fresh interpreter, so a transitive import anywhere in the package
+    # shows; fractions loads only for a forge reference, which a forging
+    # run still prints
     src = os.path.dirname(os.path.dirname(dbasim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, dbasim.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy', 'dataclasses', 'inspect', 'fractions') if m in sys.modules))\n"
         "dbasim.cli.main(['--scenario', 'forging-receiver', '--trials', '20', '--output', 'machine'])\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
