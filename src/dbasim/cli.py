@@ -15,7 +15,6 @@ import itertools
 import json
 import sys
 from functools import partial
-from importlib import resources
 from typing import IO, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import (
@@ -250,6 +249,8 @@ def load_scenario_file(path: str, overrides: Optional[Mapping] = None) -> Scenar
 def load_builtin_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
     if name not in BUILTIN_SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; built in: {list(BUILTIN_SCENARIOS)}")
+    from importlib import resources  # on 3.12+ it imports inspect, so only here
+
     text = resources.files("dbasim").joinpath("scenarios", f"{name}.json").read_text(encoding="utf-8")
     return parse_config(json.loads(text), overrides)
 

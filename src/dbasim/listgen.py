@@ -368,13 +368,11 @@ def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
     """
     if not segments:
         raise ValueError("need at least one segment")
-    first, *rest = segments
-    if rest:
-        receivers = set(first.receiver_ones)
-        for seg in rest:
-            if set(seg.receiver_ones) != receivers:
-                raise ValueError(
-                    f"segments disagree on receiver indices: {sorted(receivers)} vs {sorted(seg.receiver_ones)}"
-                )
     segments = tuple(segments)
+    receivers = segments[0].receiver_ones
+    for seg in segments[1:]:
+        if set(seg.receiver_ones) != set(receivers):
+            raise ValueError(
+                f"segments disagree on receiver indices: {sorted(receivers)} vs {sorted(seg.receiver_ones)}"
+            )
     return PartyLists(combine_segments(SENDER, segments), segments)

@@ -560,16 +560,18 @@ def test_wilson_interval_equals_scipy_bit_for_bit(case):
 
 def test_importing_the_cli_leaves_out_scipy_dataclasses_and_fractions():
     # a fresh interpreter, so a transitive import anywhere in the package
-    # shows; fractions loads only for a forge reference, which a forging
-    # run still prints
+    # shows, and -S, so a site .pth hook cannot load a module first;
+    # importlib.resources is checked because on 3.12+ it imports inspect.
+    # fractions loads only for a forge reference, which a forging run
+    # still prints
     src = os.path.dirname(os.path.dirname(dbasim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, dbasim.cli\n"
-        "print(sorted(m for m in ('scipy', 'dataclasses', 'inspect', 'fractions') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy', 'dataclasses', 'inspect', 'importlib.resources', 'fractions') if m in sys.modules))\n"
         "dbasim.cli.main(['--scenario', 'forging-receiver', '--trials', '20', '--output', 'machine'])\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     loaded, *batches = out.stdout.splitlines()
     assert loaded == "[]"
     assert [json.loads(line)["forge_oracle"] for line in batches] == ["2/5"]
