@@ -233,6 +233,13 @@ def forge_heuristic(m: int, d: int) -> float:
 # bit in round 1 and the received round-1 message in round 2.  The party's
 # own list is ``know.own_lists[party]``.  Strategies that act the same from
 # either role sit in both tables below.
+#
+# ``receivers`` is the audience, in ascending order, and a strategy draws
+# from ``rng`` per receiver in that order.  Whatever it draws before the
+# first receiver does not depend on the audience.  So the messages to a
+# prefix of the audience do not depend on what follows it, and the harness
+# may end a round-2 audience at the last honest receiver when nobody reads
+# the messages to the controlled receivers after it.
 
 Outgoing = tuple[dict[int, Optional[Message]], tuple[int, ...]]
 

@@ -41,7 +41,8 @@ OUTPUT_MODES = ("human", "machine", "both")
 #: took 0.0004-0.0006 s at 20 MB, and 0.010-0.012 s with a random-junk
 #: sender.  Honest relays are grouped, so the n^2 term is paid only by
 #: --dump-trials transcripts (0.37-0.47 s and 103 MB at n=997) and by
-#: controlled receivers' per-target messages.  The trial count is not
+#: controlled receivers' per-target messages, which without a transcript
+#: are made only up to the last honest receiver.  The trial count is not
 #: bounded; run time grows linearly in it.
 MAX_TRIAL_WORK = 10**6
 
@@ -109,6 +110,15 @@ def _check_type(key: str, value: object, what: str = "") -> None:
     test, expected, _ = KINDS[FIELDS[key][1]]
     if not test(value):
         raise ValueError(f"{what or repr(key)} must be {expected}, got {value!r}")
+    if isinstance(value, (list, tuple)):  # an index list: a repeat is an error, not a merge
+        seen: set[int] = set()
+        repeated: set[int] = set()
+        for i in value:
+            (repeated if i in seen else seen).add(i)
+        if repeated:
+            noun = "index" if len(repeated) == 1 else "indices"
+            listed = ", ".join(map(str, sorted(repeated)))
+            raise ValueError(f"{what or repr(key)} repeats {noun} {listed}, got {value!r}")
 
 
 class Scenario(NamedTuple):

@@ -227,7 +227,11 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     # keeps its per-target messages.  Every receiver's list copies the
     # sender's 0/1 entries, so each class is classed once, against the
     # sender's list, and counted by its size; only a claim failing there is
-    # relayed per member, from the member's own list.
+    # relayed per member, from the member's own list.  Only honest inboxes
+    # are read after this round, so without a transcript a controlled
+    # relayer addresses the receivers up to the last honest one: strategies
+    # draw per receiver in ascending order, so the cut leaves every message
+    # to an honest receiver as it was.
     forge_attempts = 0
     forge_successes = 0
     relayed: Optional[dict[int, Message]] = {} if transcript is not None else None
@@ -247,9 +251,10 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
             if relayed is not None:
                 relayed[j] = msg
     targeted: dict[int, dict[int, Optional[Message]]] = {}
+    audience = receivers if transcript is not None else receivers[: receivers.index(honest_receivers[-1]) + 1]
     for j in sorted(controlled.difference((SENDER,))):
         rng = derive_rng(cfg.master_seed, trial, "adversary", j)
-        targeted[j], forged = adversary_act(spec, j, round1.get(j), knowledge, receivers, rng)
+        targeted[j], forged = adversary_act(spec, j, round1.get(j), knowledge, audience, rng)
         for k in forged:
             if k not in controlled:
                 forge_attempts += 1

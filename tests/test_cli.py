@@ -277,6 +277,8 @@ def test_main_reports_config_errors_on_stderr(capsys):
         ({"p": "0.5"}, "'p' must be a number, got '0.5'"),
         ({"segment_length": 12.0}, "'segment_length' must be an integer, got 12.0"),
         ({"controlled": "4"}, "'controlled' must be a list of integers, got '4'"),
+        ({"bribed": [5, 5]}, "'bribed' repeats index 5, got [5, 5]"),
+        ({"controlled": [4, 2, 4, 2]}, "'controlled' repeats indices 2, 4, got [4, 2, 4, 2]"),
     ],
 )
 def test_main_rejects_malformed_scenario_files(tmp_path, capsys, document, message):
@@ -434,6 +436,22 @@ def test_main_rejects_non_integer_index_flags(capsys):
         main(["--controlled", "x"])
     assert exc.value.code == 2
     assert "expected comma-separated integers, got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--controlled", "1,1"], "'controlled' repeats index 1, got [1, 1]"),
+        (["--bribed", "5,6,5"], "'bribed' repeats index 5, got [5, 6, 5]"),
+        (["--scenario", "bribery", "--controlled", "4,4"], "'controlled' repeats index 4, got [4, 4]"),
+    ],
+)
+def test_main_rejects_repeated_index_flags(capsys, argv, message):
+    # a repeat is an error, never merged into one index
+    assert main([*argv, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_main_rejects_missing_config_files(capsys):

@@ -263,6 +263,68 @@ def _assert_reference_decisions(cfg, trial, rep):
             assert rep.decisions[k] == expected, (cfg.participants, cfg.adversary.controlled, trial, k)
 
 
+# (participants, controlled): controlled receivers after the last honest one
+# (forge-heavy's shape at n=8, the last receiver at n=9, and with a
+# controlled sender), and none after it ({3, 5, 7} leaves receiver 9 honest)
+_AUDIENCE_SETS = ((8, {5, 6, 7, 8}), (9, {2, 9}), (9, {1, 6, 7, 8, 9}), (9, {3, 5, 7}))
+
+
+def _audience_cfg(participants, controlled, receiver_strategy, bribed):
+    cfg = _cfg(
+        participants=participants,
+        distributors=2,
+        segment_length=12,
+        controlled=controlled,
+        bribed={participants + 1, participants + 2} if bribed else set(),
+        disclosure_probability=0.75,
+        receiver_strategy=receiver_strategy,
+        master_seed=participants + len(controlled),
+    )
+    cfg.validate()
+    return cfg
+
+
+@pytest.mark.parametrize("bribed", [False, True], ids=["bribed-none", "bribed-all"])
+@pytest.mark.parametrize("receiver_strategy", sorted(RECEIVER_STRATEGIES))
+def test_trials_without_a_transcript_equal_trials_with_one(receiver_strategy, bribed):
+    # without a transcript the controlled relayers address only the
+    # receivers up to the last honest one; every field a trial reports
+    # must stay what the full audience gives
+    attempts = 0
+    for participants, controlled in _AUDIENCE_SETS:
+        cfg = _audience_cfg(participants, controlled, receiver_strategy, bribed)
+        for trial in range(6):
+            full = run_trial(cfg, trial, capture_transcript=True)
+            assert full.transcript
+            assert run_trial(cfg, trial) == full._replace(transcript=None), (participants, controlled, trial)
+            attempts += full.forge_attempts
+    if receiver_strategy == "forge" or (receiver_strategy == "omniscient-forge" and bribed):
+        assert attempts
+
+
+@pytest.mark.parametrize("receiver_strategy", ["forge", "random-junk", "omniscient-forge"])
+def test_round2_strategies_address_receivers_up_to_the_last_honest_one(monkeypatch, receiver_strategy):
+    audiences = []
+    real = dbasim.harness.adversary_act
+
+    def recording(spec, party, incoming, know, receivers, rng):
+        if party != 1:
+            audiences.append(tuple(receivers))
+        return real(spec, party, incoming, know, receivers, rng)
+
+    monkeypatch.setattr(dbasim.harness, "adversary_act", recording)
+    for participants, controlled in _AUDIENCE_SETS:
+        cfg = _audience_cfg(participants, controlled, receiver_strategy, bribed=True)
+        last_honest = max(k for k in cfg.receivers if k not in controlled)
+        relayers = len(controlled - {1})
+        audiences.clear()
+        run_batch(cfg._replace(trials=4))
+        assert audiences == [tuple(range(2, last_honest + 1))] * (4 * relayers)
+        audiences.clear()
+        run_batch(cfg._replace(trials=4), on_trial=lambda rep: None)
+        assert audiences == [cfg.receivers] * (4 * relayers)
+
+
 @pytest.mark.parametrize("sender_strategy", ["honest-mimic", "equivocate", "random-junk"])
 @pytest.mark.parametrize("controlled", [{1}, {1, 6}])
 @pytest.mark.parametrize("shape", ["copies", "one-object"])
