@@ -251,7 +251,9 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
             if relayed is not None:
                 relayed[j] = msg
     targeted: dict[int, dict[int, Optional[Message]]] = {}
-    audience = receivers if transcript is not None else receivers[: receivers.index(honest_receivers[-1]) + 1]
+    audience = receivers
+    if controlled and transcript is None:
+        audience = receivers[: receivers.index(honest_receivers[-1]) + 1]
     for j in sorted(controlled.difference((SENDER,))):
         rng = derive_rng(cfg.master_seed, trial, "adversary", j)
         targeted[j], forged = adversary_act(spec, j, round1.get(j), knowledge, audience, rng)
