@@ -236,10 +236,11 @@ def forge_heuristic(m: int, d: int) -> float:
 #
 # ``receivers`` is the audience, in ascending order, and a strategy draws
 # from ``rng`` per receiver in that order.  Whatever it draws before the
-# first receiver does not depend on the audience.  So the messages to a
-# prefix of the audience do not depend on what follows it, and the harness
-# may end a round-2 audience at the last honest receiver when nobody reads
-# the messages to the controlled receivers after it.
+# first receiver does not depend on the audience, and a victim is chosen
+# among the honest receivers.  So the messages to a prefix of the audience
+# that holds every honest receiver do not depend on what follows it, and
+# the harness may end a round-2 audience at the last honest receiver when
+# nobody reads the messages to the controlled receivers after it.
 
 Outgoing = tuple[dict[int, Optional[Message]], tuple[int, ...]]
 
