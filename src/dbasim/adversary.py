@@ -79,9 +79,9 @@ class Knowledge(NamedTuple):
     Positions are reported as masks over the combined list, segment i
     occupying bits ``i*m`` to ``i*m + m - 1``.
     Nothing else is representable here, which is the structural guarantee
-    that strategies cannot peek at honest secrets: own lists are built, so
-    they reference no segment, and leaked segments hold plain dicts, so no
-    undrawn coin or rng is reachable.
+    that strategies cannot peek at honest secrets: own lists hold nothing
+    but their masks, and leaked segments hold plain dicts, so no undrawn
+    coin or rng is reachable.
     """
 
     segment_length: int
@@ -116,7 +116,7 @@ def resolve_bribes(
     distributor order so a fixed rng state reproduces the outcome.  Unbribed
     distributors never leak, and ``rng`` may be None when none is bribed.
     ``lists`` holds every party's combined list; only the controlled
-    parties' lists go into the Knowledge, built.  A leaked segment goes in
+    parties' lists go into the Knowledge.  A leaked segment goes in
     with every receiver's coins drawn into a plain dict, so neither a coin
     store nor its rng is reachable from the result.
     """
@@ -130,7 +130,7 @@ def resolve_bribes(
         segment_length=segments[distributors[0]].length,
         distributors=distributors,
         disclosed=disclosed,
-        own_lists={party: lists[party].build() for party in sorted(spec.controlled)},
+        own_lists={party: lists[party] for party in sorted(spec.controlled)},
     )
 
 

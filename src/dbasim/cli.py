@@ -62,9 +62,11 @@ def _is_int_list(value: object) -> bool:
 
 
 def _indices(text: str) -> list[int]:
-    """A ``--controlled``/``--bribed`` value; argparse exits 2 on a non-integer."""
+    """A ``--controlled``/``--bribed`` value, empty for none; argparse exits 2 on an empty or non-integer item."""
+    if not text.strip():
+        return []
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 

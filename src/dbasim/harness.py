@@ -28,6 +28,7 @@ from .listgen import SENDER, combined_lists_from_segments, generate_segment
 from .protocol import (
     BOT,
     DECIDE_RULES,
+    Claim,
     Decision,
     Message,
     check_claim,
@@ -183,8 +184,9 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
     Honest receivers are handled per class, the receivers that got the same
     round-1 object, from relaying to tallying.  A receiver's list is made
     only where something reads it: a relay of a claim failing against the
-    sender's list, a forge check, a per-receiver decision, or a controlled
-    party's knowledge.
+    sender's list, a forge check, a decision on an inbox holding such a
+    claim or one no honest receiver relayed, or a controlled party's
+    knowledge.
     """
     spec = cfg.adversary
     receivers = cfg.receivers
@@ -269,13 +271,16 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
                 text = render_message(relayed[j])
                 transcript.extend(f"2 {j} {k} {text}" for k in receivers)
 
-    # With no controlled relayer every honest receiver gets the same groups,
-    # and if each claim in them is consistent with the sender's list it is
-    # consistent with every receiver's list: one decision serves them all.
-    # Otherwise each honest receiver decides from the groups with the
-    # controlled relayers' messages to it merged in by identity, so it
-    # checks every distinct object in its inbox once.  The trial's
-    # predicates read only the distinct honest decision values.
+    # A claim consistent with the sender's list is consistent with every
+    # receiver's list, so an inbox whose claims all pass there is decided on
+    # the sender's list.  With no controlled relayer every honest receiver
+    # gets the same groups: one decision serves them all.  Otherwise each
+    # honest receiver decides from the groups with the controlled relayers'
+    # messages to it merged in by identity, so it checks every distinct
+    # object in its inbox once, on its own list only when the inbox holds a
+    # claim that no honest receiver relayed or some honest relay came from
+    # an own list.  The trial's predicates read only the distinct honest
+    # decision values.
     decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
     if not targeted and not own_claims:
         shared = decide(groups.values(), sender_list, rule=cfg.decide_rule)
@@ -286,13 +291,19 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
         shared_groups = list(groups.values())
         for k in honest_receivers:
             inbox: Iterable[list] = shared_groups
+            own = own_claims
             if targeted:
                 merged = {key: [msg, count] for key, (msg, count) in groups.items()}
                 for sent in targeted.values():
                     msg = sent.get(k)
-                    merged.setdefault(id(msg), [msg, 0])[1] += 1
+                    key = id(msg)
+                    if key in merged:
+                        merged[key][1] += 1
+                    else:
+                        merged[key] = [msg, 1]
+                        own = own or isinstance(msg, Claim)
                 inbox = merged.values()
-            decision = decisions[k] = decide(inbox, lists[k], rule=cfg.decide_rule)
+            decision = decisions[k] = decide(inbox, lists[k] if own else sender_list, rule=cfg.decide_rule)
             values.add(decision.value)
     if SENDER not in controlled:
         decisions[SENDER] = sender_decision(cfg.sender_input)

@@ -16,12 +16,12 @@ sender only at discord positions, its 1-mask is the sender's 1-mask OR its
 own coin positions.  Positions are 0-based throughout.
 
 Receivers' coins are drawn lazily.  A segment keeps its rng and draws a
-receiver's coin set the first time anything reads it, a receiver's
-combined list is made the first time anything looks it up, and it builds
-its own masks the first time anything reads them.
-Until then a list answers from the positions every list of the family
-shares with the sender (its agreement positions), which is all an honest
-claim ever touches.
+receiver's coin set the first time anything reads it, and a receiver's
+combined list is built whole, by :func:`combine_segments`, the first time
+anything looks it up.  An honest claim touches only the positions every
+list of the family shares with the sender, so a claim consistent with the
+sender's list is consistent with every receiver's, and a trial that needs
+no receiver's own list never draws its coins.
 
 Lists are drawn with :func:`shuffle`, and the adversary's picks with
 :func:`sample`.  Both equal ``Random.shuffle`` and ``Random.sample`` draw
@@ -206,78 +206,33 @@ class Segment(NamedTuple):
         return ((1 << self.length) - 1) & ~ones, ones
 
 
-class CombinedList:
+class CombinedList(NamedTuple):
     """A party's concatenation of its per-distributor lists, in distributor order.
 
     Segment i occupies bits ``i*m`` to ``i*m + m - 1`` of each mask.
-    ``agreed`` is a (0-mask, 1-mask) pair of positions known to hold that
-    bit on this list: a receiver's list still unbuilt shares the sender's
-    masks there, since every list of the family copies the sender's 0/1
-    entries; a built list holds its own masks.  A built list references
-    nothing but its masks.
     """
 
-    __slots__ = ("party", "length", "agreed", "_masks", "_segments")
-
-    def __init__(self, party: int, length: int, zeros: int, ones: int):
-        self.party = party
-        self.length = length
-        self.agreed = self._masks = (zeros, ones)
-        self._segments: Optional[Sequence[Segment]] = None
-
-    @classmethod
-    def unbuilt(cls, party: int, segments: Sequence[Segment], agreed: tuple[int, int]) -> CombinedList:
-        """Receiver ``party``'s list over ``segments``, with the sender's masks ``agreed``; built on first read."""
-        lst = cls.__new__(cls)
-        lst.party = party
-        lst.length = segments[0].length * len(segments)
-        lst.agreed = agreed
-        lst._masks = None
-        lst._segments = segments
-        return lst
-
-    def build(self) -> CombinedList:
-        """Build the list's own masks now if they are not built yet, drawing its coins; returns the list."""
-        segments = self._segments
-        if segments is not None:
-            ones = concat_masks([seg.receiver_ones[self.party] for seg in segments], segments[0].length)
-            self.agreed = self._masks = (((1 << self.length) - 1) ^ ones, ones)
-            self._segments = None
-        return self
+    party: int
+    length: int
+    zeros: int
+    ones: int
 
     def mask(self, bit: int) -> int:
         """The positions holding ``bit`` (0 or 1)."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit}")
-        masks = self._masks
-        return (masks if masks is not None else self.build()._masks)[bit]
-
-    @property
-    def zeros(self) -> int:
-        return self.mask(0)
-
-    @property
-    def ones(self) -> int:
-        return self.mask(1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CombinedList):
-            return NotImplemented
-        return (self.party, self.length, self.zeros, self.ones) == (other.party, other.length, other.zeros, other.ones)
-
-    def __repr__(self) -> str:
-        return f"CombinedList(party={self.party}, length={self.length}, zeros={self.zeros:#x}, ones={self.ones:#x})"
+        return self.ones if bit else self.zeros
 
 
 class PartyLists(Mapping[int, CombinedList]):
     """Every party's combined list, keyed by party; a receiver's list is made on first lookup.
 
-    The sender's list is built at once.  A receiver's list is made unbuilt
-    (:meth:`CombinedList.unbuilt`, sharing the sender's masks as ``agreed``)
-    the first time it is looked up, and kept, so a trial that reads only
-    the sender's list makes no receiver's.  Iteration and ``len`` see every
-    party without making a list; iteration gives the sender, then the
-    receivers in the first segment's order.
+    The sender's list is built at once.  A receiver's list is built by
+    :func:`combine_segments`, drawing its coins, the first time it is looked
+    up, and kept, so a trial that reads only the sender's list makes no
+    receiver's.  Iteration and ``len`` see every party without making a
+    list; iteration gives the sender, then the receivers in the first
+    segment's order.
     """
 
     __slots__ = ("_made", "_segments")
@@ -292,7 +247,7 @@ class PartyLists(Mapping[int, CombinedList]):
             return made[party]
         if party not in self._segments[0].receiver_ones:
             raise KeyError(party)
-        lst = made[party] = CombinedList.unbuilt(party, self._segments, made[SENDER].agreed)
+        lst = made[party] = combine_segments(party, self._segments)
         return lst
 
     def __iter__(self) -> Iterator[int]:
@@ -344,10 +299,10 @@ def combine_segments(party: int, segments: Sequence[Segment]) -> CombinedList:
     """
     if not segments:
         raise ValueError("need at least one segment")
-    lengths = {seg.length for seg in segments}
-    if len(lengths) != 1:
-        raise ValueError(f"segments must share one length, got {sorted(lengths)}")
     m = segments[0].length
+    for seg in segments:
+        if seg.length != m:
+            raise ValueError(f"segments must share one length, got {sorted({seg.length for seg in segments})}")
     total = m * len(segments)
     if party == SENDER:
         zeros = concat_masks([seg.sender_zeros for seg in segments], m)
@@ -355,16 +310,15 @@ def combine_segments(party: int, segments: Sequence[Segment]) -> CombinedList:
     else:
         ones = concat_masks([seg.receiver_ones[party] for seg in segments], m)
         zeros = ((1 << total) - 1) ^ ones
-    return CombinedList(party=party, length=total, zeros=zeros, ones=ones)
+    return CombinedList(party, total, zeros, ones)
 
 
 def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
     """Every party's combined list, from segments already in distributor order.
 
-    The sender's list is built at once, and its masks are every receiver's
-    ``agreed`` masks; a receiver's list is made on first lookup and builds
-    its own masks, drawing its coins, on first read.  Rejects empty input
-    and segments that disagree on the receivers.
+    The sender's list is built at once; a receiver's list is built, drawing
+    its coins, on first lookup.  Rejects empty input and segments that
+    disagree on the receivers.
     """
     if not segments:
         raise ValueError("need at least one segment")

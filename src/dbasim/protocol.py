@@ -72,20 +72,12 @@ def check_claim(claim: Claim, own_list: CombinedList) -> bool:
     positions, so the count rule rejects padding and truncation without ever
     rejecting an honest claim; in particular an empty claim is not vacuously
     consistent.
-
-    The claim is first held against the list's agreement positions of the
-    bit, the sender's positions of it, which every list shares; only the
-    part outside them is checked against the list's own positions, so an
-    honest claim never makes a receiver's list draw its coins.
     """
     bit = claim.bit
     if bit not in (0, 1):
         return False
     mask = claim.mask
-    if mask.bit_count() != own_list.length // 3:
-        return False
-    outside = mask & ~own_list.agreed[bit]
-    return not outside or not outside & ~own_list.mask(bit)
+    return mask.bit_count() == own_list.length // 3 and not mask & ~own_list.mask(bit)
 
 
 def relay_step(received: Optional[Message], own_list: CombinedList) -> Message:

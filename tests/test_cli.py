@@ -431,11 +431,25 @@ def test_readme_flag_table_lists_exactly_the_help_flags(capsys):
     assert documented == printed
 
 
-def test_main_rejects_non_integer_index_flags(capsys):
+@pytest.mark.parametrize("flag", ["--controlled", "--bribed"])
+@pytest.mark.parametrize("text", ["x", "4,,", ",", ",4", "4,,5", "4, "])
+def test_main_rejects_non_integer_and_empty_index_items(capsys, flag, text):
+    # an empty item is an error, never dropped
     with pytest.raises(SystemExit) as exc:
-        main(["--controlled", "x"])
+        main([flag, text, "--trials", "2"])
     assert exc.value.code == 2
-    assert "expected comma-separated integers, got 'x'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected comma-separated integers, got {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--controlled", "--bribed"])
+@pytest.mark.parametrize("text", ["", " "])
+def test_an_empty_index_flag_means_none(monkeypatch, flag, text):
+    seen = []
+    monkeypatch.setattr("dbasim.cli.run_scenario", lambda scenario, dump_trials: seen.append(scenario) or 0)
+    assert main([flag, text]) == 0
+    assert seen == [parse_config({flag[2:]: []})]
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from dbasim.harness import (
     run_trial,
     wilson_interval,
 )
-from dbasim.listgen import CoinStore, CombinedList, Segment, combined_lists_from_segments, generate_segment, mask_of, mask_positions
+from dbasim.listgen import CoinStore, Segment, combined_lists_from_segments, generate_segment, mask_of, mask_positions
 from dbasim.protocol import ABORT, BOT, Claim, Decision
 from symbols import bits, reference_decide
 
@@ -425,23 +425,17 @@ def test_forging_decide_calls_get_one_pair_per_distinct_honest_relay_and_forger(
 
 
 def test_all_honest_trials_make_no_receiver_list_at_any_size(monkeypatch):
-    # an all-honest trial reads only the sender's list, so no receiver's
-    # list is made or built, and the check and decide calls per trial do not
-    # grow with the party count
+    # an all-honest trial reads only the sender's list, so the one list
+    # built per trial is the sender's, and the check and decide calls per
+    # trial do not grow with the party count
     made = []
-    real_unbuilt = CombinedList.unbuilt.__func__
-    real_build = CombinedList.build
+    real_combine = dbasim.listgen.combine_segments
 
-    def unbuilt(cls, party, segments, agreed):
+    def combine(party, segments):
         made.append(party)
-        return real_unbuilt(cls, party, segments, agreed)
+        return real_combine(party, segments)
 
-    def build(self):
-        made.append(self.party)
-        return real_build(self)
-
-    monkeypatch.setattr(CombinedList, "unbuilt", classmethod(unbuilt))
-    monkeypatch.setattr(CombinedList, "build", build)
+    monkeypatch.setattr(dbasim.listgen, "combine_segments", combine)
     calls = {}
     real_check = dbasim.protocol.check_claim
     real_decide = dbasim.harness.decide
@@ -459,12 +453,50 @@ def test_all_honest_trials_make_no_receiver_list_at_any_size(monkeypatch):
     monkeypatch.setattr(dbasim.harness, "decide", counting_decide)
     per_size = {}
     for participants in (32, 200):
+        made.clear()
         calls.update(check_claim=0, decide=0)
         report = run_batch(SimConfig(participants=participants, distributors=2, segment_length=60, trials=3))
         assert report.agreement_count == report.validity_count == 3
+        assert made == [1, 1, 1]
         per_size[participants] = dict(calls)
-    assert made == []
     assert per_size[32] == per_size[200] == {"check_claim": 6, "decide": 3}
+
+
+@pytest.mark.parametrize("receiver_strategy", ["honest-mimic", "silent", "flag-always", "omniscient-forge"])
+def test_inboxes_of_relayed_claims_are_decided_on_the_senders_list(monkeypatch, receiver_strategy):
+    # the controlled relayer sends each honest receiver nothing but the flag,
+    # silence or a claim the honest receivers relay too, so every honest
+    # decision is made on the sender's list: the lists built per trial are
+    # the sender's and the controlled relayer's own
+    made = []
+    real_combine = dbasim.listgen.combine_segments
+
+    def combine(party, segments):
+        made.append(party)
+        return real_combine(party, segments)
+
+    monkeypatch.setattr(dbasim.listgen, "combine_segments", combine)
+    cfg = _cfg(participants=32, distributors=2, segment_length=12, controlled={2}, receiver_strategy=receiver_strategy, trials=4)
+    assert run_batch(cfg).agreement_count == 4
+    assert made == [1, 2] * 4
+
+
+@pytest.mark.parametrize("rule", ["literal", "merged"])
+@pytest.mark.parametrize("receiver_strategy", ["random-junk", "forge"])
+def test_inboxes_with_claims_no_honest_receiver_relayed_are_decided_on_own_lists(receiver_strategy, rule):
+    # m=6 makes a junk or forged claim that fails against the sender's list
+    # pass at about a third of the receivers' own lists
+    cfg = _cfg(
+        participants=32,
+        distributors=1,
+        segment_length=6,
+        controlled={2},
+        receiver_strategy=receiver_strategy,
+        decide_rule=rule,
+    )
+    cfg.validate()
+    for trial in range(4):
+        _assert_reference_decisions(cfg, trial, run_trial(cfg, trial, capture_transcript=True))
 
 
 @pytest.mark.parametrize(

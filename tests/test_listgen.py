@@ -366,11 +366,7 @@ def test_receivers_are_drawn_on_first_read_in_ascending_order(counting_shuffles)
 def test_lazy_lists_match_lists_combined_from_reference_segments(data, m, d, receivers, seed):
     lazy = combined_lists_from_segments([generate_segment(m, receivers, random.Random(seed + i)) for i in range(d)])
     refs = [reference_segment(m, receivers, random.Random(seed + i)) for i in range(d)]
-    # before any read, every receiver's agreement masks are the sender's
-    assert all(lazy[k].agreed == lazy[1].agreed for k in range(2, receivers + 2))
     for party in data.draw(st.permutations(range(1, receivers + 2))):
         expected = combine_segments(party, refs)
         assert lazy[party] == expected
         assert entries(lazy[party]) == entries(expected)
-        # once built, a list's agreement masks are its own
-        assert lazy[party].agreed == (expected.mask(0), expected.mask(1))
