@@ -424,10 +424,9 @@ def test_forging_decide_calls_get_one_pair_per_distinct_honest_relay_and_forger(
         assert max(sizes) <= len(honest_relays) + len(forgers) < len(cfg.receivers)
 
 
-def test_all_honest_trials_make_no_receiver_list_at_any_size(monkeypatch):
-    # an all-honest trial reads only the sender's list, so the one list
-    # built per trial is the sender's, and the check and decide calls per
-    # trial do not grow with the party count
+@pytest.fixture
+def built(monkeypatch):
+    """The party of every list ``listgen.combine_segments`` builds, in order."""
     made = []
     real_combine = dbasim.listgen.combine_segments
 
@@ -436,6 +435,13 @@ def test_all_honest_trials_make_no_receiver_list_at_any_size(monkeypatch):
         return real_combine(party, segments)
 
     monkeypatch.setattr(dbasim.listgen, "combine_segments", combine)
+    return made
+
+
+def test_all_honest_trials_make_no_receiver_list_at_any_size(monkeypatch, built):
+    # an all-honest trial reads only the sender's list, so the one list
+    # built per trial is the sender's, and the check and decide calls per
+    # trial do not grow with the party count
     calls = {}
     real_check = dbasim.protocol.check_claim
     real_decide = dbasim.harness.decide
@@ -453,32 +459,24 @@ def test_all_honest_trials_make_no_receiver_list_at_any_size(monkeypatch):
     monkeypatch.setattr(dbasim.harness, "decide", counting_decide)
     per_size = {}
     for participants in (32, 200):
-        made.clear()
+        built.clear()
         calls.update(check_claim=0, decide=0)
         report = run_batch(SimConfig(participants=participants, distributors=2, segment_length=60, trials=3))
         assert report.agreement_count == report.validity_count == 3
-        assert made == [1, 1, 1]
+        assert built == [1, 1, 1]
         per_size[participants] = dict(calls)
     assert per_size[32] == per_size[200] == {"check_claim": 6, "decide": 3}
 
 
 @pytest.mark.parametrize("receiver_strategy", ["honest-mimic", "silent", "flag-always", "omniscient-forge"])
-def test_inboxes_of_relayed_claims_are_decided_on_the_senders_list(monkeypatch, receiver_strategy):
+def test_inboxes_of_relayed_claims_are_decided_on_the_senders_list(built, receiver_strategy):
     # the controlled relayer sends each honest receiver nothing but the flag,
     # silence or a claim the honest receivers relay too, so every honest
     # decision is made on the sender's list: the lists built per trial are
     # the sender's and the controlled relayer's own
-    made = []
-    real_combine = dbasim.listgen.combine_segments
-
-    def combine(party, segments):
-        made.append(party)
-        return real_combine(party, segments)
-
-    monkeypatch.setattr(dbasim.listgen, "combine_segments", combine)
     cfg = _cfg(participants=32, distributors=2, segment_length=12, controlled={2}, receiver_strategy=receiver_strategy, trials=4)
     assert run_batch(cfg).agreement_count == 4
-    assert made == [1, 2] * 4
+    assert built == [1, 2] * 4
 
 
 @pytest.mark.parametrize("rule", ["literal", "merged"])
