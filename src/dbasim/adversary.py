@@ -7,11 +7,8 @@ from a :class:`Knowledge` value (leaked segments plus whatever the
 controlled parties legitimately hold), never from ground-truth lists, so
 undisclosed discord bits stay out of reach by construction.
 
-The forging attack and its exact success probability live here too.  The
-probability is a hypergeometric closed form
-(:func:`forge_success_closed_form`) that holds at any size; the tests hold
-it equal to an exhaustive enumeration on every instance small enough to
-enumerate.
+The forging attack and its exact success probability
+(:func:`forge_success_closed_form`) live here too.
 """
 
 from __future__ import annotations
@@ -71,17 +68,12 @@ class AdversarySpec(NamedTuple):
 class Knowledge(NamedTuple):
     """Everything the adversary can see.
 
-    Leaked segments arrive whole: a disclosing distributor reveals every
-    list it generated, so a covered position is known for every party.
-    Controlled parties contribute their own combined lists, keyed by party,
-    so ``own_lists`` also names the controlled set; a controlled receiver's
-    round-1 message reaches its strategy as an argument.
-    Positions are reported as masks over the combined list, segment i
-    occupying bits ``i*m`` to ``i*m + m - 1``.
-    Nothing else is representable here, which is the structural guarantee
-    that strategies cannot peek at honest secrets: own lists hold nothing
-    but their masks, and leaked segments hold plain dicts, so no undrawn
-    coin or rng is reachable.
+    A disclosing distributor reveals every list it generated, so a covered
+    position is known for every party.  ``own_lists`` holds the controlled
+    parties' combined lists, so it also names the controlled set.  Positions
+    are masks over the combined list, segment i at bits ``i*m`` and up.
+    Nothing else is representable: own lists hold only masks and leaked
+    segments plain dicts, so no undrawn coin or rng is reachable.
     """
 
     segment_length: int
@@ -95,11 +87,13 @@ class Knowledge(NamedTuple):
 
     def covered(self) -> int:
         """The mask of every position inside a leaked segment."""
-        m = self.segment_length
-        return concat_masks([(1 << m) - 1 if d in self.disclosed else 0 for d in self.distributors], m)
+        m, leaked = self.segment_length, self.disclosed
+        return concat_masks([(1 << m) - 1 if d in leaked else 0 for d in self.distributors], m) if leaked else 0
 
     def known_positions(self, party: int, bit: int) -> int:
         """The mask of every position where ``party`` is known to hold ``bit`` (0 or 1)."""
+        if not self.disclosed:
+            return 0
         masks = [self.disclosed[d].party_masks(party)[bit] if d in self.disclosed else 0 for d in self.distributors]
         return concat_masks(masks, self.segment_length)
 
@@ -115,10 +109,8 @@ def resolve_bribes(
     Coins are independent, one per bribed distributor, drawn in ascending
     distributor order so a fixed rng state reproduces the outcome.  Unbribed
     distributors never leak, and ``rng`` may be None when none is bribed.
-    ``lists`` holds every party's combined list; only the controlled
-    parties' lists go into the Knowledge.  A leaked segment goes in
-    with every receiver's coins drawn into a plain dict, so neither a coin
-    store nor its rng is reachable from the result.
+    Only the controlled parties' lists in ``lists`` go into the Knowledge,
+    and a leaked segment goes in with its coins drawn into a plain dict.
     """
     distributors = tuple(sorted(segments))
     disclosed: dict[int, Segment] = {}

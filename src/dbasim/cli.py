@@ -34,16 +34,8 @@ REQUIRABLE = ("agreement_rate", "all_abort_rate", "validity_rate", "honest_succe
 OUTPUT_MODES = ("human", "machine", "both")
 
 #: the most work one trial may take: n^2 relay messages plus n*d*m list
-#: entries, n = receivers + 1.  One all-honest run_trial at the bound,
-#: timed in-process on a 2-vCPU Xeon VM with Python 3.11.7: n=4, d=41666,
-#: m=6 (1000000 units) took 1.27-1.30 s at 154 MB peak RSS, each segment
-#: keeping its rng until the trial ends; n=997, d=1, m=6 (999991 units)
-#: took 0.0004-0.0006 s at 20 MB, and 0.010-0.012 s with a random-junk
-#: sender.  Honest relays are grouped, so the n^2 term is paid only by
-#: --dump-trials transcripts (0.37-0.47 s and 103 MB at n=997) and by
-#: controlled receivers' per-target messages, which without a transcript
-#: are made only up to the last honest receiver.  The trial count is not
-#: bounded; run time grows linearly in it.
+#: entries, n = receivers + 1; README's trial-size note gives the times and
+#: memory measured at the bound.  The trial count is not bounded.
 MAX_TRIAL_WORK = 10**6
 
 BUILTIN_SCENARIOS = ("all-honest", "equivocating-sender", "forging-receiver", "bribery", "forge-curve")

@@ -160,50 +160,87 @@ def eval_agreement(values: AbstractSet[Optional[int]]) -> bool:
 
 def eval_validity(values: AbstractSet[Optional[int]], all_honest: bool, sender_input: int) -> Optional[bool]:
     """With no corruption at all, everyone must output the sender's input."""
-    if not all_honest:
-        return None
-    return values == {sender_input}
+    return values == {sender_input} if all_honest else None
 
 
 def eval_honest_success(values: AbstractSet[Optional[int]], sender_honest: bool, sender_input: int) -> Optional[bool]:
     """With an honest sender, every honest party must output its input."""
-    if not sender_honest:
-        return None
-    return values == {sender_input}
+    return values == {sender_input} if sender_honest else None
 
 
-def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> TrialReport:
+class TrialPlan(NamedTuple):
+    """What every trial of a batch takes from the config alone; :func:`trial_plan` builds it.
+
+    ``relayers`` are the controlled receivers, ascending, and ``audience``
+    whom they address without a transcript; ``undisclosed`` is an unbribed
+    batch's ``disclosed``.
+    """
+
+    distributors: tuple[int, ...]
+    receivers: tuple[int, ...]
+    honest_receivers: tuple[int, ...]
+    relayers: tuple[int, ...]
+    audience: tuple[int, ...]
+    controlled: tuple[int, ...]
+    decisions: dict[int, Optional[Decision]]
+    undisclosed: Optional[tuple[bool, ...]]
+
+
+def trial_plan(cfg: SimConfig) -> TrialPlan:
+    """The plan of every trial of ``cfg``, which must have passed :meth:`SimConfig.validate`.
+
+    Only honest inboxes are read after round 2, and strategies draw per
+    receiver in ascending order, so the audience ends at the last honest
+    receiver without changing any message to an honest receiver.
+    """
+    controlled, receivers = cfg.adversary.controlled, cfg.receivers
+    honest = tuple(k for k in receivers if k not in controlled)
+    decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
+    if SENDER not in controlled:
+        decisions[SENDER] = sender_decision(cfg.sender_input)
+    return TrialPlan(
+        distributors=cfg.distributor_indices,
+        receivers=receivers,
+        honest_receivers=honest,
+        relayers=tuple(sorted(controlled.difference((SENDER,)))),
+        audience=receivers[: receivers.index(honest[-1]) + 1],
+        controlled=tuple(sorted(controlled)),
+        decisions=decisions,
+        undisclosed=None if cfg.adversary.bribed else (False,) * cfg.distributors,
+    )
+
+
+def run_trial(
+    cfg: SimConfig, trial: int, capture_transcript: bool = False, plan: Optional[TrialPlan] = None
+) -> TrialReport:
     """Execute one protocol instance, deterministically in (master_seed, trial).
 
     List generation, bribery coins, and each adversary party draw from
     independent derived streams, so changing one stream's consumption never
     disturbs the others; the bribery stream is derived only when a
     distributor is bribed, since nothing else reads it.  ``cfg`` must have
-    passed :meth:`SimConfig.validate`, as :func:`run_batch` ensures.
+    passed :meth:`SimConfig.validate`, as :func:`run_batch` ensures once per
+    batch; ``plan`` is ``trial_plan(cfg)``, built here when not given.
 
     Honest receivers are handled per class, the receivers that got the same
-    round-1 object, from relaying to tallying.  A receiver's list is made
-    only where something reads it: a relay of a claim failing against the
-    sender's list, a forge check, a decision on an inbox holding such a
-    claim or one no honest receiver relayed, or a controlled party's
-    knowledge.
+    round-1 object, from relaying to tallying.  The adversary's Knowledge is
+    built only when some party is controlled or some distributor bribed.
     """
+    plan = plan or trial_plan(cfg)
     spec = cfg.adversary
-    receivers = cfg.receivers
     controlled = spec.controlled
-    honest_receivers = [k for k in receivers if k not in controlled] if controlled else receivers
+    receivers, honest_receivers = plan.receivers, plan.honest_receivers
 
-    distributors = cfg.distributor_indices
     ordered = [
         generate_segment(cfg.segment_length, cfg.participants - 1, derive_rng(cfg.master_seed, trial, "segment", dist))
-        for dist in distributors
+        for dist in plan.distributors
     ]
-    segments = dict(zip(distributors, ordered))
     lists = combined_lists_from_segments(ordered)
     sender_list = lists[SENDER]
-
-    bribe_rng = derive_rng(cfg.master_seed, trial, "bribes") if spec.bribed else None
-    knowledge = resolve_bribes(spec, bribe_rng, segments, lists)
+    knowledge = None
+    if controlled or spec.bribed:
+        bribe_rng = derive_rng(cfg.master_seed, trial, "bribes") if spec.bribed else None
+        knowledge = resolve_bribes(spec, bribe_rng, dict(zip(plan.distributors, ordered)), lists)
 
     # Round 1: the sender announces one claim per receiver.  The honest
     # receivers that got one object form a class; an honest sender's
@@ -218,22 +255,16 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
             classes.setdefault(id(got), (got, []))[1].append(j)
     else:
         claim = make_claim(cfg.sender_input, sender_list)
-        round1 = dict.fromkeys(receivers, claim)
+        round1 = dict.fromkeys(receivers, claim) if transcript is not None or plan.relayers else {}
         classes = {id(claim): (claim, honest_receivers)}
     if transcript is not None:
         transcript.extend(f"1 1 {k} {render_message(round1.get(k))}" for k in receivers)
 
-    # Round 2: every receiver relays to every receiver, itself included.  An
-    # honest relayer sends one message to all, so honest relays are kept as
-    # one [message, count] group per distinct object; a controlled relayer
-    # keeps its per-target messages.  Every receiver's list copies the
-    # sender's 0/1 entries, so each class is classed once, against the
-    # sender's list, and counted by its size; only a claim failing there is
-    # relayed per member, from the member's own list.  Only honest inboxes
-    # are read after this round, so without a transcript a controlled
-    # relayer addresses the receivers up to the last honest one: strategies
-    # draw per receiver in ascending order, so the cut leaves every message
-    # to an honest receiver as it was.
+    # Round 2: every receiver relays to every receiver, itself included.
+    # Honest relays are kept as one [message, count] group per distinct
+    # object, a controlled relayer's as per-target messages.  Each class is
+    # relayed once, on the sender's list (the sender-list invariant, see
+    # dbasim.listgen); only a claim failing there is relayed per member.
     forge_attempts = 0
     forge_successes = 0
     relayed: Optional[dict[int, Message]] = {} if transcript is not None else None
@@ -253,10 +284,8 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
             if relayed is not None:
                 relayed[j] = msg
     targeted: dict[int, dict[int, Optional[Message]]] = {}
-    audience = receivers
-    if controlled and transcript is None:
-        audience = receivers[: receivers.index(honest_receivers[-1]) + 1]
-    for j in sorted(controlled.difference((SENDER,))):
+    audience = receivers if transcript is not None else plan.audience
+    for j in plan.relayers:
         rng = derive_rng(cfg.master_seed, trial, "adversary", j)
         targeted[j], forged = adversary_act(spec, j, round1.get(j), knowledge, audience, rng)
         for k in forged:
@@ -271,23 +300,20 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
                 text = render_message(relayed[j])
                 transcript.extend(f"2 {j} {k} {text}" for k in receivers)
 
-    # A claim consistent with the sender's list is consistent with every
-    # receiver's list, so an inbox whose claims all pass there is decided on
-    # the sender's list.  With no controlled relayer every honest receiver
-    # gets the same groups: one decision serves them all.  Otherwise each
-    # honest receiver decides from the groups with the controlled relayers'
-    # messages to it merged in by identity, so it checks every distinct
-    # object in its inbox once, on its own list only when the inbox holds a
-    # claim that no honest receiver relayed or some honest relay came from
-    # an own list.  The trial's predicates read only the distinct honest
-    # decision values.
-    decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
+    # An inbox whose claims all pass against the sender's list is decided
+    # there.  With no controlled relayer every honest receiver gets the same
+    # groups, and one decision serves them all.  Otherwise each honest
+    # receiver decides on the groups with the controlled relayers' messages
+    # to it merged in by identity, on its own list only when that inbox holds
+    # a claim no honest receiver relayed or some honest relay came from an
+    # own list.  The predicates read only the distinct honest decision values.
+    decisions = plan.decisions.copy()
+    values = set() if SENDER in controlled else {cfg.sender_input}
     if not targeted and not own_claims:
         shared = decide(groups.values(), sender_list, rule=cfg.decide_rule)
         decisions.update(dict.fromkeys(honest_receivers, shared))
-        values = {shared.value}
+        values.add(shared.value)
     else:
-        values = set()
         shared_groups = list(groups.values())
         for k in honest_receivers:
             inbox: Iterable[list] = shared_groups
@@ -305,22 +331,18 @@ def run_trial(cfg: SimConfig, trial: int, capture_transcript: bool = False) -> T
                 inbox = merged.values()
             decision = decisions[k] = decide(inbox, lists[k] if own else sender_list, rule=cfg.decide_rule)
             values.add(decision.value)
-    if SENDER not in controlled:
-        decisions[SENDER] = sender_decision(cfg.sender_input)
-        values.add(cfg.sender_input)
 
-    disclosed = tuple(dist in knowledge.disclosed for dist in distributors)
     return TrialReport(
         trial=trial,
-        controlled=tuple(sorted(controlled)),
-        disclosed=disclosed,
+        controlled=plan.controlled,
+        disclosed=plan.undisclosed or tuple(dist in knowledge.disclosed for dist in plan.distributors),
         decisions=decisions,
         agreement=eval_agreement(values),
         validity=eval_validity(values, not controlled, cfg.sender_input),
         honest_success=eval_honest_success(values, SENDER not in controlled, cfg.sender_input),
         forge_attempts=forge_attempts,
         forge_successes=forge_successes,
-        full_knowledge=knowledge.full_disclosure and bool(knowledge.disclosed),
+        full_knowledge=bool(knowledge and knowledge.disclosed and knowledge.full_disclosure),
         transcript=transcript,
     )
 
@@ -409,11 +431,10 @@ class BatchReport(NamedTuple):
         return forge_heuristic(self.config.segment_length, self.config.distributors)
 
     def to_record(self) -> dict:
-        cfg = self.config
-        rec = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "record": "batch",
-            "config": cfg.to_record(),
+            "config": self.config.to_record(),
             "agreement_count": self.agreement_count,
             "agreement_rate": self.agreement_rate,
             "agreement_ci": wilson_interval(self.agreement_count, self.trials),
@@ -439,7 +460,6 @@ class BatchReport(NamedTuple):
             "forge_oracle_float": float(self.forge_oracle) if self.forge_oracle is not None else None,
             "forge_heuristic": self.forge_heuristic,
         }
-        return rec
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
@@ -457,10 +477,11 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
     honest_app = honest_ok = 0
     attempts = successes = 0
     full_know = 0
+    plan = trial_plan(cfg)
     # under agreement every honest party holds the same decision, so one of them tells
     first_honest = min(p for p in range(1, cfg.participants + 1) if p not in cfg.adversary.controlled)
     for t in range(cfg.trials):
-        rep = run_trial(cfg, t, capture_transcript=on_trial is not None)
+        rep = run_trial(cfg, t, capture_transcript=on_trial is not None, plan=plan)
         agreement += rep.agreement
         if rep.agreement:
             if rep.decisions[first_honest].aborted:
@@ -481,8 +502,7 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
 
     oracle: Optional[Fraction] = None
     adv = cfg.adversary
-    forging_receivers = [k for k in adv.controlled if k in cfg.receivers]
-    if adv.receiver_strategy in FORGING_RECEIVER_STRATEGIES and forging_receivers and not adv.bribed:
+    if adv.receiver_strategy in FORGING_RECEIVER_STRATEGIES and plan.relayers and not adv.bribed:
         oracle = forge_success_closed_form(cfg.segment_length, cfg.distributors)
 
     return BatchReport(

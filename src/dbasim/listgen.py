@@ -15,13 +15,16 @@ its 0-mask is every other list position.  Since a receiver differs from the
 sender only at discord positions, its 1-mask is the sender's 1-mask OR its
 own coin positions.  Positions are 0-based throughout.
 
-Receivers' coins are drawn lazily.  A segment keeps its rng and draws a
-receiver's coin set the first time anything reads it, and a receiver's
-combined list is built whole, by :func:`combine_segments`, the first time
-anything looks it up.  An honest claim touches only the positions every
-list of the family shares with the sender, so a claim consistent with the
-sender's list is consistent with every receiver's, and a trial that needs
-no receiver's own list never draws its coins.
+The sender-list invariant: a claim consistent with the sender's list is
+consistent with every receiver's, since it claims a third of the positions,
+each carrying its bit on the sender's list and so none a discord position,
+and every receiver copies the sender's 0/1 entries.  Only a claim failing
+there can pass at one receiver and fail at another.  So a relay or a
+decision that sees only claims passing there is made once, for everyone.
+
+A receiver's coins are drawn (:class:`CoinStore`), and its combined list
+built (:class:`PartyLists`), the first time anything reads them.  By the
+invariant, a trial that needs no receiver's own list never draws its coins.
 
 Lists are drawn with :func:`shuffle`, and the adversary's picks with
 :func:`sample`.  Both equal ``Random.shuffle`` and ``Random.sample`` draw
@@ -137,11 +140,9 @@ class CoinStore(Mapping[int, int]):
     over the discord positions.  So every value is the one an eager draw in
     ascending receiver order would give, whatever the order of reads, and
     once the last receiver is drawn the rng stands where that eager draw
-    would have left it; the store then lets go of it.  The discord
-    positions and the coin list are made from the discord mask on the
-    first draw, so a store nothing reads costs no per-position work.
-    Iteration, ``len`` and ``in`` see every receiver without drawing;
-    ``dict(store)``, ``==`` and ``items()`` draw whatever is still undrawn.
+    would have left it; the store then lets go of it.  Iteration, ``len``
+    and ``in`` see every receiver without drawing; ``dict(store)``, ``==``
+    and ``items()`` draw whatever is still undrawn.
     """
 
     __slots__ = ("_rng", "_discord", "_positions", "_coins", "_ones", "_length", "_keys", "_drawn")
@@ -227,12 +228,10 @@ class CombinedList(NamedTuple):
 class PartyLists(Mapping[int, CombinedList]):
     """Every party's combined list, keyed by party; a receiver's list is made on first lookup.
 
-    The sender's list is built at once.  A receiver's list is built by
-    :func:`combine_segments`, drawing its coins, the first time it is looked
-    up, and kept, so a trial that reads only the sender's list makes no
-    receiver's.  Iteration and ``len`` see every party without making a
-    list; iteration gives the sender, then the receivers in the first
-    segment's order.
+    The sender's list is built at once, a receiver's by
+    :func:`combine_segments` on first lookup, and kept.  Iteration and
+    ``len`` see every party without making a list; iteration gives the
+    sender, then the receivers in the first segment's order.
     """
 
     __slots__ = ("_made", "_segments")
@@ -264,12 +263,9 @@ def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment
     The sender arrangement is a uniform shuffle of m/3 copies each of 0, 1
     and 2, drawn at once.  Every receiver copies the 0/1 positions and gets
     an independent uniform balanced assignment (m/6 zeros, m/6 ones) on the
-    discord positions, ascending; those are drawn on first read by the
-    segment's :class:`CoinStore`, in ascending receiver order whatever the
-    order of reads.  The segment owns ``rng`` from here on: given a stream
-    nothing else draws from, a fixed rng state reproduces the segment
-    exactly, and it ends in the state an eager draw of every receiver would
-    leave once all receivers are read.
+    discord positions, drawn by the segment's :class:`CoinStore`.  The
+    segment owns ``rng`` from here on: given a stream nothing else draws
+    from, a fixed rng state reproduces the segment exactly.
     """
     if m <= 0 or m % 6 != 0:
         raise ValueError(f"segment length must be a positive multiple of 6, got {m}")
@@ -314,18 +310,22 @@ def combine_segments(party: int, segments: Sequence[Segment]) -> CombinedList:
 
 
 def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
-    """Every party's combined list, from segments already in distributor order.
+    """Every party's combined list as :class:`PartyLists`, from segments in distributor order.
 
-    The sender's list is built at once; a receiver's list is built, drawing
-    its coins, on first lookup.  Rejects empty input and segments that
-    disagree on the receivers.
+    Rejects empty input and segments that disagree on the receivers;
+    generated segments compare their receiver ranges, in constant time.
     """
     if not segments:
         raise ValueError("need at least one segment")
     segments = tuple(segments)
     receivers = segments[0].receiver_ones
     for seg in segments[1:]:
-        if set(seg.receiver_ones) != set(receivers):
+        ones = seg.receiver_ones
+        if type(ones) is type(receivers) is CoinStore:
+            same = ones._keys == receivers._keys
+        else:
+            same = ones.keys() == receivers.keys()
+        if not same:
             raise ValueError(
                 f"segments disagree on receiver indices: {sorted(receivers)} vs {sorted(seg.receiver_ones)}"
             )

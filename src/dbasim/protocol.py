@@ -84,22 +84,19 @@ def relay_step(received: Optional[Message], own_list: CombinedList) -> Message:
     """An honest receiver's relay round: the claim if consistent, else the flag.
 
     Anything short of a consistent claim (a failing claim, a flag, or no
-    message at all) is relayed as the flag.
+    message at all) is relayed as the flag.  ``Claim`` and ``Bot`` are
+    always truthy, so only the None of a failing claim becomes the flag.
     """
-    if isinstance(received, Claim) and check_claim(received, own_list):
-        return received
-    return BOT
+    return class_relay(received, own_list) or BOT
 
 
 def class_relay(received: Optional[Message], sender_list: CombinedList) -> Optional[Message]:
     """What every honest receiver relays on ``received``, or None when that depends on its own list.
 
-    Every receiver's list copies the sender's 0/1 entries, so a claim
-    consistent with ``sender_list`` is consistent with every receiver's
-    list and is relayed as-is, and anything short of a claim is relayed as
-    the flag.  Only a claim failing against the sender's list can pass at
-    one receiver and fail at another; that one needs :func:`relay_step`
-    per receiver.
+    By the sender-list invariant (see :mod:`dbasim.listgen`), a claim
+    consistent with ``sender_list`` is relayed as-is by every receiver, and
+    anything short of a claim is relayed as the flag.  A claim failing there
+    needs :func:`relay_step` per receiver.
     """
     if not isinstance(received, Claim):
         return BOT
@@ -140,11 +137,9 @@ def decide(
     literal rule a complement mixing failing claims with flags falls to (d);
     the merged rule accepts that mix and decides.
 
-    ``own_list`` matters only for claims that fail against the sender's
-    list, since a claim consistent with the sender's list is consistent
-    with every receiver's.  So when every claim in ``relays`` passes there,
-    one call with the sender's list as ``own_list`` decides for every
-    receiver that got those relays.
+    When every claim in ``relays`` passes against the sender's list, one
+    call on the sender's list decides for every receiver that got those
+    relays (the sender-list invariant, see :mod:`dbasim.listgen`).
     """
     if rule not in DECIDE_RULES:
         raise ValueError(f"unknown decide rule {rule!r}, expected one of {DECIDE_RULES}")
