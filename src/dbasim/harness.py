@@ -172,8 +172,8 @@ class TrialPlan(NamedTuple):
     """What every trial of a batch takes from the config alone; :func:`trial_plan` builds it.
 
     ``relayers`` are the controlled receivers, ascending, and ``audience``
-    whom they address without a transcript; ``undisclosed`` is an unbribed
-    batch's ``disclosed``.
+    whom they address without a transcript; ``undisclosed`` is ``disclosed``
+    for an unbribed batch, and None when some distributor is bribed.
     """
 
     distributors: tuple[int, ...]

@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-from scipy.stats import binom
-
 from dbasim.adversary import (
     AdversarySpec,
     SENDER_STRATEGIES,
@@ -24,6 +22,7 @@ from dbasim.adversary import (
 from dbasim.cli import build_config, load_builtin_scenario, run_scenario
 from dbasim.harness import SimConfig, run_batch
 from dbasim.listgen import combined_lists_from_segments, generate_segment
+from binomial import binom_interval
 from forgeoracle import forge_success_oracle
 from listprops import verify_segment
 
@@ -110,7 +109,7 @@ def test_criterion_4_forging_rate_matches_the_exact_oracle():
             trials=20000,
         )
         rep = run_batch(cfg)
-        lo, hi = binom.interval(0.99, rep.forge_attempts, float(frozen))
+        lo, hi = binom_interval(0.99, rep.forge_attempts, float(frozen))
         inside = lo <= rep.forge_successes <= hi
         ok = ok and inside and rep.forge_attempts == 40000
         details.append(
@@ -161,7 +160,7 @@ def test_criterion_6_honest_success_at_large_length():
     )
     rep = run_batch(cfg)
     bound = 1 - per_trial
-    _, envelope = binom.interval(0.999, rep.forge_attempts, q)
+    _, envelope = binom_interval(0.999, rep.forge_attempts, q)
     ok = (
         rep.honest_success_applicable == 5000
         and rep.honest_success_rate >= bound

@@ -255,6 +255,14 @@ def test_forge_draws_cover_all_candidate_subsets():
     assert len(seen) == 3
 
 
+def test_knowledge_with_nothing_leaked_knows_no_position(monkeypatch):
+    segs, lists = _setup(d=3)
+    know = _knowledge(segs, controlled=(4,))
+    monkeypatch.setattr("dbasim.adversary.concat_masks", lambda masks, m: pytest.fail("built masks with nothing leaked"))
+    assert know.covered() == 0
+    assert all(know.known_positions(party, bit) == 0 for party in (1, 2, 3, 4) for bit in (0, 1))
+
+
 def test_forge_stays_wellformed_when_candidates_run_dry():
     own = combined(4, (1, 1, 0, 0, 1, 0))
     nothing_leaked = Knowledge(segment_length=6, distributors=(6,), disclosed={}, own_lists={4: own})

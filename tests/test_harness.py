@@ -10,7 +10,6 @@ import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.stats import binom, binomtest
 
 import dbasim
 import dbasim.harness
@@ -31,6 +30,7 @@ from dbasim.harness import (
 )
 from dbasim.listgen import CoinStore, Segment, combined_lists_from_segments, generate_segment, mask_of, mask_positions
 from dbasim.protocol import ABORT, BOT, Claim, Decision
+from binomial import binom_interval
 from symbols import bits, reference_decide
 
 
@@ -527,6 +527,66 @@ def test_controlled_relays_merge_into_the_groups_by_identity(monkeypatch, kw):
         assert sizes.count(2) == sum(rep.forge_attempts for rep in reports)
 
 
+# --- the trial plan ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bribed", [(), (9, 10)], ids=["unbribed", "bribed"])
+@pytest.mark.parametrize("receiver_strategy", sorted(RECEIVER_STRATEGIES))
+@pytest.mark.parametrize("sender_strategy", sorted(SENDER_STRATEGIES))
+def test_a_trial_run_alone_equals_the_record_its_batch_streams(sender_strategy, receiver_strategy, bribed):
+    # run_batch builds the plan once and hands it to every trial; a trial
+    # run alone builds its own, with or without a transcript
+    for seed, controlled in enumerate([{1, 5, 7}, {8}, {1}]):
+        cfg = _cfg(
+            participants=8,
+            controlled=controlled,
+            bribed=bribed,
+            disclosure_probability=0.75,
+            sender_strategy=sender_strategy,
+            receiver_strategy=receiver_strategy,
+            trials=4,
+            master_seed=seed,
+        )
+        streamed = []
+        run_batch(cfg, on_trial=lambda rep: streamed.append(rep.to_record()))
+        alone = [run_trial(cfg, t, capture_transcript=True).to_record() for t in range(cfg.trials)]
+        assert alone == streamed
+        untranscribed = [{k: v for k, v in rec.items() if k != "transcript"} for rec in streamed]
+        assert [run_trial(cfg, t).to_record() for t in range(cfg.trials)] == untranscribed
+
+
+@pytest.mark.parametrize(
+    "kw, resolved_per_trial",
+    [
+        (dict(), 0),
+        (dict(participants=32, distributors=2, segment_length=60, sender_input=0), 0),
+        (dict(controlled={4}, receiver_strategy="silent"), 1),
+        (dict(controlled={1}, sender_strategy="equivocate"), 1),
+        (dict(bribed={5, 6}), 1),
+    ],
+    ids=["all-honest", "honest-wide", "controlled-receiver", "controlled-sender", "bribed-only"],
+)
+def test_only_a_batch_with_an_adversary_resolves_bribes(monkeypatch, kw, resolved_per_trial):
+    calls = []
+    real = dbasim.harness.resolve_bribes
+
+    def counting(spec, rng, segments, lists):
+        calls.append(spec)
+        return real(spec, rng, segments, lists)
+
+    monkeypatch.setattr(dbasim.harness, "resolve_bribes", counting)
+    cfg = _cfg(trials=6, **kw)
+    records = []
+    report = run_batch(cfg, on_trial=lambda rep: records.append(rep.to_record()))
+    assert len(calls) == resolved_per_trial * cfg.trials
+    if not cfg.adversary.bribed:
+        assert all(rec["disclosed"] == [False] * cfg.distributors for rec in records)
+        assert not any(rec["full_knowledge"] for rec in records)
+        assert report.full_knowledge_count == 0
+    if not kw.get("controlled"):
+        assert report.agreement_count == report.validity_count == cfg.trials
+
+
 # --- lazy coins -------------------------------------------------------------------
 
 
@@ -604,10 +664,10 @@ def test_forge_violation_rate_tracks_the_exact_oracle():
     rep = run_batch(cfg)
     q = float(rep.forge_oracle)
     expect = (1 - q) ** 2
-    lo, hi = binom.interval(0.999, cfg.trials, expect)
+    lo, hi = binom_interval(0.999, cfg.trials, expect)
     assert lo <= rep.agreement_count <= hi
     # forge empirics also track the per-attempt rate
-    lo, hi = binom.interval(0.999, rep.forge_attempts, q)
+    lo, hi = binom_interval(0.999, rep.forge_attempts, q)
     assert lo <= rep.forge_successes <= hi
 
 
@@ -645,6 +705,7 @@ _SUCCESSES_AND_TOTAL = st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.inte
 def test_wilson_interval_equals_scipy_bit_for_bit(case):
     # the machine output's *_ci floats were first recorded with scipy, so the
     # stdlib form must agree exactly, not approximately
+    binomtest = pytest.importorskip("scipy.stats").binomtest
     k, n = case
     ci = binomtest(k, n).proportion_ci(method="wilson")
     assert wilson_interval(k, n) == (ci.low, ci.high)

@@ -190,6 +190,21 @@ def test_combined_lists_reject_disagreeing_receiver_sets():
     assert sorted(combined_lists_from_segments([b, c])) == [1, 2, 3, 4]
 
 
+def test_generated_segments_agree_on_receivers_without_iterating_them(monkeypatch):
+    # segments generated with one receiver count compare their receiver
+    # ranges, so the check costs the same at any party count
+    segs = [generate_segment(6, 996, random.Random(s)) for s in range(3)]
+
+    def no_iteration(store):
+        raise AssertionError("iterated a coin store")
+
+    monkeypatch.setattr(listgen.CoinStore, "__iter__", no_iteration)
+    assert combined_lists_from_segments(segs)[1].length == 18
+    monkeypatch.undo()  # the error message lists the receivers
+    with pytest.raises(ValueError, match="disagree on receiver indices"):
+        combined_lists_from_segments([segs[0], generate_segment(6, 995, random.Random(9))])
+
+
 @settings(max_examples=40, deadline=None)
 @given(m=LENGTHS, d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_sender_bit_positions_always_cover_a_third(m, d, seed):

@@ -4,7 +4,7 @@ import pytest
 
 from dbasim.adversary import AdversarySpec, Knowledge
 from dbasim.cli import parse_config
-from dbasim.harness import BatchReport, SimConfig, TrialReport, run_batch, run_trial
+from dbasim.harness import BatchReport, SimConfig, TrialReport, run_batch, run_trial, trial_plan
 from dbasim.listgen import Segment
 from dbasim.protocol import ABORT, Claim, Decision
 
@@ -17,6 +17,7 @@ RECORDS = {
     "SimConfig": SimConfig,
     "TrialReport": lambda: run_trial(SimConfig(trials=1), 0),
     "BatchReport": lambda: run_batch(SimConfig(trials=2)),
+    "TrialPlan": lambda: trial_plan(SimConfig()),
     "Scenario": lambda: parse_config({}),
 }
 
