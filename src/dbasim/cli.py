@@ -126,15 +126,8 @@ class Scenario(NamedTuple):
 
     def points(self) -> list[dict]:
         """Every swept combination as a full field mapping, grid order."""
-        if not self.sweep:
-            return [dict(self.base)]
         keys = sorted(self.sweep)
-        out = []
-        for values in itertools.product(*(self.sweep[k] for k in keys)):
-            point = dict(self.base)
-            point.update(dict(zip(keys, values)))
-            out.append(point)
-        return out
+        return [{**self.base, **dict(zip(keys, values))} for values in itertools.product(*(self.sweep[k] for k in keys))]
 
 
 def build_config(point: Mapping) -> SimConfig:
@@ -222,7 +215,7 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
     if bad:
         raise ValueError(f"unknown requirement names {bad}; requirable rates: {list(REQUIRABLE)}")
     for rate_name, minimum in require.items():
-        if not _is_real(minimum):
+        if not _is_real(minimum) or minimum != minimum:  # NaN: every comparison with it is false
             raise ValueError(f"required minimum for {rate_name!r} must be a number, got {minimum!r}")
 
     for key, value in merged.items():
@@ -247,7 +240,11 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
 
 def load_scenario_file(path: str, overrides: Optional[Mapping] = None) -> Scenario:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(json.load(fh), overrides)
+        try:
+            document = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply to read") from None
+    return parse_config(document, overrides)
 
 
 def load_builtin_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
@@ -290,9 +287,7 @@ def emit_table(reports: Sequence[BatchReport]) -> str:
     rows = [[str(getter(r)) for _, getter in _COLUMNS] for r in reports]
     headers = [name for name, _ in _COLUMNS]
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in [headers, *rows]]
     return "\n".join(lines) + "\n"
 
 

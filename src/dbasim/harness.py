@@ -14,7 +14,7 @@ import hashlib
 import json
 import random
 from math import sqrt
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, AbstractSet, Callable, NamedTuple, Optional
 
 from .adversary import (
     AdversarySpec,
@@ -222,8 +222,8 @@ def run_trial(
     passed :meth:`SimConfig.validate`, as :func:`run_batch` ensures once per
     batch; ``plan`` is ``trial_plan(cfg)``, built here when not given.
 
-    Honest receivers are handled per class, the receivers that got the same
-    round-1 object, from relaying to tallying.  The adversary's Knowledge is
+    Honest receivers are handled per class: they relay once per round-1
+    object and decide once per distinct inbox.  The adversary's Knowledge is
     built only when some party is controlled or some distributor bribed.
     """
     plan = plan or trial_plan(cfg)
@@ -300,36 +300,37 @@ def run_trial(
                 text = render_message(relayed[j])
                 transcript.extend(f"2 {j} {k} {text}" for k in receivers)
 
-    # An inbox whose claims all pass against the sender's list is decided
-    # there.  With no controlled relayer every honest receiver gets the same
-    # groups, and one decision serves them all.  Otherwise each honest
-    # receiver decides on the groups with the controlled relayers' messages
-    # to it merged in by identity, on its own list only when that inbox holds
-    # a claim no honest receiver relayed or some honest relay came from an
-    # own list.  The predicates read only the distinct honest decision values.
+    # Honest receivers that got the same controlled messages, by identity and
+    # in relayer order, share one inbox: the honest groups with those
+    # messages merged in by identity.  With no controlled relayer every
+    # honest receiver is in the one class ().  An inbox is decided once, on
+    # the sender's list, unless it holds a claim no honest receiver relayed
+    # or some honest relay came from an own list; then each member decides
+    # it on its own list.  The predicates read only the distinct honest values.
+    inboxes: dict[tuple, list[int]] = {(): list(honest_receivers)}
+    for sent in targeted.values():
+        refined: dict[tuple, list[int]] = {}
+        for key, members in inboxes.items():
+            for k in members:
+                refined.setdefault((*key, id(sent.get(k))), []).append(k)
+        inboxes = refined
     decisions = plan.decisions.copy()
     values = set() if SENDER in controlled else {cfg.sender_input}
-    if not targeted and not own_claims:
-        shared = decide(groups.values(), sender_list, rule=cfg.decide_rule)
-        decisions.update(dict.fromkeys(honest_receivers, shared))
-        values.add(shared.value)
-    else:
-        shared_groups = list(groups.values())
-        for k in honest_receivers:
-            inbox: Iterable[list] = shared_groups
-            own = own_claims
-            if targeted:
-                merged = {key: [msg, count] for key, (msg, count) in groups.items()}
-                for sent in targeted.values():
-                    msg = sent.get(k)
-                    key = id(msg)
-                    if key in merged:
-                        merged[key][1] += 1
-                    else:
-                        merged[key] = [msg, 1]
-                        own = own or isinstance(msg, Claim)
-                inbox = merged.values()
-            decision = decisions[k] = decide(inbox, lists[k] if own else sender_list, rule=cfg.decide_rule)
+    for members in inboxes.values():
+        inbox = dict(groups)
+        own = own_claims
+        for sent in targeted.values():
+            msg = sent.get(members[0])
+            count = inbox.get(id(msg), (msg, 0))[1]
+            own = own or not count and isinstance(msg, Claim)  # a claim no honest receiver relayed
+            inbox[id(msg)] = [msg, count + 1]
+        if own:
+            for k in members:
+                decision = decisions[k] = decide(inbox.values(), lists[k], rule=cfg.decide_rule)
+                values.add(decision.value)
+        else:
+            decision = decide(inbox.values(), sender_list, rule=cfg.decide_rule)
+            decisions.update(dict.fromkeys(members, decision))
             values.add(decision.value)
 
     return TrialReport(

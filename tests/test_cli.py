@@ -279,6 +279,8 @@ def test_main_reports_config_errors_on_stderr(capsys):
         ({"controlled": "4"}, "'controlled' must be a list of integers, got '4'"),
         ({"bribed": [5, 5]}, "'bribed' repeats index 5, got [5, 5]"),
         ({"controlled": [4, 2, 4, 2]}, "'controlled' repeats indices 2, 4, got [4, 2, 4, 2]"),
+        # json writes and reads NaN; every rate compares false with it, so it would pass any run
+        ({"require": {"agreement_rate": float("nan")}}, "required minimum for 'agreement_rate' must be a number, got nan"),
     ],
 )
 def test_main_rejects_malformed_scenario_files(tmp_path, capsys, document, message):
@@ -310,11 +312,22 @@ def test_main_rejects_malformed_scenario_files(tmp_path, capsys, document, messa
         ({"sweep": {"segment_length": [6, True]}}, "each sweep value for 'segment_length' must be an integer"),
         ({"require": ["agreement_rate"]}, "'require' must be an object"),
         ({"require": {"agreement_rate": "1.0"}}, "required minimum for 'agreement_rate' must be a number"),
+        ({"require": {"agreement_rate": float("nan")}}, "required minimum for 'agreement_rate' must be a number, got nan"),
     ],
 )
 def test_field_types_are_checked_without_coercion(document, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_config(document)
+
+
+def test_main_rejects_a_scenario_file_nested_too_deeply(tmp_path, capsys):
+    # the JSON decoder recurses once per level and stops at the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} nests JSON too deeply to read\n"
 
 
 def test_integer_minima_and_float_sweep_values_are_accepted():

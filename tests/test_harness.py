@@ -514,18 +514,43 @@ def test_controlled_relays_merge_into_the_groups_by_identity(monkeypatch, kw):
     # and at most one other message (the flag, silence, or the forged claim
     # to the victim), where one pair per controlled relayer's message would
     # make three for the first four cases and, for everyone but the victim,
-    # two for the last
+    # two for the last; and each distinct inbox is decided once, so a trial
+    # makes one call, plus one for the victim when there is one
     sizes = _record_decide_sizes(monkeypatch)
     cfg = _cfg(participants=7, trials=8, **{"controlled": {6, 7}, **kw})
     reports = []
     run_batch(cfg, on_trial=reports.append)
-    assert len(sizes) == 8 * (6 - len(cfg.adversary.controlled))
+    assert len(sizes) == sum(1 + bool(rep.forge_attempts) for rep in reports)
     assert max(sizes) <= 2
     if "bribed" in kw:
         # the victim alone sees the forged claim beside the shared one
         assert any(rep.forge_attempts for rep in reports)
         assert sizes.count(2) == sum(rep.forge_attempts for rep in reports)
 
+
+
+@pytest.mark.parametrize(
+    "controlled, receiver_strategy",
+    [({2}, "silent"), ({2}, "honest-mimic"), ({2}, "flag-always"), ({2}, "omniscient-forge"), ({2, 3}, "silent"), ({2}, "forge")],
+    ids=["silent", "honest-mimic", "flag-always", "omniscient-honest", "two-silent", "forge"],
+)
+def test_one_decide_per_distinct_honest_inbox_at_any_size(monkeypatch, controlled, receiver_strategy):
+    # honest receivers that got the same controlled messages share an inbox
+    # and one decision; a forger sends each honest receiver its own claim
+    sizes = _record_decide_sizes(monkeypatch)
+    for participants in (32, 200):
+        sizes.clear()
+        cfg = _cfg(
+            participants=participants,
+            distributors=2,
+            segment_length=60,
+            controlled=controlled,
+            receiver_strategy=receiver_strategy,
+            trials=2,
+        )
+        run_batch(cfg)
+        per_trial = participants - 1 - len(controlled) if receiver_strategy == "forge" else 1
+        assert len(sizes) == 2 * per_trial
 
 # --- the trial plan ---------------------------------------------------------------
 
