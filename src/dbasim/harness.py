@@ -311,6 +311,9 @@ def run_trial(
     for sent in targeted.values():
         refined: dict[tuple, list[int]] = {}
         for key, members in inboxes.items():
+            if len(members) == 1:  # a class of one cannot split
+                refined[key] = members
+                continue
             for k in members:
                 refined.setdefault((*key, id(sent.get(k))), []).append(k)
         inboxes = refined
