@@ -302,11 +302,11 @@ def run_trial(
 
     # Honest receivers that got the same controlled messages, by identity and
     # in relayer order, share one inbox: the honest groups with those
-    # messages merged in by identity.  With no controlled relayer every
-    # honest receiver is in the one class ().  An inbox is decided once, on
-    # the sender's list, unless it holds a claim no honest receiver relayed
-    # or some honest relay came from an own list; then each member decides
-    # it on its own list.  The predicates read only the distinct honest values.
+    # messages merged in.  With no controlled relayer every honest receiver
+    # is in the one class ().  An inbox is decided once, on the sender's
+    # list, unless it holds a claim no honest receiver relayed or some honest
+    # relay came from an own list; then each member decides it on its own
+    # list.  The predicates read only the distinct honest decision values.
     inboxes: dict[tuple, list[int]] = {(): list(honest_receivers)}
     for sent in targeted.values():
         refined: dict[tuple, list[int]] = {}
