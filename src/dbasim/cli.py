@@ -23,7 +23,7 @@ from .adversary import (
     RECEIVER_STRATEGIES,
     SENDER_STRATEGIES,
 )
-from .harness import BatchReport, SimConfig, TrialReport, run_batch
+from .harness import BatchReport, SimConfig, TrialReport, encode_canonical, run_batch
 from .protocol import DECIDE_RULES
 
 SWEEPABLE = ("distributors", "p", "receiver_strategy", "segment_length", "sender_strategy")
@@ -100,10 +100,21 @@ FIELDS = {
 DEFAULTS: dict = {**{key: default for key, (default, _, _) in FIELDS.items()}, "sweep": {}, "require": {}}
 
 
+#: the most characters of a bad value that an error message echoes
+ECHO_CHARS = 40
+
+
+def _clip(text: str) -> str:
+    """``text``, or its first :data:`ECHO_CHARS` characters and its full length when longer."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _check_type(key: str, value: object, what: str = "") -> None:
     test, expected, _ = KINDS[FIELDS[key][1]]
     if not test(value):
-        raise ValueError(f"{what or repr(key)} must be {expected}, got {value!r}")
+        raise ValueError(f"{what or repr(key)} must be {expected}, got {_clip(repr(value))}")
     if isinstance(value, (list, tuple)):  # an index list: a repeat is an error, not a merge
         seen: set[int] = set()
         repeated: set[int] = set()
@@ -111,8 +122,8 @@ def _check_type(key: str, value: object, what: str = "") -> None:
             (repeated if i in seen else seen).add(i)
         if repeated:
             noun = "index" if len(repeated) == 1 else "indices"
-            listed = ", ".join(map(str, sorted(repeated)))
-            raise ValueError(f"{what or repr(key)} repeats {noun} {listed}, got {value!r}")
+            listed = _clip(", ".join(map(str, sorted(repeated))))
+            raise ValueError(f"{what or repr(key)} repeats {noun} {listed}, got {_clip(repr(value))}")
 
 
 class Scenario(NamedTuple):
@@ -196,7 +207,7 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
 
     sweep = merged.pop("sweep")
     if not isinstance(sweep, Mapping):
-        raise ValueError(f"'sweep' must be an object mapping fields to value lists, got {sweep!r}")
+        raise ValueError(f"'sweep' must be an object mapping fields to value lists, got {_clip(repr(sweep))}")
     sweep = dict(sweep)
     bad = sorted(set(sweep) - set(SWEEPABLE))
     if bad:
@@ -209,21 +220,21 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
 
     require = merged.pop("require")
     if not isinstance(require, Mapping):
-        raise ValueError(f"'require' must be an object mapping rate names to minima, got {require!r}")
+        raise ValueError(f"'require' must be an object mapping rate names to minima, got {_clip(repr(require))}")
     require = dict(require)
     bad = sorted(set(require) - set(REQUIRABLE))
     if bad:
         raise ValueError(f"unknown requirement names {bad}; requirable rates: {list(REQUIRABLE)}")
     for rate_name, minimum in require.items():
         if not _is_real(minimum) or minimum != minimum:  # NaN: every comparison with it is false
-            raise ValueError(f"required minimum for {rate_name!r} must be a number, got {minimum!r}")
+            raise ValueError(f"required minimum for {rate_name!r} must be a number, got {_clip(repr(minimum))}")
 
     for key, value in merged.items():
         _check_type(key, value)
 
     output = merged.pop("output")
     if output not in OUTPUT_MODES:
-        raise ValueError(f"output must be one of {OUTPUT_MODES}, got {output!r}")
+        raise ValueError(f"output must be one of {OUTPUT_MODES}, got {_clip(repr(output))}")
     name = merged.pop("name")
 
     scenario = Scenario(name=name, base=merged, sweep=sweep, require=require, output=output)
@@ -312,7 +323,7 @@ def _check_requirements(scenario: Scenario, reports: Sequence[BatchReport]) -> l
 
 def _write_trial(fh: IO[str], batch: int, report: TrialReport) -> None:
     record = {"batch": batch, **report.to_record()}
-    fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    fh.write(encode_canonical(record) + "\n")
 
 
 def run_scenario(

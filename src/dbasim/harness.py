@@ -10,7 +10,6 @@ reproducible regardless of execution order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from math import sqrt
@@ -41,6 +40,14 @@ from .protocol import (
     sender_decision,
 )
 
+try:  # the interpreter's own sha256, as random.py takes sha512: hashlib loads OpenSSL
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -52,6 +59,10 @@ SCHEMA_VERSION = 1
 WILSON_Z_95 = 1.959963984540054
 
 
+#: the one JSON spelling of every record dbasim writes: sorted keys, no spaces
+encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def derive_rng(master_seed: int, *labels: object) -> random.Random:
     """An independent stream keyed by (master seed, labels).
 
@@ -60,7 +71,7 @@ def derive_rng(master_seed: int, *labels: object) -> random.Random:
     never shifts any other stream's draws.
     """
     material = "|".join([str(master_seed), *map(str, labels)]).encode()
-    seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+    seed = int.from_bytes(sha256(material).digest()[:8], "big")
     return random.Random(seed)
 
 
@@ -224,7 +235,8 @@ def run_trial(
 
     Honest receivers are handled per class: they relay once per round-1
     object and decide once per distinct inbox.  The adversary's Knowledge is
-    built only when some party is controlled or some distributor bribed.
+    built only when some party is controlled or some distributor bribed.  A
+    transcript renders each distinct message object once.
     """
     plan = plan or trial_plan(cfg)
     spec = cfg.adversary
@@ -258,7 +270,18 @@ def run_trial(
         round1 = dict.fromkeys(receivers, claim) if transcript is not None or plan.relayers else {}
         classes = {id(claim): (claim, honest_receivers)}
     if transcript is not None:
-        transcript.extend(f"1 1 {k} {render_message(round1.get(k))}" for k in receivers)
+        # Each distinct message object is rendered once per trial and keyed
+        # by identity: every message stays alive in round1, relayed or
+        # targeted until the trial ends, so no id is reused meanwhile.
+        texts: dict[int, str] = {}
+
+        def text(msg: Optional[Message]) -> str:
+            rendered = texts.get(id(msg))
+            if rendered is None:
+                rendered = texts[id(msg)] = render_message(msg)
+            return rendered
+
+        transcript.extend(f"1 1 {k} {text(round1.get(k))}" for k in receivers)
 
     # Round 2: every receiver relays to every receiver, itself included.
     # Honest relays are kept as one [message, count] group per distinct
@@ -295,10 +318,11 @@ def run_trial(
     if transcript is not None:
         for j in receivers:
             if j in controlled:
-                transcript.extend(f"2 {j} {k} {render_message(targeted[j].get(k))}" for k in receivers)
+                sent = targeted[j]
+                transcript.extend(f"2 {j} {k} {text(sent.get(k))}" for k in receivers)
             else:
-                text = render_message(relayed[j])
-                transcript.extend(f"2 {j} {k} {text}" for k in receivers)
+                relay = text(relayed[j])
+                transcript.extend(f"2 {j} {k} {relay}" for k in receivers)
 
     # Honest receivers that got the same controlled messages, by identity and
     # in relayer order, share one inbox: the honest groups with those
@@ -466,7 +490,7 @@ class BatchReport(NamedTuple):
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
+        return encode_canonical(self.to_record())
 
 
 def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]] = None) -> BatchReport:

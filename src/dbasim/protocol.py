@@ -171,7 +171,7 @@ def render_message(msg: Optional[Message]) -> str:
         return "SILENT"
     if isinstance(msg, Bot):
         return "BOT"
-    return f"{msg.bit}:[{','.join(str(p) for p in msg.positions)}]"
+    return f"{msg.bit}:[{','.join(map(str, mask_positions(msg.mask)))}]"
 
 
 def render_decision(decision: Optional[Decision]) -> str:

@@ -26,7 +26,7 @@ from dbasim.cli import (
     parse_config,
     run_scenario,
 )
-from dbasim.harness import SimConfig, run_batch
+from dbasim.harness import SimConfig, run_batch, run_trial
 from dbasim.protocol import DECIDE_RULES
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -233,6 +233,25 @@ def test_dump_trials_writes_replayable_records(tmp_path):
     assert rec["decisions"]["2"] == "1"
 
 
+def test_emitted_lines_are_the_records_in_one_json_spelling(tmp_path):
+    # json.dumps with sorted keys and no spaces is the reference spelling of
+    # every batch line and every --dump-trials line
+    path = tmp_path / "trials.jsonl"
+    document = {"trials": 5, "output": "machine", "receivers": 5, "controlled": [1, 4], "sender_strategy": "equivocate", "receiver_strategy": "forge"}
+    s = parse_config({**document, "sweep": {"segment_length": [6, 12]}})
+    out = io.StringIO()
+    assert run_scenario(s, out, dump_trials=str(path)) == 0
+    configs = [build_config(point) for point in s.points()]
+    assert out.getvalue().splitlines() == [
+        json.dumps(run_batch(cfg).to_record(), sort_keys=True, separators=(",", ":")) for cfg in configs
+    ]
+    assert path.read_text().splitlines() == [
+        json.dumps({"batch": b, **run_trial(cfg, t, capture_transcript=True).to_record()}, sort_keys=True, separators=(",", ":"))
+        for b, cfg in enumerate(configs)
+        for t in range(cfg.trials)
+    ]
+
+
 def test_unwritable_dump_path_fails_before_any_output(tmp_path, capsys):
     # the dump file is opened before the first trial, so nothing runs or prints
     path = tmp_path / "no-such-dir" / "trials.jsonl"
@@ -328,6 +347,26 @@ def test_main_rejects_a_scenario_file_nested_too_deeply(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path} nests JSON too deeply to read\n"
+
+
+@pytest.mark.parametrize(
+    "text, length",
+    [
+        ('{"controlled": ' + "[" * 900 + "]" * 900 + "}", 1800),
+        ('{"controlled": [' + "0, " * 2999 + '"x"]}', 3 * 2999 + 5),
+    ],
+    ids=["nested", "long"],
+)
+def test_a_long_bad_value_is_echoed_as_a_short_prefix(tmp_path, capsys, text, length):
+    # the error names the key and the full value's length, on one short line
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    assert captured.err.startswith("error: 'controlled' must be a list of integers, got ")
+    assert captured.err.endswith(f"... ({length} characters)\n")
 
 
 def test_integer_minima_and_float_sweep_values_are_accepted():

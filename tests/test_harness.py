@@ -1,6 +1,7 @@
 """Trial execution, decision predicates, batch aggregation, determinism."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -58,6 +59,16 @@ def test_derived_streams_are_reproducible_and_distinct():
 
 def test_label_boundaries_do_not_collide():
     assert derive_rng(1, "ab", "c").random() != derive_rng(1, "a", "bc").random()
+
+
+def test_derived_seeds_equal_the_hashlib_sha256_reference():
+    # harness hashes with the interpreter's built-in sha256 where there is
+    # one; every seed, and so every output byte, must be hashlib's
+    for master_seed in (0, 1, 42, 7919, 2**63 + 5, -3):
+        for labels in [(), (0,), (0, "segment", 5), (999, "adversary", 1), (17, "bribes"), ("perturb", 6, 0.5)]:
+            material = "|".join([str(master_seed), *map(str, labels)]).encode()
+            seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+            assert derive_rng(master_seed, *labels).getstate() == random.Random(seed).getstate(), (master_seed, labels)
 
 
 @pytest.mark.parametrize(
@@ -195,6 +206,65 @@ def test_transcript_covers_both_rounds():
     assert len(round1) == 3  # sender to each receiver
     assert len(round2) == 9  # every receiver to every receiver
     assert rep.transcript == round1 + round2  # round barrier: no interleaving
+
+
+def _record_renders(monkeypatch):
+    """Patch run_trial's render_message to keep every message it renders."""
+    rendered = []
+    real = dbasim.harness.render_message
+
+    def recording(msg):
+        rendered.append(msg)
+        return real(msg)
+
+    monkeypatch.setattr(dbasim.harness, "render_message", recording)
+    return rendered
+
+
+def _renders(rendered, cfg, trial):
+    """How many messages one transcribed trial renders, each object at most once."""
+    rendered.clear()
+    rep = run_trial(cfg, trial, capture_transcript=True)
+    assert len(rep.transcript) == (cfg.participants - 1) * cfg.participants
+    # the rendered objects are kept alive in ``rendered``, so equal ids mean one object
+    assert len({id(msg) for msg in rendered}) == len(rendered), "an object was rendered twice"
+    return len(rendered)
+
+
+def test_an_all_honest_transcript_renders_its_one_claim_once(monkeypatch):
+    # the sender's claim is every line of both rounds; one line per render
+    # would be 62 at n=32
+    rendered = _record_renders(monkeypatch)
+    cfg = SimConfig(participants=32, distributors=2, segment_length=60)
+    assert [_renders(rendered, cfg, trial) for trial in range(3)] == [1, 1, 1]
+
+
+def test_an_equivocating_senders_transcript_renders_its_two_claims_once(monkeypatch):
+    rendered = _record_renders(monkeypatch)
+    cfg = _cfg(participants=32, distributors=2, segment_length=60, controlled={1}, sender_strategy="equivocate")
+    assert [_renders(rendered, cfg, trial) for trial in range(3)] == [2, 2, 2]
+
+
+def test_a_forging_transcript_renders_each_distinct_object_once(monkeypatch):
+    # each forger sends every other receiver its own claim and itself the
+    # flag; the honest receivers relay the sender's one claim
+    rendered = _record_renders(monkeypatch)
+    sent = []
+    real_act = dbasim.harness.adversary_act
+
+    def recording(*args):
+        out = real_act(*args)
+        sent.append(out[0])
+        return out
+
+    monkeypatch.setattr(dbasim.harness, "adversary_act", recording)
+    forgers = {5, 6, 7, 8}
+    cfg = _cfg(participants=8, segment_length=60, controlled=forgers, receiver_strategy="forge", bribed={9, 10}, disclosure_probability=0.5)
+    for trial in range(4):
+        sent.clear()
+        count = _renders(rendered, cfg, trial)
+        assert len(sent) == len(forgers)
+        assert count == 1 + len({id(msg) for messages in sent for msg in messages.values()}) == 2 + 6 * len(forgers)
 
 
 def test_trial_report_serialization_round_trip_fields():
@@ -741,12 +811,13 @@ def test_importing_the_cli_leaves_out_scipy_dataclasses_and_fractions():
     # shows, and -S, so a site .pth hook cannot load a module first;
     # importlib.resources is checked because on 3.12+ it imports inspect.
     # fractions loads only for a forge reference, which a forging run
-    # still prints
+    # still prints; _hashlib (OpenSSL) stays out because derive_rng takes
+    # the interpreter's built-in sha256
     src = os.path.dirname(os.path.dirname(dbasim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, dbasim.cli\n"
-        "print(sorted(m for m in ('scipy', 'dataclasses', 'inspect', 'importlib.resources', 'fractions') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy', 'dataclasses', 'inspect', 'importlib.resources', 'fractions', '_hashlib') if m in sys.modules))\n"
         "dbasim.cli.main(['--scenario', 'forging-receiver', '--trials', '20', '--output', 'machine'])\n"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
