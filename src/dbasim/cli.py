@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import sys
+from collections import Counter
 from functools import partial
 from typing import IO, Mapping, NamedTuple, Optional, Sequence
 
@@ -116,10 +117,7 @@ def _check_type(key: str, value: object, what: str = "") -> None:
     if not test(value):
         raise ValueError(f"{what or repr(key)} must be {expected}, got {_clip(repr(value))}")
     if isinstance(value, (list, tuple)):  # an index list: a repeat is an error, not a merge
-        seen: set[int] = set()
-        repeated: set[int] = set()
-        for i in value:
-            (repeated if i in seen else seen).add(i)
+        repeated = [i for i, count in Counter(value).items() if count > 1]
         if repeated:
             noun = "index" if len(repeated) == 1 else "indices"
             listed = _clip(", ".join(map(str, sorted(repeated))))

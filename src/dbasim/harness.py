@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import random
 from math import sqrt
-from typing import TYPE_CHECKING, AbstractSet, Callable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, AbstractSet, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import (
     AdversarySpec,
@@ -112,26 +113,21 @@ class SimConfig(NamedTuple):
 
     def to_record(self) -> dict:
         """The flat config record: every field, the adversary's inlined, index sets sorted."""
-        return _flat_record(self)
-
-
-def _flat_record(obj: NamedTuple) -> dict:
-    rec = {}
-    for name, value in zip(obj._fields, obj):
-        if isinstance(value, AdversarySpec):
-            rec.update(_flat_record(value))
-        else:
-            rec[name] = sorted(value) if isinstance(value, frozenset) else value
-    return rec
+        rec = self._asdict()
+        adversary = rec.pop("adversary")._asdict()
+        rec.update({k: sorted(v) if isinstance(v, frozenset) else v for k, v in adversary.items()})
+        return rec
 
 
 class TrialReport(NamedTuple):
-    """One trial's outcome: who was corrupt, what leaked, who decided what."""
+    """One trial's outcome; :attr:`decisions` lays ``classes``, one ``(members, decision)`` pair per
+    decided class of honest receivers, over the plan's per-party ``template``."""
 
     trial: int
     controlled: tuple[int, ...]
     disclosed: tuple[bool, ...]
-    decisions: dict[int, Optional[Decision]]
+    template: Mapping[int, Optional[Decision]]
+    classes: Sequence[tuple[Sequence[int], Decision]]
     agreement: bool
     validity: Optional[bool]
     honest_success: Optional[bool]
@@ -139,6 +135,11 @@ class TrialReport(NamedTuple):
     forge_successes: int
     full_knowledge: bool
     transcript: Optional[list[str]] = None
+
+    @property
+    def decisions(self) -> dict[int, Optional[Decision]]:
+        """Every party's decision: None for a controlled party, each class's for its members."""
+        return {**self.template, **{k: decision for members, decision in self.classes for k in members}}
 
     def to_record(self) -> dict:
         rec = {
@@ -169,14 +170,12 @@ def eval_agreement(values: AbstractSet[Optional[int]]) -> bool:
     return len(values) <= 1
 
 
-def eval_validity(values: AbstractSet[Optional[int]], all_honest: bool, sender_input: int) -> Optional[bool]:
-    """With no corruption at all, everyone must output the sender's input."""
-    return values == {sender_input} if all_honest else None
+def eval_validity(values: AbstractSet[Optional[int]], applies: bool, sender_input: int) -> Optional[bool]:
+    """Whether every honest party output the sender's input; None where the property does not apply."""
+    return values == {sender_input} if applies else None
 
 
-def eval_honest_success(values: AbstractSet[Optional[int]], sender_honest: bool, sender_input: int) -> Optional[bool]:
-    """With an honest sender, every honest party must output its input."""
-    return values == {sender_input} if sender_honest else None
+eval_honest_success = eval_validity  # validity applies with no corruption at all, honest success with an honest sender
 
 
 class TrialPlan(NamedTuple):
@@ -193,7 +192,7 @@ class TrialPlan(NamedTuple):
     relayers: tuple[int, ...]
     audience: tuple[int, ...]
     controlled: tuple[int, ...]
-    decisions: dict[int, Optional[Decision]]
+    decisions: Mapping[int, Optional[Decision]]
     undisclosed: Optional[tuple[bool, ...]]
 
 
@@ -216,7 +215,7 @@ def trial_plan(cfg: SimConfig) -> TrialPlan:
         relayers=tuple(sorted(controlled.difference((SENDER,)))),
         audience=receivers[: receivers.index(honest[-1]) + 1],
         controlled=tuple(sorted(controlled)),
-        decisions=decisions,
+        decisions=MappingProxyType(decisions),  # shared by every report of the batch, so read-only
         undisclosed=None if cfg.adversary.bribed else (False,) * cfg.distributors,
     )
 
@@ -231,12 +230,9 @@ def run_trial(
     disturbs the others; the bribery stream is derived only when a
     distributor is bribed, since nothing else reads it.  ``cfg`` must have
     passed :meth:`SimConfig.validate`, as :func:`run_batch` ensures once per
-    batch; ``plan`` is ``trial_plan(cfg)``, built here when not given.
-
-    Honest receivers are handled per class: they relay once per round-1
-    object and decide once per distinct inbox.  The adversary's Knowledge is
-    built only when some party is controlled or some distributor bribed.  A
-    transcript renders each distinct message object once.
+    batch; ``plan`` is ``trial_plan(cfg)``, built here when not given.  The
+    adversary's Knowledge is built only when some party is controlled or
+    some distributor bribed; honest receivers relay and decide per class.
     """
     plan = plan or trial_plan(cfg)
     spec = cfg.adversary
@@ -341,8 +337,7 @@ def run_trial(
             for k in members:
                 refined.setdefault((*key, id(sent.get(k))), []).append(k)
         inboxes = refined
-    decisions = plan.decisions.copy()
-    values = set() if SENDER in controlled else {cfg.sender_input}
+    classes: list[tuple[Sequence[int], Decision]] = []
     for members in inboxes.values():
         inbox = dict(groups)
         own = own_claims
@@ -352,19 +347,19 @@ def run_trial(
             own = own or not count and isinstance(msg, Claim)  # a claim no honest receiver relayed
             inbox[id(msg)] = [msg, count + 1]
         if own:
-            for k in members:
-                decision = decisions[k] = decide(inbox.values(), lists[k], rule=cfg.decide_rule)
-                values.add(decision.value)
+            classes += [((k,), decide(inbox.values(), lists[k], rule=cfg.decide_rule)) for k in members]
         else:
-            decision = decide(inbox.values(), sender_list, rule=cfg.decide_rule)
-            decisions.update(dict.fromkeys(members, decision))
-            values.add(decision.value)
+            classes.append((members, decide(inbox.values(), sender_list, rule=cfg.decide_rule)))
+    values = {decision.value for _, decision in classes}
+    if SENDER not in controlled:
+        values.add(cfg.sender_input)
 
     return TrialReport(
         trial=trial,
         controlled=plan.controlled,
         disclosed=plan.undisclosed or tuple(dist in knowledge.disclosed for dist in plan.distributors),
-        decisions=decisions,
+        template=plan.decisions,
+        classes=classes,
         agreement=eval_agreement(values),
         validity=eval_validity(values, not controlled, cfg.sender_input),
         honest_success=eval_honest_success(values, SENDER not in controlled, cfg.sender_input),
@@ -506,13 +501,11 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
     attempts = successes = 0
     full_know = 0
     plan = trial_plan(cfg)
-    # under agreement every honest party holds the same decision, so one of them tells
-    first_honest = min(p for p in range(1, cfg.participants + 1) if p not in cfg.adversary.controlled)
     for t in range(cfg.trials):
         rep = run_trial(cfg, t, capture_transcript=on_trial is not None, plan=plan)
         agreement += rep.agreement
         if rep.agreement:
-            if rep.decisions[first_honest].aborted:
+            if rep.classes[0][1].aborted:  # every honest party holds the one distinct value
                 all_abort += 1
             else:
                 common_value += 1

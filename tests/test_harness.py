@@ -27,6 +27,7 @@ from dbasim.harness import (
     eval_validity,
     run_batch,
     run_trial,
+    trial_plan,
     wilson_interval,
 )
 from dbasim.listgen import CoinStore, Segment, combined_lists_from_segments, generate_segment, mask_of, mask_positions
@@ -315,8 +316,9 @@ def test_grouped_decisions_match_the_full_inbox_reference(sender_strategy, recei
             _assert_reference_decisions(cfg, trial, run_trial(cfg, trial, capture_transcript=True))
 
 
-def _assert_reference_decisions(cfg, trial, rep):
-    """Every honest receiver's decision in ``rep`` equals ``reference_decide`` on its full round-2 inbox."""
+def _reference_decisions(cfg, trial, rep):
+    """Every party's decision, party by party: None for a controlled party, the honest sender's input,
+    and ``reference_decide`` on each honest receiver's full round-2 inbox, read from ``rep``'s transcript."""
     inboxes = {k: {} for k in cfg.receivers}
     for line in rep.transcript:
         stage, j, k, text = line.split()
@@ -327,10 +329,19 @@ def _assert_reference_decisions(cfg, trial, rep):
         for dist in cfg.distributor_indices
     ]
     lists = combined_lists_from_segments(segments)
+    controlled = cfg.adversary.controlled
+    reference = dict.fromkeys(range(1, cfg.participants + 1))
+    if 1 not in controlled:
+        reference[1] = Decision(cfg.sender_input)
     for k in cfg.receivers:
-        if k not in cfg.adversary.controlled:
-            expected = reference_decide(inboxes[k], lists[k], cfg.decide_rule)
-            assert rep.decisions[k] == expected, (cfg.participants, cfg.adversary.controlled, trial, k)
+        if k not in controlled:
+            reference[k] = reference_decide(inboxes[k], lists[k], cfg.decide_rule)
+    return reference
+
+
+def _assert_reference_decisions(cfg, trial, rep):
+    """Every party's decision in ``rep`` equals :func:`_reference_decisions`."""
+    assert rep.decisions == _reference_decisions(cfg, trial, rep), (cfg.participants, cfg.adversary.controlled, trial)
 
 
 # (participants, controlled): controlled receivers after the last honest one
@@ -441,7 +452,9 @@ def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypa
         rep = run_trial(cfg, trial, capture_transcript=True)
         _assert_reference_decisions(cfg, trial, rep)
         if shape == "copies":
-            assert rep == unchanged[trial]
+            # the receivers decide in classes of one, to the same per-party decisions
+            assert rep._replace(classes=()) == unchanged[trial]._replace(classes=())
+            assert rep.decisions == unchanged[trial].decisions
             assert len(classed) == len(honest_receivers)  # one class per receiver
         else:
             assert len(classed) == 1
@@ -644,10 +657,27 @@ def test_a_trial_run_alone_equals_the_record_its_batch_streams(sender_strategy, 
         )
         streamed = []
         run_batch(cfg, on_trial=lambda rep: streamed.append(rep.to_record()))
-        alone = [run_trial(cfg, t, capture_transcript=True).to_record() for t in range(cfg.trials)]
-        assert alone == streamed
+        reports = [run_trial(cfg, t, capture_transcript=True) for t in range(cfg.trials)]
+        assert [rep.to_record() for rep in reports] == streamed
+        for t, rep in enumerate(reports):  # the classes expand to the per-party reference
+            assert rep.decisions == _reference_decisions(cfg, t, rep)
         untranscribed = [{k: v for k, v in rec.items() if k != "transcript"} for rec in streamed]
         assert [run_trial(cfg, t).to_record() for t in range(cfg.trials)] == untranscribed
+
+
+@pytest.mark.parametrize("participants, distributors, segment_length", [(200, 2, 60), (997, 1, 6)])
+def test_an_all_honest_trial_holds_one_decided_class(participants, distributors, segment_length):
+    cfg = _cfg(participants=participants, distributors=distributors, segment_length=segment_length, trials=2)
+    plan = trial_plan(cfg)
+    for trial in range(cfg.trials):
+        rep = run_trial(cfg, trial, plan=plan)
+        assert len(rep.classes) == 1
+        members, decision = rep.classes[0]
+        assert list(members) == list(range(2, participants + 1)) and decision == Decision(1)
+        assert rep.template is plan.decisions  # shared, not copied per trial, and so read-only
+        with pytest.raises(TypeError):
+            rep.template[1] = None
+        assert rep.decisions == dict.fromkeys(range(1, participants + 1), Decision(1))
 
 
 @pytest.mark.parametrize(

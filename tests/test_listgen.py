@@ -269,6 +269,39 @@ def test_shuffle_equals_the_stdlib_at_every_length_up_to_300():
         assert ours.getstate() == theirs.getstate(), n
 
 
+BOUND = listgen._CACHE_MAX_LENGTH
+EDGE_LENGTHS = sorted({*range(5), 20, 60, *(2**k + d for k in range(1, 12) for d in (-1, 0, 1)), BOUND, BOUND + 1})
+
+
+@pytest.mark.parametrize("n", EDGE_LENGTHS)
+def test_shuffle_equals_the_stdlib_on_both_sides_of_the_step_cache(monkeypatch, n):
+    # the first call builds the length's steps, the later ones walk the
+    # cached table; past the bound every call runs the plain loop
+    monkeypatch.setattr(listgen, "_STEPS", {})
+    for seed in range(3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        x, y = list(range(n)), list(range(n))
+        listgen.shuffle(x, ours)
+        theirs.shuffle(y)
+        assert x == y
+        assert ours.getstate() == theirs.getstate()
+    assert list(listgen._STEPS) == ([n] if n <= BOUND else [])
+
+
+def test_the_step_and_trit_caches_hold_no_length_past_their_bound(monkeypatch):
+    monkeypatch.setattr(listgen, "_STEPS", {})
+    monkeypatch.setattr(listgen, "_TRITS", {})
+    below, above = BOUND - BOUND % 6, BOUND - BOUND % 6 + 6
+    for m in (below, above, below, above):
+        seg = generate_segment(m, 3, random.Random(m))
+        assert dict(seg.receiver_ones) == reference_segment(m, 3, random.Random(m)).receiver_ones
+        assert (seg.sender_zeros, seg.sender_ones) == reference_segment(m, 3, random.Random(m))[1:3]
+    assert set(listgen._TRITS) == {below}
+    assert listgen._TRITS[below] == sorted(listgen._TRITS[below])  # the template itself is never shuffled
+    assert set(listgen._STEPS) == {below, below // 3, above // 3}
+    assert max(listgen._STEPS) <= BOUND
+
+
 @settings(max_examples=200, deadline=None)
 @given(items=st.lists(st.integers(0, 2)), seed=SEEDS)
 def test_shuffle_equals_the_stdlib_on_repeated_items(items, seed):

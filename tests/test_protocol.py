@@ -22,7 +22,7 @@ from dbasim.protocol import (
     sender_decision,
 )
 from listprops import reference_segment
-from symbols import bits, combined, entries, reference_decide, relays
+from symbols import bits, claimed, combined, entries, reference_decide, relays
 
 # two positions per bit, four distinct consistent claims available
 OWN = combined(2, (0, 1, 0, 1, 0, 1))
@@ -42,8 +42,8 @@ def test_make_claim_lists_every_position_of_the_bit():
     lists = combined_lists_from_segments([generate_segment(12, 3, random.Random(2)) for _ in range(2)])
     claim = make_claim(1, lists[1])
     assert claim.bit == 1
-    assert claim.positions == tuple(x for x, v in enumerate(entries(lists[1])) if v == 1)
-    assert len(claim.positions) == 8
+    assert claimed(claim) == tuple(x for x, v in enumerate(entries(lists[1])) if v == 1)
+    assert len(claimed(claim)) == 8
     # honest claims are consistent at every receiver
     for k in (2, 3, 4):
         assert check_claim(claim, lists[k])
@@ -115,7 +115,7 @@ SENDER6 = combined(1, (2, 0, 2, 1, 0, 1))
 )
 def test_check_claim_edge_cases(claim, own, expected):
     assert check_claim(claim, own) is expected
-    assert reference_check_claim(claim.bit, claim.positions, entries(own)) is expected
+    assert reference_check_claim(claim.bit, claimed(claim), entries(own)) is expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +127,7 @@ def test_check_claim_matches_the_positionwise_reference(data, total, bit):
     size = data.draw(st.integers(max(0, total // 3 - 1), total // 3 + 1))
     positions = tuple(sorted(data.draw(st.sets(st.integers(0, total + 1), min_size=size, max_size=size))))
     claim = at(bit, *positions)
-    assert claim.positions == positions
+    assert claimed(claim) == positions
     assert check_claim(claim, own) == reference_check_claim(bit, positions, own_entries)
 
 

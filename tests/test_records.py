@@ -43,7 +43,8 @@ def test_keyword_construction_fills_every_default():
         trial=0,
         controlled=(),
         disclosed=(False,),
-        decisions={1: Decision(1)},
+        template={1: Decision(1)},
+        classes=[((2, 3), Decision(1))],
         agreement=True,
         validity=True,
         honest_success=True,
@@ -52,6 +53,7 @@ def test_keyword_construction_fills_every_default():
         full_knowledge=False,
     )
     assert report.transcript is None
+    assert report.decisions == {1: Decision(1), 2: Decision(1), 3: Decision(1)}
     batch = BatchReport(cfg, *[0] * 10)
     assert batch.forge_oracle is None and batch.trials == 5
     assert Decision(None) == ABORT and ABORT.aborted
