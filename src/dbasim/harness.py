@@ -14,7 +14,7 @@ import json
 import random
 from math import sqrt
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import (
     AdversarySpec,
@@ -38,7 +38,6 @@ from .protocol import (
     relay_step,
     render_decision,
     render_message,
-    sender_decision,
 )
 
 try:  # the interpreter's own sha256, as random.py takes sha512: hashlib loads OpenSSL
@@ -161,23 +160,6 @@ class TrialReport(NamedTuple):
         return rec
 
 
-def eval_agreement(values: AbstractSet[Optional[int]]) -> bool:
-    """All honest parties abort, or all decide the same value.
-
-    ``values`` is the set of the honest parties' decision values, None
-    standing for an abort, so each distinct decision counts once.
-    """
-    return len(values) <= 1
-
-
-def eval_validity(values: AbstractSet[Optional[int]], applies: bool, sender_input: int) -> Optional[bool]:
-    """Whether every honest party output the sender's input; None where the property does not apply."""
-    return values == {sender_input} if applies else None
-
-
-eval_honest_success = eval_validity  # validity applies with no corruption at all, honest success with an honest sender
-
-
 class TrialPlan(NamedTuple):
     """What every trial of a batch takes from the config alone; :func:`trial_plan` builds it.
 
@@ -197,17 +179,18 @@ class TrialPlan(NamedTuple):
 
 
 def trial_plan(cfg: SimConfig) -> TrialPlan:
-    """The plan of every trial of ``cfg``, which must have passed :meth:`SimConfig.validate`.
+    """The plan of every trial of ``cfg``, after :meth:`SimConfig.validate` has accepted it.
 
     Only honest inboxes are read after round 2, and strategies draw per
     receiver in ascending order, so the audience ends at the last honest
     receiver without changing any message to an honest receiver.
     """
+    cfg.validate()
     controlled, receivers = cfg.adversary.controlled, cfg.receivers
     honest = tuple(k for k in receivers if k not in controlled)
     decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
     if SENDER not in controlled:
-        decisions[SENDER] = sender_decision(cfg.sender_input)
+        decisions[SENDER] = Decision(cfg.sender_input)  # the honest sender outputs its own input
     return TrialPlan(
         distributors=cfg.distributor_indices,
         receivers=receivers,
@@ -228,10 +211,9 @@ def run_trial(
     List generation, bribery coins, and each adversary party draw from
     independent derived streams, so changing one stream's consumption never
     disturbs the others; the bribery stream is derived only when a
-    distributor is bribed, since nothing else reads it.  ``cfg`` must have
-    passed :meth:`SimConfig.validate`, as :func:`run_batch` ensures once per
-    batch; ``plan`` is ``trial_plan(cfg)``, built here when not given.  The
-    adversary's Knowledge is built only when some party is controlled or
+    distributor is bribed, since nothing else reads it.  ``plan`` is
+    ``trial_plan(cfg)``, built here (validating ``cfg``) when not given.
+    The adversary's Knowledge is built only when some party is controlled or
     some distributor bribed; honest receivers relay and decide per class.
     """
     plan = plan or trial_plan(cfg)
@@ -252,23 +234,24 @@ def run_trial(
 
     # Round 1: the sender announces one claim per receiver.  The honest
     # receivers that got one object form a class; an honest sender's
-    # receivers are all one class.
+    # receivers are all one class, and every receiver gets ``default``.
     transcript: Optional[list[str]] = [] if capture_transcript else None
     if SENDER in controlled:
         rng = derive_rng(cfg.master_seed, trial, "adversary", SENDER)
         round1, _ = adversary_act(spec, SENDER, cfg.sender_input, knowledge, receivers, rng)
-        classes: dict[int, tuple[Optional[Message], list[int]]] = {}
+        default = None
+        round1_classes: dict[int, tuple[Optional[Message], list[int]]] = {}
         for j in honest_receivers:
             got = round1.get(j)
-            classes.setdefault(id(got), (got, []))[1].append(j)
+            round1_classes.setdefault(id(got), (got, []))[1].append(j)
     else:
-        claim = make_claim(cfg.sender_input, sender_list)
-        round1 = dict.fromkeys(receivers, claim) if transcript is not None or plan.relayers else {}
-        classes = {id(claim): (claim, honest_receivers)}
+        round1 = {}
+        default = make_claim(cfg.sender_input, sender_list)
+        round1_classes = {id(default): (default, honest_receivers)}
     if transcript is not None:
         # Each distinct message object is rendered once per trial and keyed
-        # by identity: every message stays alive in round1, relayed or
-        # targeted until the trial ends, so no id is reused meanwhile.
+        # by identity: every message stays alive in round1, default, relays
+        # or targeted until the trial ends, so no id is reused meanwhile.
         texts: dict[int, str] = {}
 
         def text(msg: Optional[Message]) -> str:
@@ -277,48 +260,47 @@ def run_trial(
                 rendered = texts[id(msg)] = render_message(msg)
             return rendered
 
-        transcript.extend(f"1 1 {k} {text(round1.get(k))}" for k in receivers)
+        transcript.extend(f"1 1 {k} {text(round1.get(k, default))}" for k in receivers)
 
     # Round 2: every receiver relays to every receiver, itself included.
-    # Honest relays are kept as one [message, count] group per distinct
-    # object, a controlled relayer's as per-target messages.  Each class is
-    # relayed once, on the sender's list (the sender-list invariant, see
-    # dbasim.listgen); only a claim failing there is relayed per member.
+    # Honest relays are kept as (members, message) pairs, then as one
+    # [message, count] group per distinct object; a controlled relayer's as
+    # per-target messages.  Each class is relayed once, on the sender's list
+    # (the sender-list invariant, see dbasim.listgen); only a claim failing
+    # there is relayed per member.
     forge_attempts = 0
     forge_successes = 0
-    relayed: Optional[dict[int, Message]] = {} if transcript is not None else None
-    groups: dict[int, list] = {}
+    relays: list[tuple[Sequence[int], Message]] = []
     own_claims = False  # some relayed claim fails against the sender's list
-    for got, members in classes.values():
+    for got, members in round1_classes.values():
         msg = class_relay(got, sender_list)
         if msg is not None:
-            groups.setdefault(id(msg), [msg, 0])[1] += len(members)
-            if relayed is not None:
-                relayed.update(dict.fromkeys(members, msg))
+            relays.append((members, msg))
             continue
         for j in members:
             msg = relay_step(got, lists[j])
             own_claims |= msg is not BOT
-            groups.setdefault(id(msg), [msg, 0])[1] += 1
-            if relayed is not None:
-                relayed[j] = msg
+            relays.append(((j,), msg))
+    groups: dict[int, list] = {}
+    for members, msg in relays:
+        groups.setdefault(id(msg), [msg, 0])[1] += len(members)
     targeted: dict[int, dict[int, Optional[Message]]] = {}
     audience = receivers if transcript is not None else plan.audience
     for j in plan.relayers:
         rng = derive_rng(cfg.master_seed, trial, "adversary", j)
-        targeted[j], forged = adversary_act(spec, j, round1.get(j), knowledge, audience, rng)
+        targeted[j], forged = adversary_act(spec, j, round1.get(j, default), knowledge, audience, rng)
         for k in forged:
             if k not in controlled:
                 forge_attempts += 1
                 forge_successes += check_claim(targeted[j][k], lists[k])
     if transcript is not None:
+        relayed = {j: text(msg) for members, msg in relays for j in members}
         for j in receivers:
             if j in controlled:
                 sent = targeted[j]
                 transcript.extend(f"2 {j} {k} {text(sent.get(k))}" for k in receivers)
             else:
-                relay = text(relayed[j])
-                transcript.extend(f"2 {j} {k} {relay}" for k in receivers)
+                transcript.extend(f"2 {j} {k} {relayed[j]}" for k in receivers)
 
     # Honest receivers that got the same controlled messages, by identity and
     # in relayer order, share one inbox: the honest groups with those
@@ -326,7 +308,7 @@ def run_trial(
     # is in the one class ().  An inbox is decided once, on the sender's
     # list, unless it holds a claim no honest receiver relayed or some honest
     # relay came from an own list; then each member decides it on its own
-    # list.  The predicates read only the distinct honest decision values.
+    # list.
     inboxes: dict[tuple, list[int]] = {(): list(honest_receivers)}
     for sent in targeted.values():
         refined: dict[tuple, list[int]] = {}
@@ -350,9 +332,14 @@ def run_trial(
             classes += [((k,), decide(inbox.values(), lists[k], rule=cfg.decide_rule)) for k in members]
         else:
             classes.append((members, decide(inbox.values(), sender_list, rule=cfg.decide_rule)))
+    # The paper's properties over the distinct honest values, None for an
+    # abort: agreement, at most one value; validity (nothing controlled) and
+    # honest success (an honest sender), the sender's input as the only
+    # value, each None where it does not apply.
     values = {decision.value for _, decision in classes}
     if SENDER not in controlled:
         values.add(cfg.sender_input)
+    valid = values == {cfg.sender_input}
 
     return TrialReport(
         trial=trial,
@@ -360,9 +347,9 @@ def run_trial(
         disclosed=plan.undisclosed or tuple(dist in knowledge.disclosed for dist in plan.distributors),
         template=plan.decisions,
         classes=classes,
-        agreement=eval_agreement(values),
-        validity=eval_validity(values, not controlled, cfg.sender_input),
-        honest_success=eval_honest_success(values, SENDER not in controlled, cfg.sender_input),
+        agreement=len(values) <= 1,
+        validity=None if controlled else valid,
+        honest_success=None if SENDER in controlled else valid,
         forge_attempts=forge_attempts,
         forge_successes=forge_successes,
         full_knowledge=bool(knowledge and knowledge.disclosed and knowledge.full_disclosure),
@@ -494,27 +481,17 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
     ``on_trial``, when given, receives each trial's report, transcript
     included, as soon as the trial finishes; the batch keeps only counts.
     """
-    cfg.validate()
-    agreement = all_abort = common_value = 0
-    validity_app = validity_ok = 0
-    honest_app = honest_ok = 0
+    plan = trial_plan(cfg)
+    agreement = all_abort = validity_ok = honest_ok = 0
     attempts = successes = 0
     full_know = 0
-    plan = trial_plan(cfg)
     for t in range(cfg.trials):
         rep = run_trial(cfg, t, capture_transcript=on_trial is not None, plan=plan)
         agreement += rep.agreement
-        if rep.agreement:
-            if rep.classes[0][1].aborted:  # every honest party holds the one distinct value
-                all_abort += 1
-            else:
-                common_value += 1
-        if rep.validity is not None:
-            validity_app += 1
-            validity_ok += rep.validity
-        if rep.honest_success is not None:
-            honest_app += 1
-            honest_ok += rep.honest_success
+        if rep.agreement and rep.classes[0][1].aborted:  # every honest party holds the one distinct value
+            all_abort += 1
+        validity_ok += rep.validity is True
+        honest_ok += rep.honest_success is True
         attempts += rep.forge_attempts
         successes += rep.forge_successes
         full_know += rep.full_knowledge
@@ -530,10 +507,10 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
         config=cfg,
         agreement_count=agreement,
         all_abort_count=all_abort,
-        common_value_count=common_value,
-        validity_applicable=validity_app,
+        common_value_count=agreement - all_abort,
+        validity_applicable=0 if adv.controlled else cfg.trials,
         validity_count=validity_ok,
-        honest_success_applicable=honest_app,
+        honest_success_applicable=0 if SENDER in adv.controlled else cfg.trials,
         honest_success_count=honest_ok,
         forge_attempts=attempts,
         forge_successes=successes,

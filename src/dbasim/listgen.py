@@ -232,7 +232,6 @@ class CombinedList(NamedTuple):
     Segment i occupies bits ``i*m`` to ``i*m + m - 1`` of each mask.
     """
 
-    party: int
     length: int
     zeros: int
     ones: int
@@ -244,34 +243,23 @@ class CombinedList(NamedTuple):
         return self.ones if bit else self.zeros
 
 
-class PartyLists(Mapping[int, CombinedList]):
-    """Every party's combined list, keyed by party; a receiver's list is made on first lookup.
+class PartyLists(dict):
+    """Every party's combined list, keyed by party: the sender's made at once, a receiver's on first lookup.
 
-    The sender's list is built at once.  Iteration and ``len`` see every party
-    without making a list: the sender, then the receivers in the first segment's order.
+    A lookup of a party the segments do not hold raises ``KeyError`` and makes nothing.
     """
 
-    __slots__ = ("_made", "_segments")
+    __slots__ = ("_segments",)
 
     def __init__(self, sender: CombinedList, segments: tuple[Segment, ...]):
-        self._made = {SENDER: sender}
+        self[SENDER] = sender
         self._segments = segments
 
-    def __getitem__(self, party: int) -> CombinedList:
-        made = self._made
-        if party in made:
-            return made[party]
+    def __missing__(self, party: int) -> CombinedList:
         if party not in self._segments[0].receiver_ones:
             raise KeyError(party)
-        lst = made[party] = combine_segments(party, self._segments)
+        lst = self[party] = combine_segments(party, self._segments)
         return lst
-
-    def __iter__(self) -> Iterator[int]:
-        yield SENDER
-        yield from self._segments[0].receiver_ones
-
-    def __len__(self) -> int:
-        return len(self._segments[0].receiver_ones) + 1
 
 
 def generate_segment(m: int, receiver_count: int, rng: random.Random) -> Segment:
@@ -322,18 +310,18 @@ def combine_segments(party: int, segments: Sequence[Segment]) -> CombinedList:
         zeros |= seg_zeros << shift
         ones |= seg_ones << shift
         shift += m
-    return CombinedList(party, shift, zeros, ones)
+    return CombinedList(shift, zeros, ones)
 
 
 def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
     """Every party's combined list as :class:`PartyLists`, from segments in distributor order.
 
-    Rejects empty input and segments that disagree on the receivers;
-    generated segments compare their receiver ranges, in constant time.
+    Rejects what :func:`combine_segments` rejects, and segments that disagree
+    on the receivers; generated segments compare their receiver ranges, in
+    constant time.
     """
-    if not segments:
-        raise ValueError("need at least one segment")
     segments = tuple(segments)
+    sender = combine_segments(SENDER, segments)
     receivers = segments[0].receiver_ones
     for seg in segments[1:]:
         got = seg.receiver_ones
@@ -342,4 +330,4 @@ def combined_lists_from_segments(segments: Sequence[Segment]) -> PartyLists:
             raise ValueError(
                 f"segments disagree on receiver indices: {sorted(receivers)} vs {sorted(seg.receiver_ones)}"
             )
-    return PartyLists(combine_segments(SENDER, segments), segments)
+    return PartyLists(sender, segments)

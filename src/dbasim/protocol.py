@@ -98,13 +98,6 @@ def class_relay(received: Optional[Message], sender_list: CombinedList) -> Optio
     return received if check_claim(received, sender_list) else None
 
 
-def sender_decision(bit: int) -> Decision:
-    """The honest sender simply outputs its own input."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return Decision(bit)
-
-
 def decide(
     relays: Iterable[tuple[Optional[Message], int]],
     own_list: CombinedList,

@@ -14,11 +14,11 @@ def claimed(claim):
     return tuple(mask_positions(claim.mask))
 
 
-def combined(party, entries):
+def combined(entries):
     """The CombinedList whose position j holds ``entries[j]``: 0, 1, or 2 for the sender's discord."""
     zeros = bits(j for j, v in enumerate(entries) if v == 0)
     ones = bits(j for j, v in enumerate(entries) if v == 1)
-    return CombinedList(party=party, length=len(entries), zeros=zeros, ones=ones)
+    return CombinedList(length=len(entries), zeros=zeros, ones=ones)
 
 
 def entries(lst):

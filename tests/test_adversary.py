@@ -148,7 +148,7 @@ def test_forge_success_two_thirds_by_hand_enumeration():
     assert candidates == [1, 2, 4]
     good = total = 0
     for target_one in ((2,), (5,)):
-        target = combined(3, tuple(1 if (sender[j] == 1 or j in target_one) else 0 for j in range(6)))
+        target = combined(tuple(1 if (sender[j] == 1 or j in target_one) else 0 for j in range(6)))
         for pair in itertools.combinations(candidates, 2):
             total += 1
             good += check_claim(Claim(1, bits(pair)), target)
@@ -264,7 +264,7 @@ def test_knowledge_with_nothing_leaked_knows_no_position(monkeypatch):
 
 
 def test_forge_stays_wellformed_when_candidates_run_dry():
-    own = combined(4, (1, 1, 0, 0, 1, 0))
+    own = combined((1, 1, 0, 0, 1, 0))
     nothing_leaked = Knowledge(segment_length=6, distributors=(6,), disclosed={}, own_lists={4: own})
     starving = Claim(0, bits((0, 1, 4)))  # covers every position the forger holds 1 on
     claims = forge_claim(1, own, starving, nothing_leaked, (2, 3), rng=random.Random(3))

@@ -22,9 +22,6 @@ from dbasim.harness import (
     SimConfig,
     TrialReport,
     derive_rng,
-    eval_agreement,
-    eval_honest_success,
-    eval_validity,
     run_batch,
     run_trial,
     trial_plan,
@@ -121,34 +118,113 @@ def test_config_validation_covers_the_adversary():
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(bribed={99}), "bribed indices"),
+        (dict(bribed={5}, disclosure_probability=1.5), "disclosure probability"),
+        (dict(controlled={2, 3}), "at least 3 honest participants"),
+        (dict(controlled={9}), "controlled indices"),
+        (dict(controlled={4}, receiver_strategy="bogus"), "unknown receiver strategy"),
+    ],
+    ids=["bribed-outside", "p-above-one", "too-few-honest", "controlled-outside", "unknown-strategy"],
+)
+def test_a_trial_run_alone_rejects_what_its_batch_rejects(kw, message):
+    # building the plan validates the config, so a trial run without a
+    # batch, or a plan built by hand, fails exactly as run_batch does
+    cfg = _cfg(participants=4, **kw)
+    with pytest.raises(ValueError, match=message) as from_batch:
+        run_batch(cfg)
+    starts = [lambda: trial_plan(cfg), lambda: run_trial(cfg, 0), lambda: run_trial(cfg, 0, capture_transcript=True)]
+    for start in starts:
+        with pytest.raises(ValueError) as alone:
+            start()
+        assert str(alone.value) == str(from_batch.value)
+
+
 def test_config_derived_layout():
     cfg = SimConfig(participants=4, distributors=3, segment_length=12)
     assert cfg.receivers == (2, 3, 4)
     assert cfg.distributor_indices == (5, 6, 7)
 
 
-# --- predicates ----------------------------------------------------------------
+# --- the paper's properties -----------------------------------------------------
 
 
-def test_agreement_predicate_cases():
-    assert eval_agreement({None})
-    assert not eval_agreement({1, None})
-    assert eval_agreement({0})
-    assert not eval_agreement({0, 1})
+def _decide_as(monkeypatch, *outcomes):
+    """Patch run_trial's decide to return ``outcomes`` in call order, the last one from then on."""
+    calls = []
+
+    def scripted(relays, own_list, rule="literal"):
+        calls.append(own_list)
+        return outcomes[min(len(calls), len(outcomes)) - 1]
+
+    monkeypatch.setattr(dbasim.harness, "decide", scripted)
+    return calls
 
 
-def test_validity_predicate_cases():
-    assert eval_validity({1}, True, 1)
-    assert eval_validity({1, None}, True, 1) is False
-    assert eval_validity({0}, True, 1) is False
-    assert eval_validity({1}, False, 1) is None
+@pytest.mark.parametrize(
+    "decided, holds",
+    [(Decision(1), True), (ABORT, False), (Decision(0), False)],
+    ids=["input", "abort", "other-bit"],
+)
+def test_an_honest_sender_splits_from_receivers_that_miss_its_input(monkeypatch, decided, holds):
+    # the honest sender outputs its input, so receivers deciding anything
+    # else break agreement and, where they apply, validity and honest success
+    calls = _decide_as(monkeypatch, decided)
+    rep = run_trial(SimConfig(sender_input=1), 0)
+    assert len(calls) == 1 and rep.classes[0][1] == decided
+    assert rep.agreement is holds and rep.validity is holds and rep.honest_success is holds
+    rep = run_trial(_cfg(participants=5, controlled={5}, receiver_strategy="silent"), 0)
+    assert rep.agreement is holds and rep.validity is None and rep.honest_success is holds
 
 
-def test_honest_success_predicate_cases():
-    assert eval_honest_success({0}, True, 0)
-    assert eval_honest_success({0, None}, True, 0) is False
-    assert eval_honest_success({1}, True, 0) is False
-    assert eval_honest_success({0}, False, 0) is None
+@pytest.mark.parametrize(
+    "outcomes, agreement",
+    [
+        ((ABORT, Decision(1)), False),
+        ((Decision(1), Decision(0)), False),
+        ((Decision(0), Decision(0), ABORT), False),
+        ((ABORT,), True),
+        ((Decision(0),), True),
+    ],
+    ids=["abort-then-decide", "two-bits", "late-abort", "all-abort", "one-bit"],
+)
+def test_a_controlled_senders_receivers_agree_only_on_one_value(monkeypatch, outcomes, agreement):
+    # a junk-sending relayer gives every honest receiver its own inbox, so
+    # each of the four decides alone and the scripted decisions can split
+    calls = _decide_as(monkeypatch, *outcomes)
+    rep = run_trial(_cfg(participants=6, controlled={1, 6}, receiver_strategy="random-junk"), 0)
+    assert len(calls) == len(rep.classes) == 4
+    assert rep.agreement is agreement
+    assert rep.validity is None and rep.honest_success is None
+
+
+@pytest.mark.parametrize(
+    "kw, decided, counts",
+    [
+        (dict(), ABORT, (0, 0, 0, 5, 0, 5, 0)),
+        (dict(), Decision(1), (5, 0, 5, 5, 5, 5, 5)),
+        (dict(controlled={4}, receiver_strategy="silent"), Decision(0), (0, 0, 0, 0, 0, 5, 0)),
+        (dict(controlled={1}, sender_strategy="silent"), ABORT, (5, 5, 0, 0, 0, 0, 0)),
+        (dict(controlled={1}, sender_strategy="silent"), Decision(0), (5, 0, 5, 0, 0, 0, 0)),
+    ],
+    ids=["honest-abort", "honest-input", "controlled-receiver", "controlled-sender-abort", "controlled-sender-bit"],
+)
+def test_batch_counts_follow_the_trials_and_the_config(monkeypatch, kw, decided, counts):
+    # (agreement, all abort, common value, validity applicable and held,
+    # honest success applicable and held) over five trials
+    _decide_as(monkeypatch, decided)
+    rep = run_batch(_cfg(trials=5, **kw))
+    assert counts == (
+        rep.agreement_count,
+        rep.all_abort_count,
+        rep.common_value_count,
+        rep.validity_applicable,
+        rep.validity_count,
+        rep.honest_success_applicable,
+        rep.honest_success_count,
+    )
 
 
 # --- single trials ---------------------------------------------------------------

@@ -155,7 +155,6 @@ def test_combine_segments_concatenates_in_order():
     first = _handcrafted(6, (0, 1, 2, 0, 1, 2), {2: (0, 1, 0, 0, 1, 1), 3: (0, 1, 1, 0, 1, 0)})
     second = _handcrafted(6, (1, 1, 2, 0, 2, 0), {2: (1, 1, 0, 0, 1, 0), 3: (1, 1, 1, 0, 0, 0)})
     combined = combine_segments(2, [first, second])
-    assert combined.party == 2
     assert entries(combined) == (0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0)
     assert combined.length == 12
     assert entries(combine_segments(1, [first, second])) == (0, 1, 2, 0, 1, 2, 1, 1, 2, 0, 2, 0)
@@ -171,9 +170,8 @@ def test_combine_segments_rejects_mismatched_lengths_and_empty():
 def test_combined_lists_cover_every_party():
     segs = [generate_segment(6, 3, random.Random(s)) for s in (1, 2)]
     lists = combined_lists_from_segments(segs)
-    assert sorted(lists) == [1, 2, 3, 4] and len(lists) == 4
-    assert entries(lists[1]) == _symbols(segs[0], 1) + _symbols(segs[1], 1)
-    assert entries(lists[3]) == _symbols(segs[0], 3) + _symbols(segs[1], 3)
+    for party in (1, 2, 3, 4):
+        assert entries(lists[party]) == _symbols(segs[0], party) + _symbols(segs[1], party)
     assert lists[3] is lists[3]
     for absent in (0, 5):
         with pytest.raises(KeyError):
@@ -187,7 +185,10 @@ def test_combined_lists_reject_disagreeing_receiver_sets():
         combined_lists_from_segments([a, b])
     # the same receivers in another order agree
     c = b._replace(receiver_ones=dict(reversed(dict(b.receiver_ones).items())))
-    assert sorted(combined_lists_from_segments([b, c])) == [1, 2, 3, 4]
+    lists = combined_lists_from_segments([b, c])
+    assert [lists[party].length for party in (1, 2, 3, 4)] == [12] * 4
+    with pytest.raises(KeyError):
+        lists[5]
 
 
 def test_generated_segments_agree_on_receivers_without_iterating_them(monkeypatch):
@@ -392,8 +393,9 @@ def test_receivers_are_drawn_on_first_read_in_ascending_order(counting_shuffles)
     assert rng.shuffles == 1  # the sender's trits only
     # keys, length and membership never draw; neither do absent receivers
     assert list(coins) == [2, 3, 4, 5, 6] and len(coins) == 5 and 4 in coins and 7 not in coins
-    # neither does the receiver-set check across segments
-    assert list(combined_lists_from_segments([seg, seg])) == [1, 2, 3, 4, 5, 6]
+    # neither do the receiver-set check across segments and the sender's list
+    lists = combined_lists_from_segments([seg, seg])
+    assert lists[1].length == 24
     for absent in (1, 7):
         with pytest.raises(KeyError):
             coins[absent]
@@ -407,6 +409,36 @@ def test_receivers_are_drawn_on_first_read_in_ascending_order(counting_shuffles)
     assert len(dict(coins)) == 5 and rng.shuffles == 6
     # every receiver drawn: the store lets go of its rng
     assert not any(isinstance(obj, random.Random) for obj in gc.get_referents(coins))
+
+
+def test_a_receivers_list_is_made_once_on_its_first_lookup(monkeypatch):
+    made = []
+    real = listgen.combine_segments
+
+    def counting(party, segments):
+        made.append(party)
+        return real(party, segments)
+
+    monkeypatch.setattr(listgen, "combine_segments", counting)
+    lists = combined_lists_from_segments([generate_segment(6, 3, random.Random(s)) for s in (1, 2)])
+    assert made == [1]  # the sender's, at once
+    first = lists[3]
+    assert lists[3] is first and lists[1] is lists[1]
+    assert made == [1, 3]
+
+
+def test_sender_and_absent_lookups_draw_no_coin(counting_shuffles):
+    rngs = [CountingRandom(s) for s in (1, 2)]
+    lists = combined_lists_from_segments([generate_segment(12, 3, rng) for rng in rngs])
+    assert [rng.shuffles for rng in rngs] == [1, 1]  # the sender's trits only
+    assert lists[1].length == 24
+    for absent in (0, 5, -1):
+        with pytest.raises(KeyError):
+            lists[absent]
+    assert [rng.shuffles for rng in rngs] == [1, 1]
+    assert set(lists) == {1}  # nothing was made for the absent parties
+    lists[2]  # draws receiver 2's coins in both segments
+    assert [rng.shuffles for rng in rngs] == [2, 2]
 
 
 @settings(max_examples=80, deadline=None)

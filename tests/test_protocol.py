@@ -19,13 +19,12 @@ from dbasim.protocol import (
     relay_step,
     render_decision,
     render_message,
-    sender_decision,
 )
 from listprops import reference_segment
 from symbols import bits, claimed, combined, entries, reference_decide, relays
 
 # two positions per bit, four distinct consistent claims available
-OWN = combined(2, (0, 1, 0, 1, 0, 1))
+OWN = combined((0, 1, 0, 1, 0, 1))
 
 
 def at(bit, *positions):
@@ -86,9 +85,9 @@ def reference_check_claim(bit, positions, own_entries):
     return all(own_entries[x] == bit for x in positions)
 
 
-OWN3 = combined(2, (0, 1, 0))
-EMPTY = combined(2, ())
-SENDER6 = combined(1, (2, 0, 2, 1, 0, 1))
+OWN3 = combined((0, 1, 0))
+EMPTY = combined(())
+SENDER6 = combined((2, 0, 2, 1, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -122,7 +121,7 @@ def test_check_claim_edge_cases(claim, own, expected):
 @given(data=st.data(), total=st.sampled_from([0, 1, 3, 6, 12]), bit=st.integers(-1, 2))
 def test_check_claim_matches_the_positionwise_reference(data, total, bit):
     own_entries = tuple(data.draw(st.lists(st.integers(0, 2), min_size=total, max_size=total)))
-    own = combined(2, own_entries)
+    own = combined(own_entries)
     assert entries(own) == own_entries
     size = data.draw(st.integers(max(0, total // 3 - 1), total // 3 + 1))
     positions = tuple(sorted(data.draw(st.sets(st.integers(0, total + 1), min_size=size, max_size=size))))
@@ -168,13 +167,6 @@ def test_relay_passes_consistent_claims_and_flags_the_rest():
     assert relay_step(BAD_1, OWN) is BOT
     assert relay_step(None, OWN) is BOT
     assert relay_step(BOT, OWN) is BOT
-
-
-def test_sender_decision_outputs_own_bit():
-    assert sender_decision(0) == Decision(0)
-    assert sender_decision(1) == Decision(1)
-    with pytest.raises(ValueError, match="bit must be 0 or 1"):
-        sender_decision(2)
 
 
 # --- the decision rule -------------------------------------------------------
