@@ -24,9 +24,11 @@ from .protocol import BOT, Claim, Message, make_claim, relay_step
 if TYPE_CHECKING:
     from fractions import Fraction
 
-#: receiver strategies that can break agreement with positive probability;
-#: everything else must keep the agreement rate at exactly 1
+#: receiver strategies that aim fabricated claims at chosen targets and count them as forging attempts
 FORGING_RECEIVER_STRATEGIES = frozenset({"forge", "omniscient-forge"})
+#: the strategies that cannot break agreement: with only these controlled, every trial agrees.
+#: ``random-junk`` can: a blind claim passes wherever the target holds its bit at every claimed position
+AGREEMENT_SAFE_STRATEGIES = frozenset({"honest-mimic", "silent", "flag-always", "equivocate"})
 
 
 class AdversarySpec(NamedTuple):
@@ -66,7 +68,7 @@ class AdversarySpec(NamedTuple):
 
 
 class Knowledge(NamedTuple):
-    """Everything the adversary can see.
+    """Everything the adversary can see in one trial.
 
     A disclosing distributor reveals every list it generated, so a covered
     position is known for every party.  ``own_lists`` holds the controlled
@@ -74,12 +76,15 @@ class Knowledge(NamedTuple):
     are masks over the combined list, segment i at bits ``i*m`` and up.
     Nothing else is representable: own lists hold only masks and leaked
     segments plain dicts, so no undrawn coin or rng is reachable.
+    ``memo`` is the view every forger of the trial shares (see
+    :func:`forge_claim`); one built without it (None) shares nothing.
     """
 
     segment_length: int
     distributors: tuple[int, ...]
     disclosed: dict[int, Segment]
     own_lists: dict[int, CombinedList]
+    memo: Optional[dict] = None
 
     @property
     def full_disclosure(self) -> bool:
@@ -104,13 +109,14 @@ def resolve_bribes(
     segments: Mapping[int, Segment],
     lists: Mapping[int, CombinedList],
 ) -> Knowledge:
-    """Flip each bribed distributor's disclosure coin and assemble Knowledge.
+    """Flip each bribed distributor's disclosure coin and assemble one trial's Knowledge.
 
     Coins are independent, one per bribed distributor, drawn in ascending
     distributor order so a fixed rng state reproduces the outcome.  Unbribed
     distributors never leak, and ``rng`` may be None when none is bribed.
     Only the controlled parties' lists in ``lists`` go into the Knowledge,
     and a leaked segment goes in with its coins drawn into a plain dict.
+    Each Knowledge gets a fresh ``memo``, shared by the trial's forgers.
     """
     distributors = tuple(sorted(segments))
     disclosed: dict[int, Segment] = {}
@@ -123,6 +129,7 @@ def resolve_bribes(
         distributors=distributors,
         disclosed=disclosed,
         own_lists={party: lists[party] for party in sorted(spec.controlled)},
+        memo={},
     )
 
 
@@ -145,6 +152,8 @@ def forge_claim(
     the target's hidden bit half the time; that is the whole exposure.  The
     pool is the same for every target, so it is built once; targets draw
     from it in ascending order, each with its own :func:`~dbasim.listgen.sample`.
+    The known part, capped to ``need`` positions, and the covered mask are the
+    same for every forger of the trial, so they are made once, in ``know.memo``.
 
     Always returns well-formed claims (right size, in range).  If the pool
     runs dry, which needs a sender claim overlapping the forger's own
@@ -153,18 +162,22 @@ def forge_claim(
     """
     total = own_list.length
     need = total // 3
+    memo = {} if know.memo is None else know.memo
     pool: Optional[list[int]] = None
     out: dict[int, Claim] = {}
     for target in sorted(targets):
-        picked = know.known_positions(target, target_bit)
-        count = picked.bit_count()
-        if count > need:
-            picked &= (1 << mask_positions(picked)[need]) - 1  # the lowest ``need`` positions
-        elif count < need:
+        known = memo.get((target, target_bit))
+        if known is None:
+            picked = know.known_positions(target, target_bit)
+            if picked.bit_count() > need:
+                picked &= (1 << mask_positions(picked)[need]) - 1  # the lowest ``need`` positions
+            known = memo[target, target_bit] = (picked, picked.bit_count())
+        picked, count = known
+        if count < need:
             if pool is None:
-                excluded = know.covered()
-                if sender_claim is not None:
-                    excluded |= sender_claim.mask
+                if "covered" not in memo:
+                    memo["covered"] = know.covered()
+                excluded = memo["covered"] | (0 if sender_claim is None else sender_claim.mask)
                 pool = mask_positions(own_list.mask(target_bit) & ~excluded)
             fill = need - count
             take = min(fill, len(pool))

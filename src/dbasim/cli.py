@@ -19,12 +19,13 @@ from functools import partial
 from typing import IO, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import (
-    FORGING_RECEIVER_STRATEGIES,
+    AGREEMENT_SAFE_STRATEGIES,
     AdversarySpec,
     RECEIVER_STRATEGIES,
     SENDER_STRATEGIES,
 )
 from .harness import BatchReport, SimConfig, TrialReport, encode_canonical, run_batch
+from .listgen import SENDER
 from .protocol import DECIDE_RULES
 
 SWEEPABLE = ("distributors", "p", "receiver_strategy", "segment_length", "sender_strategy")
@@ -301,14 +302,15 @@ def emit_table(reports: Sequence[BatchReport]) -> str:
 
 
 def _check_requirements(scenario: Scenario, reports: Sequence[BatchReport]) -> list[str]:
-    """Failure messages for explicit minima plus the no-forging agreement contract."""
+    """Failure messages for explicit minima plus the contract that safe strategies always agree."""
     failures: list[str] = []
     for i, rep in enumerate(reports):
         adv = rep.config.adversary
-        if adv.receiver_strategy not in FORGING_RECEIVER_STRATEGIES and rep.agreement_count != rep.trials:
+        acting = {adv.sender_strategy if party == SENDER else adv.receiver_strategy for party in adv.controlled}
+        if acting <= AGREEMENT_SAFE_STRATEGIES and rep.agreement_count != rep.trials:
             failures.append(
-                f"batch {i}: {rep.trials - rep.agreement_count} agreement violations under a non-forging "
-                f"adversary (sender={adv.sender_strategy}, receiver={adv.receiver_strategy}); this is a bug"
+                f"batch {i}: {rep.trials - rep.agreement_count} agreement violations under strategies that cannot "
+                f"break agreement (sender={adv.sender_strategy}, receiver={adv.receiver_strategy}); this is a bug"
             )
         for rate_name, minimum in sorted(scenario.require.items()):
             actual = getattr(rep, rate_name)

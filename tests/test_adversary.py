@@ -19,6 +19,7 @@ from dbasim.adversary import (
     forge_success_closed_form,
     resolve_bribes,
 )
+from dbasim.harness import SimConfig, run_batch
 from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_positions
 from dbasim.protocol import BOT, Claim, check_claim, make_claim
 from forgeoracle import forge_success_oracle
@@ -323,6 +324,75 @@ def test_one_forge_call_equals_a_loop_of_single_target_calls(seed, m, d, leaked,
     }
     assert claims == singles == reference
     assert together.getstate() == one_by_one.getstate() == by_position.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([6, 12, 60]),
+    leaked=st.sampled_from([(), (0,), (1,), (0, 1)]),
+    sender=st.sampled_from(["none", "honest", "junk"]),
+)
+def test_forgers_sharing_one_knowledge_forge_as_with_one_each(seed, m, leaked, sender):
+    # the trial's forgers 5-8 aim at 2-4, two of them at the opposite bit
+    segs, lists = _setup(m=m, d=2, receivers=7, seed=seed)
+    dists = sorted(segs)
+    shared = _knowledge(segs, disclosed=[dists[i] for i in leaked], controlled=(5, 6, 7, 8))._replace(memo={})
+    total = lists[1].length
+    junk = random.Random(seed)
+    sender_claim = {
+        "none": None,
+        "honest": make_claim(0, lists[1]),
+        "junk": Claim(0, sum(1 << x for x in junk.sample(range(total), total // 3))),
+    }[sender]
+    for forger, bit in ((5, 1), (6, 0), (7, 1), (8, 0)):
+        alone, together = random.Random(seed + forger), random.Random(seed + forger)
+        fresh = shared._replace(memo={})
+        want = forge_claim(bit, lists[forger], sender_claim, fresh, (2, 3, 4), alone)
+        assert forge_claim(bit, lists[forger], sender_claim, shared, (2, 3, 4), together) == want
+        assert together.getstate() == alone.getstate()
+        assert forge_claim(bit, lists[forger], sender_claim, shared._replace(memo=None), (2, 3, 4), random.Random(0)) == (
+            forge_claim(bit, lists[forger], sender_claim, fresh, (2, 3, 4), random.Random(0))
+        )
+    assert {key for key in shared.memo if key != "covered"} == {(k, bit) for k in (2, 3, 4) for bit in (0, 1)}
+
+
+def test_knowledges_built_without_a_memo_share_none():
+    segs, lists = _setup(m=12, d=2)
+    leaky = _knowledge(segs, disclosed=sorted(segs), controlled=(4,))
+    blind = _knowledge(segs, controlled=(4,))
+    assert leaky.memo is None and blind.memo is None
+    forge_claim(1, lists[4], None, leaky, (2, 3), random.Random(1))
+    # the blind forger must still guess, as with a memo of its own
+    assert forge_claim(1, lists[4], None, blind, (2, 3), random.Random(2)) == forge_claim(
+        1, lists[4], None, blind._replace(memo={}), (2, 3), random.Random(2)
+    )
+    assert leaky.memo is None and blind.memo is None
+    spec = AdversarySpec(controlled=frozenset({4}))
+    first, second = (resolve_bribes(spec, None, segs, lists) for _ in range(2))
+    assert first.memo == {} == second.memo and first.memo is not second.memo
+
+
+def test_a_forge_heavy_trial_finds_each_known_part_once(monkeypatch):
+    # n=8, forgers 5-8 aim at 2-4, both distributors bribed: 3 distinct
+    # (target, bit) known parts and one covered mask per trial, not 12 and 4
+    calls = {"known_positions": 0, "covered": 0}
+    for name in calls:
+        real = getattr(Knowledge, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Knowledge, name, counted)
+    spec = AdversarySpec(
+        controlled=frozenset({5, 6, 7, 8}), bribed=frozenset({9, 10}), disclosure_probability=0.5, receiver_strategy="forge"
+    )
+    cfg = SimConfig(participants=8, distributors=2, segment_length=60, adversary=spec, trials=40)
+    rep = run_batch(cfg)
+    assert rep.forge_attempts == 40 * 4 * 3
+    assert calls["known_positions"] == 40 * 3
+    assert 0 < calls["covered"] <= 40
 
 
 # --- strategy dispatch ---------------------------------------------------------

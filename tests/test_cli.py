@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import dbasim
-from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
+from dbasim.adversary import AdversarySpec, RECEIVER_STRATEGIES, SENDER_STRATEGIES
 from dbasim.cli import (
     BUILTIN_SCENARIOS,
     DEFAULTS,
@@ -25,6 +25,7 @@ from dbasim.cli import (
     main,
     parse_config,
     run_scenario,
+    _check_requirements,
 )
 from dbasim.harness import SimConfig, run_batch, run_trial
 from dbasim.protocol import DECIDE_RULES
@@ -174,6 +175,52 @@ def test_agreement_violations_without_forging_would_fail_the_run():
     out = io.StringIO()
     assert run_scenario(s, out) == 0
     assert "REQUIREMENT FAILED" not in out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--controlled", "5", "--receiver-strategy", "random-junk"],
+        ["--controlled", "1", "--sender-strategy", "random-junk"],
+    ],
+    ids=["junk-receiver", "junk-sender"],
+)
+def test_random_junk_breaking_agreement_is_no_bug(capsys, argv):
+    # a blind claim passes a check whenever the target holds its bit at every
+    # claimed position, which is likely at m=6: agreement is about 0.73 with
+    # the junk receiver and 0.95 with the junk sender
+    shape = ["--receivers", "4", "--distributors", "1", "--segment-length", "6", "--trials", "2000"]
+    assert main([*shape, *argv, "--output", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert "this is a bug" not in out and "REQUIREMENT FAILED" not in out
+    assert json.loads(out)["agreement_rate"] < 0.99
+
+
+@pytest.mark.parametrize(
+    "controlled, sender, receiver, covered",
+    [
+        ((), "random-junk", "forge", True),  # nobody acts, so every trial must agree
+        ((1,), "honest-mimic", "honest-mimic", True),
+        ((1,), "silent", "honest-mimic", True),
+        ((1,), "flag-always", "honest-mimic", True),
+        ((1,), "equivocate", "honest-mimic", True),
+        ((5,), "random-junk", "honest-mimic", True),  # the junk sender is not controlled
+        ((5,), "honest-mimic", "silent", True),
+        ((5,), "honest-mimic", "flag-always", True),
+        ((1, 5), "equivocate", "silent", True),
+        ((1,), "random-junk", "honest-mimic", False),
+        ((5,), "honest-mimic", "random-junk", False),
+        ((5,), "honest-mimic", "forge", False),
+        ((5,), "honest-mimic", "omniscient-forge", False),
+        ((1, 5), "equivocate", "random-junk", False),
+    ],
+)
+def test_agreement_contract_covers_exactly_the_strategies_that_cannot_break_it(controlled, sender, receiver, covered):
+    spec = AdversarySpec(controlled=frozenset(controlled), sender_strategy=sender, receiver_strategy=receiver)
+    rep = run_batch(SimConfig(participants=5, distributors=1, segment_length=6, adversary=spec, trials=4))
+    short = rep._replace(agreement_count=rep.trials - 1)  # a fabricated shortfall
+    failures = _check_requirements(parse_config({}), [short])
+    assert [("this is a bug" in f) for f in failures] == ([True] if covered else [])
 
 
 def test_machine_output_is_one_json_record_per_batch():

@@ -1069,3 +1069,8 @@ def test_knowledge_reaches_no_undisclosed_segment_coin_store_or_rng(monkeypatch,
     assert len(handed) == 12 and all(isinstance(know, Knowledge) for know in handed)
     if cfg.adversary.bribed:
         assert any(know.disclosed for know in handed)
+    # walked again once the trial's forgers have filled its memo
+    for know in handed:
+        _check_closed(know)
+    if cfg.adversary.receiver_strategy == "forge":
+        assert all(know.memo for know in handed)
