@@ -346,14 +346,11 @@ def test_forgers_sharing_one_knowledge_forge_as_with_one_each(seed, m, leaked, s
         "junk": Claim(0, sum(1 << x for x in junk.sample(range(total), total // 3))),
     }[sender]
     for forger, bit in ((5, 1), (6, 0), (7, 1), (8, 0)):
-        alone, together = random.Random(seed + forger), random.Random(seed + forger)
-        fresh = shared._replace(memo={})
-        want = forge_claim(bit, lists[forger], sender_claim, fresh, (2, 3, 4), alone)
+        alone, together, unshared = (random.Random(seed + forger) for _ in range(3))
+        want = forge_claim(bit, lists[forger], sender_claim, shared._replace(memo={}), (2, 3, 4), alone)
         assert forge_claim(bit, lists[forger], sender_claim, shared, (2, 3, 4), together) == want
-        assert together.getstate() == alone.getstate()
-        assert forge_claim(bit, lists[forger], sender_claim, shared._replace(memo=None), (2, 3, 4), random.Random(0)) == (
-            forge_claim(bit, lists[forger], sender_claim, fresh, (2, 3, 4), random.Random(0))
-        )
+        assert forge_claim(bit, lists[forger], sender_claim, shared._replace(memo=None), (2, 3, 4), unshared) == want
+        assert together.getstate() == alone.getstate() == unshared.getstate()
     assert {key for key in shared.memo if key != "covered"} == {(k, bit) for k in (2, 3, 4) for bit in (0, 1)}
 
 
