@@ -16,7 +16,7 @@ from .listgen import (
 )
 from .protocol import ABORT, BOT, Bot, Claim, Decision, check_claim, class_relay, decide, make_claim, relay_step
 from .adversary import AdversarySpec, Knowledge, forge_claim, resolve_bribes
-from .harness import BatchReport, SimConfig, TrialReport, run_batch, run_trial
+from .harness import BatchReport, SimConfig, TrialPlan, TrialReport, run_batch, run_trial, trial_plan
 
 __all__ = [
     "ABORT",
@@ -30,6 +30,7 @@ __all__ = [
     "Knowledge",
     "Segment",
     "SimConfig",
+    "TrialPlan",
     "TrialReport",
     "check_claim",
     "class_relay",
@@ -43,6 +44,7 @@ __all__ = [
     "resolve_bribes",
     "run_batch",
     "run_trial",
+    "trial_plan",
 ]
 
 __version__ = "0.1.0"

@@ -87,15 +87,11 @@ class SimConfig(NamedTuple):
     master_seed: int = 42
     decide_rule: str = "literal"
 
-    @property
-    def receivers(self) -> tuple[int, ...]:
-        return tuple(range(2, self.participants + 1))
-
-    @property
-    def distributor_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.participants + 1, self.participants + 1 + self.distributors))
-
     def validate(self) -> None:
+        for field in ("participants", "distributors", "segment_length", "sender_input", "trials", "master_seed"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.participants < 3:
             raise ValueError(f"participants must be at least 3 (one sender, two receivers), got {self.participants}")
         if self.distributors < 1:
@@ -119,13 +115,12 @@ class SimConfig(NamedTuple):
 
 
 class TrialReport(NamedTuple):
-    """One trial's outcome; :attr:`decisions` lays ``classes``, one ``(members, decision)`` pair per
-    decided class of honest receivers, over the plan's per-party ``template``."""
+    """One trial of ``plan``; :attr:`decisions` lays ``classes``, one ``(members, decision)`` pair per
+    decided class of honest receivers, over the plan's per-party decisions."""
 
     trial: int
-    controlled: tuple[int, ...]
+    plan: TrialPlan
     disclosed: tuple[bool, ...]
-    template: Mapping[int, Optional[Decision]]
     classes: Sequence[tuple[Sequence[int], Decision]]
     agreement: bool
     validity: Optional[bool]
@@ -138,14 +133,14 @@ class TrialReport(NamedTuple):
     @property
     def decisions(self) -> dict[int, Optional[Decision]]:
         """Every party's decision: None for a controlled party, each class's for its members."""
-        return {**self.template, **{k: decision for members, decision in self.classes for k in members}}
+        return {**self.plan.decisions, **{k: decision for members, decision in self.classes for k in members}}
 
     def to_record(self) -> dict:
         rec = {
             "schema_version": SCHEMA_VERSION,
             "record": "trial",
             "trial": self.trial,
-            "controlled": list(self.controlled),
+            "controlled": list(self.plan.controlled),
             "disclosed": list(self.disclosed),
             "decisions": {str(p): render_decision(d) for p, d in sorted(self.decisions.items())},
             "agreement": self.agreement,
@@ -161,13 +156,14 @@ class TrialReport(NamedTuple):
 
 
 class TrialPlan(NamedTuple):
-    """What every trial of a batch takes from the config alone; :func:`trial_plan` builds it.
+    """What every trial of a batch takes from its ``config`` alone; :func:`trial_plan` builds it.
 
     ``relayers`` are the controlled receivers, ascending, and ``audience``
     whom they address without a transcript; ``undisclosed`` is ``disclosed``
     for an unbribed batch, and None when some distributor is bribed.
     """
 
+    config: SimConfig
     distributors: tuple[int, ...]
     receivers: tuple[int, ...]
     honest_receivers: tuple[int, ...]
@@ -186,13 +182,14 @@ def trial_plan(cfg: SimConfig) -> TrialPlan:
     receiver without changing any message to an honest receiver.
     """
     cfg.validate()
-    controlled, receivers = cfg.adversary.controlled, cfg.receivers
+    controlled, receivers = cfg.adversary.controlled, tuple(range(2, cfg.participants + 1))
     honest = tuple(k for k in receivers if k not in controlled)
     decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
     if SENDER not in controlled:
         decisions[SENDER] = Decision(cfg.sender_input)  # the honest sender outputs its own input
     return TrialPlan(
-        distributors=cfg.distributor_indices,
+        config=cfg,
+        distributors=tuple(range(cfg.participants + 1, cfg.participants + 1 + cfg.distributors)),
         receivers=receivers,
         honest_receivers=honest,
         relayers=tuple(sorted(controlled.difference((SENDER,)))),
@@ -203,20 +200,17 @@ def trial_plan(cfg: SimConfig) -> TrialPlan:
     )
 
 
-def run_trial(
-    cfg: SimConfig, trial: int, capture_transcript: bool = False, plan: Optional[TrialPlan] = None
-) -> TrialReport:
-    """Execute one protocol instance, deterministically in (master_seed, trial).
+def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> TrialReport:
+    """Execute one protocol instance of ``plan``, deterministically in (master_seed, trial).
 
     List generation, bribery coins, and each adversary party draw from
     independent derived streams, so changing one stream's consumption never
     disturbs the others; the bribery stream is derived only when a
-    distributor is bribed, since nothing else reads it.  ``plan`` is
-    ``trial_plan(cfg)``, built here (validating ``cfg``) when not given.
-    The adversary's Knowledge is built only when some party is controlled or
-    some distributor bribed; honest receivers relay and decide per class.
+    distributor is bribed, since nothing else reads it.  The adversary's
+    Knowledge is built only when some party is controlled or some
+    distributor bribed; honest receivers relay and decide per class.
     """
-    plan = plan or trial_plan(cfg)
+    cfg = plan.config
     spec = cfg.adversary
     controlled = spec.controlled
     receivers, honest_receivers = plan.receivers, plan.honest_receivers
@@ -343,9 +337,8 @@ def run_trial(
 
     return TrialReport(
         trial=trial,
-        controlled=plan.controlled,
+        plan=plan,
         disclosed=plan.undisclosed or tuple(dist in knowledge.disclosed for dist in plan.distributors),
-        template=plan.decisions,
         classes=classes,
         agreement=len(values) <= 1,
         validity=None if controlled else valid,
@@ -486,7 +479,7 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
     attempts = successes = 0
     full_know = 0
     for t in range(cfg.trials):
-        rep = run_trial(cfg, t, capture_transcript=on_trial is not None, plan=plan)
+        rep = run_trial(plan, t, capture_transcript=on_trial is not None)
         agreement += rep.agreement
         if rep.agreement and rep.classes[0][1].aborted:  # every honest party holds the one distinct value
             all_abort += 1

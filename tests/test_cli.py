@@ -27,7 +27,7 @@ from dbasim.cli import (
     run_scenario,
     _check_requirements,
 )
-from dbasim.harness import SimConfig, run_batch, run_trial
+from dbasim.harness import SimConfig, run_batch, run_trial, trial_plan
 from dbasim.protocol import DECIDE_RULES
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -293,7 +293,7 @@ def test_emitted_lines_are_the_records_in_one_json_spelling(tmp_path):
         json.dumps(run_batch(cfg).to_record(), sort_keys=True, separators=(",", ":")) for cfg in configs
     ]
     assert path.read_text().splitlines() == [
-        json.dumps({"batch": b, **run_trial(cfg, t, capture_transcript=True).to_record()}, sort_keys=True, separators=(",", ":"))
+        json.dumps({"batch": b, **run_trial(trial_plan(cfg), t, capture_transcript=True).to_record()}, sort_keys=True, separators=(",", ":"))
         for b, cfg in enumerate(configs)
         for t in range(cfg.trials)
     ]

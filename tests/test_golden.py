@@ -19,7 +19,7 @@ from pathlib import Path
 
 from dbasim.adversary import AdversarySpec
 from dbasim.cli import BUILTIN_SCENARIOS, build_config, load_builtin_scenario
-from dbasim.harness import SimConfig, run_batch, run_trial
+from dbasim.harness import SimConfig, run_batch, run_trial, trial_plan
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.jsonl"
 SEED = 7
@@ -97,10 +97,10 @@ def golden_lines() -> list[tuple[str, str]]:
         out.append((label, run_batch(cfg).canonical_json()))
     for label in TRANSCRIPT_CONFIGS:
         for t in TRANSCRIPT_TRIALS:
-            record = run_trial(EXTRA_CONFIGS[label], t, capture_transcript=True).to_record()
+            record = run_trial(trial_plan(EXTRA_CONFIGS[label]), t, capture_transcript=True).to_record()
             out.append((f"{label} trial {t}", json.dumps(record, sort_keys=True, separators=(",", ":"))))
     for t, (sender, receiver) in enumerate(strategy_pairs()):  # pair i pins trial i
-        record = run_trial(pair_config(sender, receiver), t, capture_transcript=True).to_record()
+        record = run_trial(trial_plan(pair_config(sender, receiver)), t, capture_transcript=True).to_record()
         label = f"{sender} sender, {receiver} receivers trial {t}"
         out.append((label, json.dumps(record, sort_keys=True, separators=(",", ":"))))
     return out

@@ -87,7 +87,7 @@ def test_the_bribery_stream_is_derived_only_when_a_distributor_is_bribed(monkeyp
         return real(master_seed, trial, purpose, *labels)
 
     monkeypatch.setattr(dbasim.harness, "derive_rng", recording)
-    run_trial(_cfg(participants=4, **kw), 0)
+    run_trial(trial_plan(_cfg(participants=4, **kw)), 0)
     assert purposes.count("bribes") == bribe_streams
     assert purposes.count("segment") == 2
 
@@ -105,6 +105,13 @@ def test_the_bribery_stream_is_derived_only_when_a_distributor_is_bribed(monkeyp
         (dict(sender_input=2), "sender input must be 0 or 1"),
         (dict(trials=0), "trials must be at least 1"),
         (dict(decide_rule="loose"), "decide rule must be"),
+        (dict(sender_input=True), "sender_input must be an integer, got True"),
+        (dict(participants=False), "participants must be an integer, got False"),
+        (dict(distributors=2.0), "distributors must be an integer, got 2.0"),
+        (dict(segment_length=12.0), "segment_length must be an integer, got 12.0"),
+        (dict(trials="5"), "trials must be an integer, got '5'"),
+        (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+        (dict(master_seed=True), "master_seed must be an integer, got True"),
     ],
 )
 def test_config_validation_names_the_offending_field(kw, message):
@@ -135,7 +142,11 @@ def test_a_trial_run_alone_rejects_what_its_batch_rejects(kw, message):
     cfg = _cfg(participants=4, **kw)
     with pytest.raises(ValueError, match=message) as from_batch:
         run_batch(cfg)
-    starts = [lambda: trial_plan(cfg), lambda: run_trial(cfg, 0), lambda: run_trial(cfg, 0, capture_transcript=True)]
+    starts = [
+        lambda: trial_plan(cfg),
+        lambda: run_trial(trial_plan(cfg), 0),
+        lambda: run_trial(trial_plan(cfg), 0, capture_transcript=True),
+    ]
     for start in starts:
         with pytest.raises(ValueError) as alone:
             start()
@@ -143,9 +154,18 @@ def test_a_trial_run_alone_rejects_what_its_batch_rejects(kw, message):
 
 
 def test_config_derived_layout():
-    cfg = SimConfig(participants=4, distributors=3, segment_length=12)
-    assert cfg.receivers == (2, 3, 4)
-    assert cfg.distributor_indices == (5, 6, 7)
+    plan = trial_plan(SimConfig(participants=4, distributors=3, segment_length=12))
+    assert plan.receivers == (2, 3, 4)
+    assert plan.distributors == (5, 6, 7)
+
+
+def test_a_trial_takes_its_config_only_from_its_plan():
+    # a config beside a plan could disagree with it: this config has two
+    # honest participants, which validation rejects, and the plan has none
+    # controlled, so a trial of both would report parties 2 and 3 as honest
+    cfg = _cfg(participants=4, controlled={2, 3})
+    with pytest.raises(TypeError):
+        run_trial(cfg, 0, plan=trial_plan(SimConfig(participants=4)))
 
 
 # --- the paper's properties -----------------------------------------------------
@@ -172,10 +192,10 @@ def test_an_honest_sender_splits_from_receivers_that_miss_its_input(monkeypatch,
     # the honest sender outputs its input, so receivers deciding anything
     # else break agreement and, where they apply, validity and honest success
     calls = _decide_as(monkeypatch, decided)
-    rep = run_trial(SimConfig(sender_input=1), 0)
+    rep = run_trial(trial_plan(SimConfig(sender_input=1)), 0)
     assert len(calls) == 1 and rep.classes[0][1] == decided
     assert rep.agreement is holds and rep.validity is holds and rep.honest_success is holds
-    rep = run_trial(_cfg(participants=5, controlled={5}, receiver_strategy="silent"), 0)
+    rep = run_trial(trial_plan(_cfg(participants=5, controlled={5}, receiver_strategy="silent")), 0)
     assert rep.agreement is holds and rep.validity is None and rep.honest_success is holds
 
 
@@ -194,7 +214,7 @@ def test_a_controlled_senders_receivers_agree_only_on_one_value(monkeypatch, out
     # a junk-sending relayer gives every honest receiver its own inbox, so
     # each of the four decides alone and the scripted decisions can split
     calls = _decide_as(monkeypatch, *outcomes)
-    rep = run_trial(_cfg(participants=6, controlled={1, 6}, receiver_strategy="random-junk"), 0)
+    rep = run_trial(trial_plan(_cfg(participants=6, controlled={1, 6}, receiver_strategy="random-junk")), 0)
     assert len(calls) == len(rep.classes) == 4
     assert rep.agreement is agreement
     assert rep.validity is None and rep.honest_success is None
@@ -231,18 +251,18 @@ def test_batch_counts_follow_the_trials_and_the_config(monkeypatch, kw, decided,
 
 
 def test_all_honest_trial_decides_the_input_everywhere():
-    rep = run_trial(SimConfig(sender_input=1), 0)
+    rep = run_trial(trial_plan(SimConfig(sender_input=1)), 0)
     assert rep.decisions == {1: Decision(1), 2: Decision(1), 3: Decision(1), 4: Decision(1)}
     assert rep.agreement and rep.validity and rep.honest_success
     assert rep.forge_attempts == 0 and not rep.full_knowledge
-    rep = run_trial(SimConfig(sender_input=0), 3)
+    rep = run_trial(trial_plan(SimConfig(sender_input=0)), 3)
     assert rep.decisions[2] == Decision(0)
 
 
 def test_equivocating_sender_forces_all_receivers_to_abort():
     cfg = _cfg(controlled={1}, sender_strategy="equivocate")
     for t in range(5):
-        rep = run_trial(cfg, t)
+        rep = run_trial(trial_plan(cfg), t)
         assert rep.decisions[1] is None  # controlled party outputs nothing
         assert rep.decisions[2] is ABORT and rep.decisions[3] is ABORT and rep.decisions[4] is ABORT
         assert rep.agreement
@@ -251,7 +271,7 @@ def test_equivocating_sender_forces_all_receivers_to_abort():
 
 def test_silent_receiver_still_lets_honest_parties_decide():
     cfg = _cfg(controlled={4}, receiver_strategy="silent")
-    rep = run_trial(cfg, 1, capture_transcript=True)
+    rep = run_trial(trial_plan(cfg), 1, capture_transcript=True)
     assert rep.decisions[2] == Decision(1) and rep.decisions[3] == Decision(1)
     assert rep.agreement and rep.honest_success
     assert rep.validity is None
@@ -261,23 +281,23 @@ def test_silent_receiver_still_lets_honest_parties_decide():
 
 def test_silent_sender_aborts_everywhere():
     cfg = _cfg(controlled={1}, sender_strategy="silent")
-    rep = run_trial(cfg, 0)
+    rep = run_trial(trial_plan(cfg), 0)
     assert rep.decisions[2] is ABORT and rep.decisions[3] is ABORT and rep.decisions[4] is ABORT
     assert rep.agreement
 
 
 def test_trials_are_deterministic_and_self_contained():
     cfg = _cfg(controlled={4}, receiver_strategy="forge", distributors=1, segment_length=6, trials=10)
-    a = run_trial(cfg, 7, capture_transcript=True)
-    b = run_trial(cfg, 7, capture_transcript=True)
+    a = run_trial(trial_plan(cfg), 7, capture_transcript=True)
+    b = run_trial(trial_plan(cfg), 7, capture_transcript=True)
     assert a == b
     kept = []
     run_batch(cfg, on_trial=kept.append)
-    assert kept[7] == run_trial(cfg, 7, capture_transcript=True)
+    assert kept[7] == run_trial(trial_plan(cfg), 7, capture_transcript=True)
 
 
 def test_transcript_covers_both_rounds():
-    rep = run_trial(SimConfig(segment_length=6, distributors=1), 0, capture_transcript=True)
+    rep = run_trial(trial_plan(SimConfig(segment_length=6, distributors=1)), 0, capture_transcript=True)
     round1 = [ln for ln in rep.transcript if ln.startswith("1 ")]
     round2 = [ln for ln in rep.transcript if ln.startswith("2 ")]
     assert len(round1) == 3  # sender to each receiver
@@ -301,7 +321,7 @@ def _record_renders(monkeypatch):
 def _renders(rendered, cfg, trial):
     """How many messages one transcribed trial renders, each object at most once."""
     rendered.clear()
-    rep = run_trial(cfg, trial, capture_transcript=True)
+    rep = run_trial(trial_plan(cfg), trial, capture_transcript=True)
     assert len(rep.transcript) == (cfg.participants - 1) * cfg.participants
     # the rendered objects are kept alive in ``rendered``, so equal ids mean one object
     assert len({id(msg) for msg in rendered}) == len(rendered), "an object was rendered twice"
@@ -345,7 +365,7 @@ def test_a_forging_transcript_renders_each_distinct_object_once(monkeypatch):
 
 
 def test_trial_report_serialization_round_trip_fields():
-    rep = run_trial(_cfg(controlled={1}, sender_strategy="silent"), 2, capture_transcript=True)
+    rep = run_trial(trial_plan(_cfg(controlled={1}, sender_strategy="silent")), 2, capture_transcript=True)
     rec = rep.to_record()
     assert rec["schema_version"] == 1 and rec["record"] == "trial"
     assert rec["decisions"]["1"] == "NA"
@@ -389,27 +409,28 @@ def test_grouped_decisions_match_the_full_inbox_reference(sender_strategy, recei
         )
         cfg.validate()
         for trial in range(4):
-            _assert_reference_decisions(cfg, trial, run_trial(cfg, trial, capture_transcript=True))
+            _assert_reference_decisions(cfg, trial, run_trial(trial_plan(cfg), trial, capture_transcript=True))
 
 
 def _reference_decisions(cfg, trial, rep):
     """Every party's decision, party by party: None for a controlled party, the honest sender's input,
     and ``reference_decide`` on each honest receiver's full round-2 inbox, read from ``rep``'s transcript."""
-    inboxes = {k: {} for k in cfg.receivers}
+    plan = trial_plan(cfg)
+    inboxes = {k: {} for k in plan.receivers}
     for line in rep.transcript:
         stage, j, k, text = line.split()
         if stage == "2":
             inboxes[int(k)][int(j)] = _parse_message(text)
     segments = [
         generate_segment(cfg.segment_length, cfg.participants - 1, derive_rng(cfg.master_seed, trial, "segment", dist))
-        for dist in cfg.distributor_indices
+        for dist in plan.distributors
     ]
     lists = combined_lists_from_segments(segments)
     controlled = cfg.adversary.controlled
     reference = dict.fromkeys(range(1, cfg.participants + 1))
     if 1 not in controlled:
         reference[1] = Decision(cfg.sender_input)
-    for k in cfg.receivers:
+    for k in plan.receivers:
         if k not in controlled:
             reference[k] = reference_decide(inboxes[k], lists[k], cfg.decide_rule)
     return reference
@@ -451,9 +472,9 @@ def test_trials_without_a_transcript_equal_trials_with_one(receiver_strategy, br
     for participants, controlled in _AUDIENCE_SETS:
         cfg = _audience_cfg(participants, controlled, receiver_strategy, bribed)
         for trial in range(6):
-            full = run_trial(cfg, trial, capture_transcript=True)
+            full = run_trial(trial_plan(cfg), trial, capture_transcript=True)
             assert full.transcript
-            assert run_trial(cfg, trial) == full._replace(transcript=None), (participants, controlled, trial)
+            assert run_trial(trial_plan(cfg), trial) == full._replace(transcript=None), (participants, controlled, trial)
             attempts += full.forge_attempts
     if receiver_strategy == "forge" or (receiver_strategy == "omniscient-forge" and bribed):
         assert attempts
@@ -472,14 +493,15 @@ def test_round2_strategies_address_receivers_up_to_the_last_honest_one(monkeypat
     monkeypatch.setattr(dbasim.harness, "adversary_act", recording)
     for participants, controlled in _AUDIENCE_SETS:
         cfg = _audience_cfg(participants, controlled, receiver_strategy, bribed=True)
-        last_honest = max(k for k in cfg.receivers if k not in controlled)
+        receivers = trial_plan(cfg).receivers
+        last_honest = max(k for k in receivers if k not in controlled)
         relayers = len(controlled - {1})
         audiences.clear()
         run_batch(cfg._replace(trials=4))
         assert audiences == [tuple(range(2, last_honest + 1))] * (4 * relayers)
         audiences.clear()
         run_batch(cfg._replace(trials=4), on_trial=lambda rep: None)
-        assert audiences == [cfg.receivers] * (4 * relayers)
+        assert audiences == [receivers] * (4 * relayers)
 
 
 @pytest.mark.parametrize("sender_strategy", ["honest-mimic", "equivocate", "random-junk"])
@@ -501,7 +523,7 @@ def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypa
         master_seed=11,
     )
     cfg.validate()
-    unchanged = [run_trial(cfg, trial, capture_transcript=True) for trial in range(16)]
+    unchanged = [run_trial(trial_plan(cfg), trial, capture_transcript=True) for trial in range(16)]
     real = dbasim.harness.adversary_act
 
     def reshaped(spec, party, incoming, know, receivers, rng):
@@ -521,11 +543,11 @@ def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypa
 
     monkeypatch.setattr(dbasim.harness, "adversary_act", reshaped)
     monkeypatch.setattr(dbasim.harness, "class_relay", counting_class_relay)
-    honest_receivers = [k for k in cfg.receivers if k not in controlled]
+    honest_receivers = [k for k in trial_plan(cfg).receivers if k not in controlled]
     split = 0  # trials where one class's members relayed differently
     for trial in range(16):
         classed.clear()
-        rep = run_trial(cfg, trial, capture_transcript=True)
+        rep = run_trial(trial_plan(cfg), trial, capture_transcript=True)
         _assert_reference_decisions(cfg, trial, rep)
         if shape == "copies":
             # the receivers decide in classes of one, to the same per-party decisions
@@ -577,10 +599,10 @@ def test_forging_decide_calls_get_one_pair_per_distinct_honest_relay_and_forger(
     )
     for trial in range(6):
         sizes.clear()
-        rep = run_trial(cfg, trial, capture_transcript=True)
+        rep = run_trial(trial_plan(cfg), trial, capture_transcript=True)
         honest_relays = {ln.split()[3] for ln in rep.transcript if ln.startswith("2 ") and int(ln.split()[1]) not in forgers}
         assert len(sizes) == 3
-        assert max(sizes) <= len(honest_relays) + len(forgers) < len(cfg.receivers)
+        assert max(sizes) <= len(honest_relays) + len(forgers) < cfg.participants - 1
 
 
 @pytest.fixture
@@ -653,7 +675,7 @@ def test_inboxes_with_claims_no_honest_receiver_relayed_are_decided_on_own_lists
     )
     cfg.validate()
     for trial in range(4):
-        _assert_reference_decisions(cfg, trial, run_trial(cfg, trial, capture_transcript=True))
+        _assert_reference_decisions(cfg, trial, run_trial(trial_plan(cfg), trial, capture_transcript=True))
 
 
 @pytest.mark.parametrize(
@@ -733,12 +755,13 @@ def test_a_trial_run_alone_equals_the_record_its_batch_streams(sender_strategy, 
         )
         streamed = []
         run_batch(cfg, on_trial=lambda rep: streamed.append(rep.to_record()))
-        reports = [run_trial(cfg, t, capture_transcript=True) for t in range(cfg.trials)]
+        reports = [run_trial(trial_plan(cfg), t, capture_transcript=True) for t in range(cfg.trials)]
         assert [rep.to_record() for rep in reports] == streamed
+        assert all(rep.plan.config == cfg for rep in reports)
         for t, rep in enumerate(reports):  # the classes expand to the per-party reference
             assert rep.decisions == _reference_decisions(cfg, t, rep)
         untranscribed = [{k: v for k, v in rec.items() if k != "transcript"} for rec in streamed]
-        assert [run_trial(cfg, t).to_record() for t in range(cfg.trials)] == untranscribed
+        assert [run_trial(trial_plan(cfg), t).to_record() for t in range(cfg.trials)] == untranscribed
 
 
 @pytest.mark.parametrize("participants, distributors, segment_length", [(200, 2, 60), (997, 1, 6)])
@@ -746,13 +769,13 @@ def test_an_all_honest_trial_holds_one_decided_class(participants, distributors,
     cfg = _cfg(participants=participants, distributors=distributors, segment_length=segment_length, trials=2)
     plan = trial_plan(cfg)
     for trial in range(cfg.trials):
-        rep = run_trial(cfg, trial, plan=plan)
+        rep = run_trial(plan, trial)
         assert len(rep.classes) == 1
         members, decision = rep.classes[0]
         assert list(members) == list(range(2, participants + 1)) and decision == Decision(1)
-        assert rep.template is plan.decisions  # shared, not copied per trial, and so read-only
+        assert rep.plan is plan  # shared, not copied per trial, so its decisions are read-only
         with pytest.raises(TypeError):
-            rep.template[1] = None
+            rep.plan.decisions[1] = None
         assert rep.decisions == dict.fromkeys(range(1, participants + 1), Decision(1))
 
 
@@ -949,11 +972,12 @@ def _run_redrawn(monkeypatch, cfg, trial, salts):
     segment gets its honest receivers' discord bits redrawn from the
     ``(seed, trial, "perturb", dist, salt)`` stream, ascending by receiver;
     everything else stays put.  ``run_trial`` generates one segment per
-    distributor in ``cfg.distributor_indices`` order, which is how the
+    distributor in the plan's ``distributors`` order, which is how the
     wrapper tells which distributor a call is for.
     """
-    honest_receivers = sorted(k for k in cfg.receivers if k not in cfg.adversary.controlled)
-    dists = iter(cfg.distributor_indices)
+    plan = trial_plan(cfg)
+    honest_receivers = sorted(k for k in plan.receivers if k not in cfg.adversary.controlled)
+    dists = iter(plan.distributors)
 
     def redrawn(m, receiver_count, rng):
         seg = generate_segment(m, receiver_count, rng)
@@ -972,7 +996,7 @@ def _run_redrawn(monkeypatch, cfg, trial, salts):
 
     with monkeypatch.context() as patch:
         patch.setattr(dbasim.harness, "generate_segment", redrawn)
-        report = run_trial(cfg, trial, capture_transcript=True)
+        report = run_trial(trial_plan(cfg), trial, capture_transcript=True)
     assert next(dists, None) is None, "run_trial generated fewer segments than there are distributors"
     return report
 
@@ -988,7 +1012,7 @@ def test_adversary_messages_ignore_undisclosed_discord_values(monkeypatch):
     # hidden bits must leave all adversary traffic untouched
     cfg = _cfg(controlled={4}, receiver_strategy="forge", trials=1)
     for trial in range(6):
-        base = run_trial(cfg, trial, capture_transcript=True)
+        base = run_trial(trial_plan(cfg), trial, capture_transcript=True)
         shuffled = _run_redrawn(monkeypatch, cfg, trial, {5: 1, 6: 2})
         assert _adversary_lines(base, {4}) == _adversary_lines(shuffled, {4})
 
@@ -997,7 +1021,7 @@ def test_adversary_messages_ignore_undisclosed_segments_under_bribery(monkeypatc
     cfg = _cfg(controlled={4}, bribed={5, 6}, disclosure_probability=0.5, receiver_strategy="omniscient-forge", trials=1)
     checked = 0
     for trial in range(20):
-        base = run_trial(cfg, trial, capture_transcript=True)
+        base = run_trial(trial_plan(cfg), trial, capture_transcript=True)
         hidden = [dist for dist, leaked in zip((5, 6), base.disclosed) if not leaked]
         if not hidden:
             continue
@@ -1013,7 +1037,7 @@ def test_full_reports_survive_redraws_when_claims_do_not_touch_discord(monkeypat
     # hidden bits fall, so even the honest side's outcome is unchanged
     cfg = _cfg(controlled={1}, sender_strategy="equivocate", trials=1)
     for trial in range(5):
-        base = run_trial(cfg, trial, capture_transcript=True)
+        base = run_trial(trial_plan(cfg), trial, capture_transcript=True)
         shuffled = _run_redrawn(monkeypatch, cfg, trial, {5: 3, 6: 4})
         assert base.decisions == shuffled.decisions
         assert base.agreement == shuffled.agreement

@@ -15,7 +15,7 @@ RECORDS = {
     "AdversarySpec": AdversarySpec,
     "Knowledge": lambda: Knowledge(segment_length=6, distributors=(5,), disclosed={}, own_lists={}),
     "SimConfig": SimConfig,
-    "TrialReport": lambda: run_trial(SimConfig(trials=1), 0),
+    "TrialReport": lambda: run_trial(trial_plan(SimConfig(trials=1)), 0),
     "BatchReport": lambda: run_batch(SimConfig(trials=2)),
     "TrialPlan": lambda: trial_plan(SimConfig()),
     "Scenario": lambda: parse_config({}),
@@ -41,9 +41,8 @@ def test_keyword_construction_fills_every_default():
     assert SimConfig().adversary == AdversarySpec()
     report = TrialReport(
         trial=0,
-        controlled=(),
+        plan=trial_plan(SimConfig(participants=3, distributors=1)),
         disclosed=(False,),
-        template={1: Decision(1)},
         classes=[((2, 3), Decision(1))],
         agreement=True,
         validity=True,

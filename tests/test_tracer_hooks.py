@@ -53,3 +53,33 @@ def test_tracer_wraps_every_target_and_restores_the_originals():
     for place in places:
         assert _target(*place) is originals[place], f"{place} was not restored"
     assert _bindings() == before
+
+
+def test_trial_spans_pass_their_trial_index_to_their_descendants():
+    # the tracer takes the trial index from run_trial's second argument,
+    # and wraps run_trial where dbasim.harness binds it; a run_batch that
+    # passed the index otherwise or reached run_trial another way would
+    # leave every span at -1, and per-trial attribution would break silently
+    import dbasim.harness
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        dbasim.harness.run_batch(dbasim.harness.SimConfig(trials=3))
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name]
+    assert [t for name, t in zip(names, tracer.trial) if name == "harness.run_trial"] == [0, 1, 2]
+    descendants = 0
+    for i, name in enumerate(names):
+        if name == "harness.run_trial":
+            continue
+        ancestor = tracer.parent[i]
+        while ancestor != -1 and names[ancestor] != "harness.run_trial":
+            ancestor = tracer.parent[ancestor]
+        if ancestor == -1:
+            assert tracer.trial[i] == -1, name
+        else:
+            assert tracer.trial[i] == tracer.trial[ancestor], name
+            descendants += 1
+    assert descendants >= 3 * 4  # per trial: two segments, the lists, the claim, the decision
