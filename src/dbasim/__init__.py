@@ -15,12 +15,11 @@ from .listgen import (
     generate_segment,
 )
 from .protocol import ABORT, BOT, Bot, Claim, Decision, check_claim, class_relay, decide, make_claim, relay_step
-from .adversary import AdversarySpec, Knowledge, forge_claim, resolve_bribes
+from .adversary import Knowledge, forge_claim, resolve_bribes
 from .harness import BatchReport, SimConfig, TrialPlan, TrialReport, run_batch, run_trial, trial_plan
 
 __all__ = [
     "ABORT",
-    "AdversarySpec",
     "BatchReport",
     "BOT",
     "Bot",

@@ -5,7 +5,9 @@ and may bribe distributors, each of which independently leaks its full
 segment with a fixed probability.  Everything a strategy does is computed
 from a :class:`Knowledge` value (leaked segments plus whatever the
 controlled parties legitimately hold), never from ground-truth lists, so
-undisclosed discord bits stay out of reach by construction.
+undisclosed discord bits stay out of reach by construction.  Who is
+controlled, who is bribed and how each behaves are fields of the batch's
+:class:`~dbasim.harness.SimConfig`.
 
 The forging attack and its exact success probability
 (:func:`forge_success_closed_form`) live here too.
@@ -24,47 +26,13 @@ from .protocol import BOT, Claim, Message, make_claim, relay_step
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .harness import SimConfig
+
 #: receiver strategies that aim fabricated claims at chosen targets and count them as forging attempts
 FORGING_RECEIVER_STRATEGIES = frozenset({"forge", "omniscient-forge"})
 #: the strategies that cannot break agreement: with only these controlled, every trial agrees.
 #: ``random-junk`` can: a blind claim passes wherever the target holds its bit at every claimed position
 AGREEMENT_SAFE_STRATEGIES = frozenset({"honest-mimic", "silent", "flag-always", "equivocate"})
-
-
-class AdversarySpec(NamedTuple):
-    """Which parties are corrupted and how they behave.
-
-    ``controlled`` holds participant indices (sender is 1), ``bribed`` holds
-    distributor indices.  Strategy names dispatch through
-    :func:`adversary_act`.
-    """
-
-    controlled: frozenset[int] = frozenset()
-    bribed: frozenset[int] = frozenset()
-    disclosure_probability: float = 0.5
-    sender_strategy: str = "honest-mimic"
-    receiver_strategy: str = "honest-mimic"
-
-    def validate(self, participants: int, distributors: int) -> None:
-        p = self.disclosure_probability
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"disclosure probability must satisfy 0 < p < 1, got {p}")
-        bad = sorted(i for i in self.controlled if not 1 <= i <= participants)
-        if bad:
-            raise ValueError(f"controlled indices {bad} fall outside participants 1..{participants}")
-        lo, hi = participants + 1, participants + distributors
-        bad = sorted(i for i in self.bribed if not lo <= i <= hi)
-        if bad:
-            raise ValueError(f"bribed indices {bad} fall outside distributors {lo}..{hi}")
-        honest = participants - len(self.controlled)
-        if honest < 3:
-            raise ValueError(f"need at least 3 honest participants, have {honest} of {participants}")
-        if self.sender_strategy not in SENDER_STRATEGIES:
-            raise ValueError(f"unknown sender strategy {self.sender_strategy!r}; known: {sorted(SENDER_STRATEGIES)}")
-        if self.receiver_strategy not in RECEIVER_STRATEGIES:
-            raise ValueError(
-                f"unknown receiver strategy {self.receiver_strategy!r}; known: {sorted(RECEIVER_STRATEGIES)}"
-            )
 
 
 class Knowledge(NamedTuple):
@@ -104,12 +72,12 @@ class Knowledge(NamedTuple):
 
 
 def resolve_bribes(
-    spec: AdversarySpec,
+    cfg: SimConfig,
     rng: Optional[Random],
     segments: Mapping[int, Segment],
     lists: Mapping[int, CombinedList],
 ) -> Knowledge:
-    """Flip each bribed distributor's disclosure coin and assemble one trial's Knowledge.
+    """Flip each of ``cfg``'s bribed distributors' disclosure coins and assemble one trial's Knowledge.
 
     Coins are independent, one per bribed distributor, drawn in ascending
     distributor order so a fixed rng state reproduces the outcome.  Unbribed
@@ -121,14 +89,14 @@ def resolve_bribes(
     distributors = tuple(sorted(segments))
     disclosed: dict[int, Segment] = {}
     for dist in distributors:
-        if dist in spec.bribed and rng.random() < spec.disclosure_probability:
+        if dist in cfg.bribed and rng.random() < cfg.disclosure_probability:
             seg = segments[dist]
             disclosed[dist] = Segment(seg.length, seg.sender_zeros, seg.sender_ones, dict(seg.receiver_ones))
     return Knowledge(
         segment_length=segments[distributors[0]].length,
         distributors=distributors,
         disclosed=disclosed,
-        own_lists={party: lists[party] for party in sorted(spec.controlled)},
+        own_lists={party: lists[party] for party in sorted(cfg.controlled)},
         memo={},
     )
 
@@ -353,15 +321,15 @@ RECEIVER_STRATEGIES = {
 
 
 def adversary_act(
-    spec: AdversarySpec, party: int, incoming: object, know: Knowledge, receivers: Sequence[int], rng: Random
+    cfg: SimConfig, party: int, incoming: object, know: Knowledge, receivers: Sequence[int], rng: Random
 ) -> Outgoing:
-    """One controlled party's round: the sender strategy for party 1, the receiver strategy otherwise.
+    """One controlled party's round: ``cfg``'s sender strategy for party 1, its receiver strategy otherwise.
 
-    ``spec`` must have passed :meth:`AdversarySpec.validate`, which rejects
-    unknown strategy names.
+    ``cfg`` must have passed :meth:`~dbasim.harness.SimConfig.validate`,
+    which rejects unknown strategy names.
     """
     if party == SENDER:
-        strategy = SENDER_STRATEGIES[spec.sender_strategy]
+        strategy = SENDER_STRATEGIES[cfg.sender_strategy]
     else:
-        strategy = RECEIVER_STRATEGIES[spec.receiver_strategy]
+        strategy = RECEIVER_STRATEGIES[cfg.receiver_strategy]
     return strategy(party, incoming, know, receivers, rng)

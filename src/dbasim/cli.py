@@ -18,13 +18,8 @@ from collections import Counter
 from functools import partial
 from typing import IO, Mapping, NamedTuple, Optional, Sequence
 
-from .adversary import (
-    AGREEMENT_SAFE_STRATEGIES,
-    AdversarySpec,
-    RECEIVER_STRATEGIES,
-    SENDER_STRATEGIES,
-)
-from .harness import BatchReport, SimConfig, TrialReport, encode_canonical, run_batch
+from .adversary import AGREEMENT_SAFE_STRATEGIES, RECEIVER_STRATEGIES, SENDER_STRATEGIES
+from .harness import BatchReport, SimConfig, TrialReport, encode_canonical, is_int, is_real, run_batch
 from .listgen import SENDER
 from .protocol import DECIDE_RULES
 
@@ -43,16 +38,8 @@ MAX_TRIAL_WORK = 10**6
 BUILTIN_SCENARIOS = ("all-honest", "equivocating-sender", "forging-receiver", "bribery", "forge-curve")
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int_list(value: object) -> bool:
-    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
+    return isinstance(value, (list, tuple)) and all(map(is_int, value))
 
 
 def _indices(text: str) -> list[int]:
@@ -72,8 +59,8 @@ def _indices_or_all(text: str) -> list[int] | str:
 #: each field kind: its type test, its description in error messages, and
 #: its flag's argparse type; bools are not numbers here, and nothing is coerced
 KINDS = {
-    "int": (_is_int, "an integer", int),
-    "real": (_is_real, "a number", float),
+    "int": (is_int, "an integer", int),
+    "real": (is_real, "a number", float),
     "indices": (_is_int_list, "a list of integers", _indices),
     "indices-or-all": (lambda v: v == "all" or _is_int_list(v), 'a list of integers or "all"', _indices_or_all),
     "str": (lambda v: isinstance(v, str), "a string", str),
@@ -141,25 +128,26 @@ class Scenario(NamedTuple):
 
 
 def build_config(point: Mapping) -> SimConfig:
-    """One sweep point's fields -> a SimConfig (participants = receivers + 1)."""
+    """One sweep point's fields -> a SimConfig; the one place scenario keys become config fields.
+
+    ``receivers`` + 1 gives ``participants``, ``seed`` gives ``master_seed``,
+    ``p`` gives ``disclosure_probability``, and ``"all"`` bribes every distributor.
+    """
     participants = point["receivers"] + 1
     distributors = point["distributors"]
     bribed = point["bribed"]
     if bribed == "all":
         bribed = list(range(participants + 1, participants + 1 + distributors))
-    spec = AdversarySpec(
-        controlled=frozenset(point["controlled"]),
-        bribed=frozenset(bribed),
-        disclosure_probability=point["p"],
-        sender_strategy=point["sender_strategy"],
-        receiver_strategy=point["receiver_strategy"],
-    )
     return SimConfig(
         participants=participants,
         distributors=distributors,
         segment_length=point["segment_length"],
         sender_input=point["sender_input"],
-        adversary=spec,
+        controlled=frozenset(point["controlled"]),
+        bribed=frozenset(bribed),
+        disclosure_probability=point["p"],
+        sender_strategy=point["sender_strategy"],
+        receiver_strategy=point["receiver_strategy"],
         trials=point["trials"],
         master_seed=point["seed"],
         decide_rule=point["decide_rule"],
@@ -225,7 +213,7 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
     if bad:
         raise ValueError(f"unknown requirement names {bad}; requirable rates: {list(REQUIRABLE)}")
     for rate_name, minimum in require.items():
-        if not _is_real(minimum) or minimum != minimum:  # NaN: every comparison with it is false
+        if not is_real(minimum) or minimum != minimum:  # NaN: every comparison with it is false
             raise ValueError(f"required minimum for {rate_name!r} must be a number, got {_clip(repr(minimum))}")
 
     for key, value in merged.items():
@@ -272,9 +260,9 @@ _COLUMNS = (
     ("n", lambda r: r.config.participants),
     ("d", lambda r: r.config.distributors),
     ("m", lambda r: r.config.segment_length),
-    ("p", lambda r: r.config.adversary.disclosure_probability),
-    ("sender", lambda r: r.config.adversary.sender_strategy),
-    ("receiver", lambda r: r.config.adversary.receiver_strategy),
+    ("p", lambda r: r.config.disclosure_probability),
+    ("sender", lambda r: r.config.sender_strategy),
+    ("receiver", lambda r: r.config.receiver_strategy),
     ("trials", lambda r: r.trials),
     ("agree", lambda r: _rate(r.agreement_rate)),
     ("abort", lambda r: _rate(r.all_abort_rate)),
@@ -305,12 +293,12 @@ def _check_requirements(scenario: Scenario, reports: Sequence[BatchReport]) -> l
     """Failure messages for explicit minima plus the contract that safe strategies always agree."""
     failures: list[str] = []
     for i, rep in enumerate(reports):
-        adv = rep.config.adversary
-        acting = {adv.sender_strategy if party == SENDER else adv.receiver_strategy for party in adv.controlled}
+        cfg = rep.config
+        acting = {cfg.sender_strategy if party == SENDER else cfg.receiver_strategy for party in cfg.controlled}
         if acting <= AGREEMENT_SAFE_STRATEGIES and rep.agreement_count != rep.trials:
             failures.append(
                 f"batch {i}: {rep.trials - rep.agreement_count} agreement violations under strategies that cannot "
-                f"break agreement (sender={adv.sender_strategy}, receiver={adv.receiver_strategy}); this is a bug"
+                f"break agreement (sender={cfg.sender_strategy}, receiver={cfg.receiver_strategy}); this is a bug"
             )
         for rate_name, minimum in sorted(scenario.require.items()):
             actual = getattr(rep, rate_name)

@@ -17,8 +17,9 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import (
-    AdversarySpec,
     FORGING_RECEIVER_STRATEGIES,
+    RECEIVER_STRATEGIES,
+    SENDER_STRATEGIES,
     adversary_act,
     forge_heuristic,
     forge_success_closed_form,
@@ -75,23 +76,51 @@ def derive_rng(master_seed: int, *labels: object) -> random.Random:
     return random.Random(seed)
 
 
+def is_int(value: object) -> bool:
+    """An int and not a bool: the type test of every integer field, here and in scenario files."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: each type test, how an error names it, and the fields it covers;
+#: ``decide_rule`` is checked by name alone
+_FIELD_TYPES = (
+    (is_int, "an integer", ("participants", "distributors", "segment_length", "sender_input", "trials", "master_seed")),
+    (lambda v: isinstance(v, frozenset) and all(map(is_int, v)), "a frozenset of integers", ("controlled", "bribed")),
+    (is_real, "a number", ("disclosure_probability",)),
+    (lambda v: isinstance(v, str), "a string", ("sender_strategy", "receiver_strategy")),
+)
+
+
 class SimConfig(NamedTuple):
-    """Everything one batch needs: sizes, input, adversary, seed, rule."""
+    """Everything one batch needs: sizes, input, adversary, seed, rule; its fields are its record's keys.
+
+    ``controlled`` holds participant indices (the sender is 1), ``bribed``
+    distributor indices, each leaking with ``disclosure_probability``.
+    """
 
     participants: int = 4
     distributors: int = 2
     segment_length: int = 12
     sender_input: int = 1
-    adversary: AdversarySpec = AdversarySpec()
+    controlled: frozenset[int] = frozenset()
+    bribed: frozenset[int] = frozenset()
+    disclosure_probability: float = 0.5
+    sender_strategy: str = "honest-mimic"
+    receiver_strategy: str = "honest-mimic"
     trials: int = 1000
     master_seed: int = 42
     decide_rule: str = "literal"
 
     def validate(self) -> None:
-        for field in ("participants", "distributors", "segment_length", "sender_input", "trials", "master_seed"):
-            value = getattr(self, field)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
+        for test, expected, fields in _FIELD_TYPES:
+            for field in fields:
+                value = getattr(self, field)
+                if not test(value):
+                    raise ValueError(f"{field} must be {expected}, got {value!r}")
         if self.participants < 3:
             raise ValueError(f"participants must be at least 3 (one sender, two receivers), got {self.participants}")
         if self.distributors < 1:
@@ -104,14 +133,30 @@ class SimConfig(NamedTuple):
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.decide_rule not in DECIDE_RULES:
             raise ValueError(f"decide rule must be one of {DECIDE_RULES}, got {self.decide_rule!r}")
-        self.adversary.validate(self.participants, self.distributors)
+        p = self.disclosure_probability
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"disclosure probability must satisfy 0 < p < 1, got {p}")
+        n = self.participants
+        bad = sorted(i for i in self.controlled if not 1 <= i <= n)
+        if bad:
+            raise ValueError(f"controlled indices {bad} fall outside participants 1..{n}")
+        lo, hi = n + 1, n + self.distributors
+        bad = sorted(i for i in self.bribed if not lo <= i <= hi)
+        if bad:
+            raise ValueError(f"bribed indices {bad} fall outside distributors {lo}..{hi}")
+        honest = n - len(self.controlled)
+        if honest < 3:
+            raise ValueError(f"need at least 3 honest participants, have {honest} of {n}")
+        if self.sender_strategy not in SENDER_STRATEGIES:
+            raise ValueError(f"unknown sender strategy {self.sender_strategy!r}; known: {sorted(SENDER_STRATEGIES)}")
+        if self.receiver_strategy not in RECEIVER_STRATEGIES:
+            raise ValueError(
+                f"unknown receiver strategy {self.receiver_strategy!r}; known: {sorted(RECEIVER_STRATEGIES)}"
+            )
 
     def to_record(self) -> dict:
-        """The flat config record: every field, the adversary's inlined, index sets sorted."""
-        rec = self._asdict()
-        adversary = rec.pop("adversary")._asdict()
-        rec.update({k: sorted(v) if isinstance(v, frozenset) else v for k, v in adversary.items()})
-        return rec
+        """The ``config`` record: every field, index sets sorted."""
+        return {**self._asdict(), "controlled": sorted(self.controlled), "bribed": sorted(self.bribed)}
 
 
 class TrialReport(NamedTuple):
@@ -182,7 +227,7 @@ def trial_plan(cfg: SimConfig) -> TrialPlan:
     receiver without changing any message to an honest receiver.
     """
     cfg.validate()
-    controlled, receivers = cfg.adversary.controlled, tuple(range(2, cfg.participants + 1))
+    controlled, receivers = cfg.controlled, tuple(range(2, cfg.participants + 1))
     honest = tuple(k for k in receivers if k not in controlled)
     decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
     if SENDER not in controlled:
@@ -196,7 +241,7 @@ def trial_plan(cfg: SimConfig) -> TrialPlan:
         audience=receivers[: receivers.index(honest[-1]) + 1],
         controlled=tuple(sorted(controlled)),
         decisions=MappingProxyType(decisions),  # shared by every report of the batch, so read-only
-        undisclosed=None if cfg.adversary.bribed else (False,) * cfg.distributors,
+        undisclosed=None if cfg.bribed else (False,) * cfg.distributors,
     )
 
 
@@ -211,8 +256,7 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
     distributor bribed; honest receivers relay and decide per class.
     """
     cfg = plan.config
-    spec = cfg.adversary
-    controlled = spec.controlled
+    controlled = cfg.controlled
     receivers, honest_receivers = plan.receivers, plan.honest_receivers
 
     ordered = [
@@ -222,9 +266,9 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
     lists = combined_lists_from_segments(ordered)
     sender_list = lists[SENDER]
     knowledge = None
-    if controlled or spec.bribed:
-        bribe_rng = derive_rng(cfg.master_seed, trial, "bribes") if spec.bribed else None
-        knowledge = resolve_bribes(spec, bribe_rng, dict(zip(plan.distributors, ordered)), lists)
+    if controlled or cfg.bribed:
+        bribe_rng = derive_rng(cfg.master_seed, trial, "bribes") if cfg.bribed else None
+        knowledge = resolve_bribes(cfg, bribe_rng, dict(zip(plan.distributors, ordered)), lists)
 
     # Round 1: the sender announces one claim per receiver.  The honest
     # receivers that got one object form a class; an honest sender's
@@ -232,7 +276,7 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
     transcript: Optional[list[str]] = [] if capture_transcript else None
     if SENDER in controlled:
         rng = derive_rng(cfg.master_seed, trial, "adversary", SENDER)
-        round1, _ = adversary_act(spec, SENDER, cfg.sender_input, knowledge, receivers, rng)
+        round1, _ = adversary_act(cfg, SENDER, cfg.sender_input, knowledge, receivers, rng)
         default = None
         round1_classes: dict[int, tuple[Optional[Message], list[int]]] = {}
         for j in honest_receivers:
@@ -282,7 +326,7 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
     audience = receivers if transcript is not None else plan.audience
     for j in plan.relayers:
         rng = derive_rng(cfg.master_seed, trial, "adversary", j)
-        targeted[j], forged = adversary_act(spec, j, round1.get(j, default), knowledge, audience, rng)
+        targeted[j], forged = adversary_act(cfg, j, round1.get(j, default), knowledge, audience, rng)
         for k in forged:
             if k not in controlled:
                 forge_attempts += 1
@@ -422,9 +466,9 @@ class BatchReport(NamedTuple):
 
     @property
     def expected_full_knowledge(self) -> float:
-        adv = self.config.adversary
-        if len(adv.bribed) == self.config.distributors:
-            return adv.disclosure_probability ** self.config.distributors
+        cfg = self.config
+        if len(cfg.bribed) == cfg.distributors:
+            return cfg.disclosure_probability ** cfg.distributors
         return 0.0
 
     @property
@@ -492,8 +536,7 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
             on_trial(rep)
 
     oracle: Optional[Fraction] = None
-    adv = cfg.adversary
-    if adv.receiver_strategy in FORGING_RECEIVER_STRATEGIES and plan.relayers and not adv.bribed:
+    if cfg.receiver_strategy in FORGING_RECEIVER_STRATEGIES and plan.relayers and not cfg.bribed:
         oracle = forge_success_closed_form(cfg.segment_length, cfg.distributors)
 
     return BatchReport(
@@ -501,9 +544,9 @@ def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]
         agreement_count=agreement,
         all_abort_count=all_abort,
         common_value_count=agreement - all_abort,
-        validity_applicable=0 if adv.controlled else cfg.trials,
+        validity_applicable=0 if cfg.controlled else cfg.trials,
         validity_count=validity_ok,
-        honest_success_applicable=0 if SENDER in adv.controlled else cfg.trials,
+        honest_success_applicable=0 if SENDER in cfg.controlled else cfg.trials,
         honest_success_count=honest_ok,
         forge_attempts=attempts,
         forge_successes=successes,

@@ -28,7 +28,7 @@ import itertools
 import json
 from typing import Iterator
 
-from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, AdversarySpec
+from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
 from dbasim.harness import SimConfig, run_batch
 from dbasim.protocol import DECIDE_RULES
 
@@ -39,29 +39,36 @@ WIDE_ADVERSARIES = (((2,), ()), ((2, 17, 33), (34, 35)), ((1, 2), ()))
 def sweep_configs() -> Iterator[SimConfig]:
     grid = itertools.product(SENDER_STRATEGIES, RECEIVER_STRATEGIES, SWEEP_CONTROLLED, ((), (10, 11)), DECIDE_RULES)
     for seed, (sender, receiver, controlled, bribed, rule) in enumerate(grid):
-        adversary = AdversarySpec(
+        yield SimConfig(
+            participants=9,
+            distributors=2,
+            segment_length=12,
             controlled=frozenset(controlled),
             bribed=frozenset(bribed),
             disclosure_probability=0.75,
             sender_strategy=sender,
             receiver_strategy=receiver,
-        )
-        yield SimConfig(
-            participants=9, distributors=2, segment_length=12, adversary=adversary, trials=10, master_seed=seed, decide_rule=rule
+            trials=10,
+            master_seed=seed,
+            decide_rule=rule,
         )
 
 
 def wide_configs() -> Iterator[SimConfig]:
     grid = itertools.product(RECEIVER_STRATEGIES, WIDE_ADVERSARIES)
     for seed, (receiver, (controlled, bribed)) in enumerate(grid):
-        adversary = AdversarySpec(
+        yield SimConfig(
+            participants=33,
+            distributors=2,
+            segment_length=60,
             controlled=frozenset(controlled),
             bribed=frozenset(bribed),
             disclosure_probability=0.5,
             sender_strategy="equivocate",
             receiver_strategy=receiver,
+            trials=6,
+            master_seed=seed,
         )
-        yield SimConfig(participants=33, distributors=2, segment_length=60, adversary=adversary, trials=6, master_seed=seed)
 
 
 def digest(configs: Iterator[SimConfig]) -> tuple[int, str]:

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from dbasim.adversary import (
-    AdversarySpec,
     SENDER_STRATEGIES,
     RECEIVER_STRATEGIES,
     FORGING_RECEIVER_STRATEGIES,
@@ -77,9 +76,9 @@ def test_criterion_3_agreement_for_every_non_forging_strategy_and_partition():
             participants=4,
             distributors=2,
             segment_length=60,
-            adversary=AdversarySpec(
-                controlled=controlled, sender_strategy=sender_strategy, receiver_strategy=receiver_strategy
-            ),
+            controlled=controlled,
+            sender_strategy=sender_strategy,
+            receiver_strategy=receiver_strategy,
             trials=1000,
         )
         rep = run_batch(cfg)
@@ -105,7 +104,8 @@ def test_criterion_4_forging_rate_matches_the_exact_oracle():
             participants=4,
             distributors=1,
             segment_length=m,
-            adversary=AdversarySpec(controlled=frozenset({4}), receiver_strategy="forge"),
+            controlled=frozenset({4}),
+            receiver_strategy="forge",
             trials=20000,
         )
         rep = run_batch(cfg)
@@ -124,7 +124,7 @@ def test_criterion_4_forging_rate_matches_the_exact_oracle():
 def test_criterion_5_full_knowledge_frequency_and_break_budget():
     scenario = load_builtin_scenario("bribery")
     reports = [run_batch(build_config(point)) for point in scenario.points()]
-    pinned = next(r for r in reports if r.config.adversary.disclosure_probability == 0.5)
+    pinned = next(r for r in reports if r.config.disclosure_probability == 0.5)
     assert pinned.trials == 10000
     sigma = (0.125 * 0.875 / 10000) ** 0.5
     within = abs(pinned.full_knowledge_rate - 0.125) <= 3 * sigma
@@ -133,7 +133,7 @@ def test_criterion_5_full_knowledge_frequency_and_break_budget():
     detail = (
         f"full-knowledge {pinned.full_knowledge_rate:.4f} vs 0.125 (3 sigma = {3 * sigma:.4f}); "
         + "; ".join(
-            f"p={r.config.adversary.disclosure_probability}: breaks {r.trials - r.agreement_count} "
+            f"p={r.config.disclosure_probability}: breaks {r.trials - r.agreement_count} "
             f"<= full-knowledge {r.full_knowledge_count}"
             for r in reports
         )
@@ -154,7 +154,8 @@ def test_criterion_6_honest_success_at_large_length():
         participants=4,
         distributors=2,
         segment_length=60,
-        adversary=AdversarySpec(controlled=frozenset({4}), receiver_strategy="forge"),
+        controlled=frozenset({4}),
+        receiver_strategy="forge",
         trials=5000,
         master_seed=7,
     )

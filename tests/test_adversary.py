@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbasim.adversary import (
-    AdversarySpec,
     FORGING_RECEIVER_STRATEGIES,
     Knowledge,
     RECEIVER_STRATEGIES,
@@ -48,39 +47,39 @@ def _knowledge(segs, disclosed=(), controlled=(), m=None):
     )
 
 
-# --- AdversarySpec -----------------------------------------------------------
+# --- the adversary's fields of SimConfig ---------------------------------------
 
 
 def test_spec_validation_accepts_the_defaults():
-    AdversarySpec().validate(4, 2)
+    SimConfig().validate()
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
 def test_spec_rejects_degenerate_disclosure_probability(p):
     with pytest.raises(ValueError, match="0 < p < 1"):
-        AdversarySpec(disclosure_probability=p).validate(4, 2)
+        SimConfig(disclosure_probability=p).validate()
 
 
 def test_spec_rejects_out_of_range_indices():
     with pytest.raises(ValueError, match=r"controlled indices \[5\]"):
-        AdversarySpec(controlled=frozenset({5})).validate(4, 2)
+        SimConfig(controlled=frozenset({5})).validate()
     with pytest.raises(ValueError, match=r"bribed indices \[4\]"):
-        AdversarySpec(bribed=frozenset({4})).validate(4, 2)
+        SimConfig(bribed=frozenset({4})).validate()
     with pytest.raises(ValueError, match=r"bribed indices \[8\]"):
-        AdversarySpec(bribed=frozenset({8})).validate(4, 2)
+        SimConfig(bribed=frozenset({8})).validate()
 
 
 def test_spec_requires_three_honest_participants():
     with pytest.raises(ValueError, match="at least 3 honest"):
-        AdversarySpec(controlled=frozenset({1, 2})).validate(4, 2)
-    AdversarySpec(controlled=frozenset({1, 2})).validate(5, 2)
+        SimConfig(controlled=frozenset({1, 2})).validate()
+    SimConfig(participants=5, controlled=frozenset({1, 2})).validate()
 
 
 def test_spec_rejects_unknown_strategy_names():
     with pytest.raises(ValueError, match="unknown sender strategy"):
-        AdversarySpec(sender_strategy="mystery").validate(4, 2)
+        SimConfig(sender_strategy="mystery").validate()
     with pytest.raises(ValueError, match="unknown receiver strategy"):
-        AdversarySpec(receiver_strategy="mystery").validate(4, 2)
+        SimConfig(receiver_strategy="mystery").validate()
 
 
 # --- bribery and knowledge ---------------------------------------------------
@@ -88,8 +87,8 @@ def test_spec_rejects_unknown_strategy_names():
 
 def test_no_bribes_yields_only_own_data():
     segs, lists = _setup()
-    spec = AdversarySpec(controlled=frozenset({4}))
-    know = resolve_bribes(spec, random.Random(0), segs, lists)
+    cfg = SimConfig(controlled=frozenset({4}))
+    know = resolve_bribes(cfg, random.Random(0), segs, lists)
     assert know.disclosed == {}
     assert not know.full_disclosure
     assert list(know.own_lists) == [4]
@@ -100,16 +99,16 @@ def test_no_bribes_yields_only_own_data():
 
 def test_unbribed_distributors_never_leak():
     segs, lists = _setup(d=3)
-    spec = AdversarySpec(bribed=frozenset({5}), disclosure_probability=0.9)
+    cfg = SimConfig(bribed=frozenset({5}), disclosure_probability=0.9)
     for seed in range(200):
-        know = resolve_bribes(spec, random.Random(seed), segs, lists)
+        know = resolve_bribes(cfg, random.Random(seed), segs, lists)
         assert set(know.disclosed) <= {5}
 
 
 def test_full_knowledge_frequency_tracks_the_coin_product():
     segs, lists = _setup(d=3)
-    spec = AdversarySpec(controlled=frozenset({4}), bribed=frozenset({5, 6, 7}), disclosure_probability=0.5)
-    hits = sum(resolve_bribes(spec, random.Random(seed), segs, lists).full_disclosure for seed in range(4000))
+    cfg = SimConfig(controlled=frozenset({4}), bribed=frozenset({5, 6, 7}), disclosure_probability=0.5)
+    hits = sum(resolve_bribes(cfg, random.Random(seed), segs, lists).full_disclosure for seed in range(4000))
     assert abs(hits / 4000 - 0.125) < 0.02
 
 
@@ -365,8 +364,8 @@ def test_knowledges_built_without_a_memo_share_none():
         1, lists[4], None, blind._replace(memo={}), (2, 3), random.Random(2)
     )
     assert leaky.memo is None and blind.memo is None
-    spec = AdversarySpec(controlled=frozenset({4}))
-    first, second = (resolve_bribes(spec, None, segs, lists) for _ in range(2))
+    cfg = SimConfig(controlled=frozenset({4}))
+    first, second = (resolve_bribes(cfg, None, segs, lists) for _ in range(2))
     assert first.memo == {} == second.memo and first.memo is not second.memo
 
 
@@ -382,10 +381,16 @@ def test_a_forge_heavy_trial_finds_each_known_part_once(monkeypatch):
             return real(self, *args)
 
         monkeypatch.setattr(Knowledge, name, counted)
-    spec = AdversarySpec(
-        controlled=frozenset({5, 6, 7, 8}), bribed=frozenset({9, 10}), disclosure_probability=0.5, receiver_strategy="forge"
+    cfg = SimConfig(
+        participants=8,
+        distributors=2,
+        segment_length=60,
+        controlled=frozenset({5, 6, 7, 8}),
+        bribed=frozenset({9, 10}),
+        disclosure_probability=0.5,
+        receiver_strategy="forge",
+        trials=40,
     )
-    cfg = SimConfig(participants=8, distributors=2, segment_length=60, adversary=spec, trials=40)
     rep = run_batch(cfg)
     assert rep.forge_attempts == 40 * 4 * 3
     assert calls["known_positions"] == 40 * 3
@@ -395,15 +400,15 @@ def test_a_forge_heavy_trial_finds_each_known_part_once(monkeypatch):
 # --- strategy dispatch ---------------------------------------------------------
 
 
-def _act(spec, party, incoming, know, seed=0, receivers=(2, 3, 4)):
-    return adversary_act(spec, party, incoming, know, receivers, random.Random(seed))
+def _act(cfg, party, incoming, know, seed=0, receivers=(2, 3, 4)):
+    return adversary_act(cfg, party, incoming, know, receivers, random.Random(seed))
 
 
 def test_honest_mimic_sender_matches_the_honest_claim():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1,))
-    spec = AdversarySpec(controlled=frozenset({1}), sender_strategy="honest-mimic")
-    messages, forged = _act(spec, 1, 1, know)
+    cfg = SimConfig(controlled=frozenset({1}), sender_strategy="honest-mimic")
+    messages, forged = _act(cfg, 1, 1, know)
     honest = make_claim(1, lists[1])
     assert messages == {2: honest, 3: honest, 4: honest}
     assert forged == ()
@@ -412,16 +417,16 @@ def test_honest_mimic_sender_matches_the_honest_claim():
 def test_silent_and_flag_strategies():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1, 4))
-    spec = AdversarySpec(controlled=frozenset({1, 4}), sender_strategy="silent", receiver_strategy="flag-always")
-    assert _act(spec, 1, 0, know) == ({2: None, 3: None, 4: None}, ())
-    assert _act(spec, 4, None, know) == ({2: BOT, 3: BOT, 4: BOT}, ())
+    cfg = SimConfig(controlled=frozenset({1, 4}), sender_strategy="silent", receiver_strategy="flag-always")
+    assert _act(cfg, 1, 0, know) == ({2: None, 3: None, 4: None}, ())
+    assert _act(cfg, 4, None, know) == ({2: BOT, 3: BOT, 4: BOT}, ())
 
 
 def test_random_junk_claims_have_the_right_shape():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1,))
-    spec = AdversarySpec(controlled=frozenset({1}), sender_strategy="random-junk")
-    messages, _ = _act(spec, 1, 0, know, seed=4)
+    cfg = SimConfig(controlled=frozenset({1}), sender_strategy="random-junk")
+    messages, _ = _act(cfg, 1, 0, know, seed=4)
     for msg in messages.values():
         assert isinstance(msg, Claim)
         assert msg.bit in (0, 1)
@@ -445,8 +450,8 @@ def test_bit_draws_equal_a_getrandbits_rejection_draw():
 def test_equivocate_splits_the_receivers():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1,))
-    spec = AdversarySpec(controlled=frozenset({1}), sender_strategy="equivocate")
-    messages, _ = _act(spec, 1, 1, know)
+    cfg = SimConfig(controlled=frozenset({1}), sender_strategy="equivocate")
+    messages, _ = _act(cfg, 1, 1, know)
     assert [messages[k].bit for k in (2, 3, 4)] == [1, 1, 0]
     for k in (2, 3, 4):
         assert check_claim(messages[k], lists[k])
@@ -455,8 +460,8 @@ def test_equivocate_splits_the_receivers():
 def test_split_claims_are_individually_consistent_everywhere():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1,))
-    spec = AdversarySpec(controlled=frozenset({1}), sender_strategy="equivocate")
-    messages, _ = _act(spec, 1, 0, know)
+    cfg = SimConfig(controlled=frozenset({1}), sender_strategy="equivocate")
+    messages, _ = _act(cfg, 1, 0, know)
     assert messages[2] == messages[3] == make_claim(0, lists[1])
     assert messages[4] == make_claim(1, lists[1])
     for claim in messages.values():
@@ -467,16 +472,16 @@ def test_split_claims_are_individually_consistent_everywhere():
 def test_honest_mimic_receiver_relays():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(4,))
-    spec = AdversarySpec(controlled=frozenset({4}))
+    cfg = SimConfig(controlled=frozenset({4}))
     claim = make_claim(1, lists[1])
-    assert _act(spec, 4, claim, know) == ({2: claim, 3: claim, 4: claim}, ())
+    assert _act(cfg, 4, claim, know) == ({2: claim, 3: claim, 4: claim}, ())
 
 
 def test_forge_strategy_targets_every_other_receiver():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(4,))
-    spec = AdversarySpec(controlled=frozenset({4}), receiver_strategy="forge")
-    messages, forged = _act(spec, 4, make_claim(0, lists[1]), know)
+    cfg = SimConfig(controlled=frozenset({4}), receiver_strategy="forge")
+    messages, forged = _act(cfg, 4, make_claim(0, lists[1]), know)
     assert forged == (2, 3)
     assert messages[4] is BOT
     for k in (2, 3):
@@ -486,17 +491,17 @@ def test_forge_strategy_targets_every_other_receiver():
 def test_omniscient_forge_is_honest_without_full_knowledge():
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(4,))
-    spec = AdversarySpec(controlled=frozenset({4}), receiver_strategy="omniscient-forge")
+    cfg = SimConfig(controlled=frozenset({4}), receiver_strategy="omniscient-forge")
     claim = make_claim(1, lists[1])
-    assert _act(spec, 4, claim, know) == ({2: claim, 3: claim, 4: claim}, ())
+    assert _act(cfg, 4, claim, know) == ({2: claim, 3: claim, 4: claim}, ())
 
 
 def test_omniscient_forge_attacks_one_victim_under_full_knowledge():
     segs, lists = _setup()
     know = _knowledge(segs, disclosed=sorted(segs), controlled=(4,))
-    spec = AdversarySpec(controlled=frozenset({4}), receiver_strategy="omniscient-forge")
+    cfg = SimConfig(controlled=frozenset({4}), receiver_strategy="omniscient-forge")
     claim = make_claim(1, lists[1])
-    messages, forged = _act(spec, 4, claim, know)
+    messages, forged = _act(cfg, 4, claim, know)
     assert forged == (2,)
     assert messages[2].bit == 0
     assert check_claim(messages[2], lists[2])  # guaranteed hit, every position known
@@ -506,8 +511,8 @@ def test_omniscient_forge_attacks_one_victim_under_full_knowledge():
 def test_omniscient_forge_spares_fellow_controlled_receivers():
     segs, lists = _setup()
     know = _knowledge(segs, disclosed=sorted(segs), controlled=(2, 4))
-    spec = AdversarySpec(controlled=frozenset({2, 4}), receiver_strategy="omniscient-forge")
-    messages, forged = _act(spec, 4, make_claim(1, lists[1]), know)
+    cfg = SimConfig(controlled=frozenset({2, 4}), receiver_strategy="omniscient-forge")
+    messages, forged = _act(cfg, 4, make_claim(1, lists[1]), know)
     assert forged == (3,)
     assert messages[3].bit == 0
 
@@ -517,14 +522,14 @@ def test_adversary_act_picks_the_table_by_party():
     # bit, any other party relays the message it received
     segs, lists = _setup()
     know = _knowledge(segs, controlled=(1, 4))
-    spec = AdversarySpec(controlled=frozenset({1, 4}))
-    sent, _ = _act(spec, 1, 0, know)
+    cfg = SimConfig(controlled=frozenset({1, 4}))
+    sent, _ = _act(cfg, 1, 0, know)
     assert set(sent.values()) == {make_claim(0, lists[1])}
-    relayed, _ = _act(spec, 4, sent[4], know)
+    relayed, _ = _act(cfg, 4, sent[4], know)
     assert all(msg is sent[4] for msg in relayed.values())
     # the receiver table ignores the bit a sender would build from: a bit
     # is no claim, so the honest relay is the flag
-    assert _act(spec, 4, 0, know) == ({2: BOT, 3: BOT, 4: BOT}, ())
+    assert _act(cfg, 4, 0, know) == ({2: BOT, 3: BOT, 4: BOT}, ())
 
 
 def test_strategy_tables_mark_forging_capability():

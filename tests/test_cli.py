@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import dbasim
-from dbasim.adversary import AdversarySpec, RECEIVER_STRATEGIES, SENDER_STRATEGIES
+from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
 from dbasim.cli import (
     BUILTIN_SCENARIOS,
     DEFAULTS,
@@ -131,7 +131,7 @@ def test_unknown_builtin_name():
 def test_bribed_all_expands_to_every_distributor():
     s = parse_config({"receivers": 3, "distributors": 3, "bribed": "all", "controlled": [4], "receiver_strategy": "omniscient-forge"})
     cfg = build_config(s.points()[0])
-    assert cfg.adversary.bribed == frozenset({5, 6, 7})
+    assert cfg.bribed == frozenset({5, 6, 7})
 
 
 def test_scenario_file_loading(tmp_path):
@@ -216,8 +216,16 @@ def test_random_junk_breaking_agreement_is_no_bug(capsys, argv):
     ],
 )
 def test_agreement_contract_covers_exactly_the_strategies_that_cannot_break_it(controlled, sender, receiver, covered):
-    spec = AdversarySpec(controlled=frozenset(controlled), sender_strategy=sender, receiver_strategy=receiver)
-    rep = run_batch(SimConfig(participants=5, distributors=1, segment_length=6, adversary=spec, trials=4))
+    cfg = SimConfig(
+        participants=5,
+        distributors=1,
+        segment_length=6,
+        controlled=frozenset(controlled),
+        sender_strategy=sender,
+        receiver_strategy=receiver,
+        trials=4,
+    )
+    rep = run_batch(cfg)
     short = rep._replace(agreement_count=rep.trials - 1)  # a fabricated shortfall
     failures = _check_requirements(parse_config({}), [short])
     assert [("this is a bug" in f) for f in failures] == ([True] if covered else [])

@@ -17,7 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-from dbasim.adversary import AdversarySpec
 from dbasim.cli import BUILTIN_SCENARIOS, build_config, load_builtin_scenario
 from dbasim.harness import SimConfig, run_batch, run_trial, trial_plan
 
@@ -33,9 +32,9 @@ EXTRA_CONFIGS = {
         participants=5,
         distributors=1,
         segment_length=12,
-        adversary=AdversarySpec(
-            controlled=frozenset({1, 4}), sender_strategy="random-junk", receiver_strategy="forge"
-        ),
+        controlled=frozenset({1, 4}),
+        sender_strategy="random-junk",
+        receiver_strategy="forge",
         trials=TRIALS,
         master_seed=SEED,
     ),
@@ -43,7 +42,8 @@ EXTRA_CONFIGS = {
         participants=5,
         distributors=2,
         segment_length=12,
-        adversary=AdversarySpec(controlled=frozenset({1}), sender_strategy="equivocate"),
+        controlled=frozenset({1}),
+        sender_strategy="equivocate",
         trials=TRIALS,
         master_seed=SEED,
         decide_rule="merged",
@@ -70,13 +70,11 @@ def pair_config(sender: str, receiver: str) -> SimConfig:
         participants=5,
         distributors=2,
         segment_length=12,
-        adversary=AdversarySpec(
-            controlled=frozenset({1, 4}),
-            bribed=frozenset({6, 7}),
-            disclosure_probability=0.75,
-            sender_strategy=sender,
-            receiver_strategy=receiver,
-        ),
+        controlled=frozenset({1, 4}),
+        bribed=frozenset({6, 7}),
+        disclosure_probability=0.75,
+        sender_strategy=sender,
+        receiver_strategy=receiver,
         trials=TRIALS,
         master_seed=SEED,
     )

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ import dbasim
 import dbasim.harness
 import dbasim.listgen
 import dbasim.protocol
-from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, AdversarySpec, Knowledge
+from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, Knowledge
 from dbasim.harness import (
     BatchReport,
     SimConfig,
@@ -34,11 +35,7 @@ from symbols import bits, reference_decide
 
 
 def _cfg(**kw):
-    adv = kw.pop("adversary", None)
-    if adv is None:
-        adv_fields = {k: kw.pop(k) for k in list(kw) if k in ("controlled", "bribed", "disclosure_probability", "sender_strategy", "receiver_strategy")}
-        adv = AdversarySpec(**{k: (frozenset(v) if k in ("controlled", "bribed") else v) for k, v in adv_fields.items()})
-    return SimConfig(adversary=adv, **kw)
+    return SimConfig(**{k: frozenset(v) if k in ("controlled", "bribed") else v for k, v in kw.items()})
 
 
 # --- randomness streams -------------------------------------------------------
@@ -112,15 +109,29 @@ def test_the_bribery_stream_is_derived_only_when_a_distributor_is_bribed(monkeyp
         (dict(trials="5"), "trials must be an integer, got '5'"),
         (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
         (dict(master_seed=True), "master_seed must be an integer, got True"),
+        (
+            dict(participants=5, controlled=frozenset({True}), sender_strategy="equivocate"),
+            "controlled must be a frozenset of integers, got frozenset({True})",
+        ),
+        (dict(participants=5, controlled=frozenset({4.0})), "controlled must be a frozenset of integers, got frozenset({4.0})"),
+        (
+            dict(participants=5, bribed=frozenset({6}), disclosure_probability="0.5"),
+            "disclosure_probability must be a number, got '0.5'",
+        ),
+        (dict(participants=5, controlled=[4]), "controlled must be a frozenset of integers, got [4]"),
+        (dict(participants=5, sender_strategy=["x"]), "sender_strategy must be a string, got ['x']"),
+        (dict(participants=5, bribed=frozenset({6.0})), "bribed must be a frozenset of integers, got frozenset({6.0})"),
     ],
 )
 def test_config_validation_names_the_offending_field(kw, message):
-    with pytest.raises(ValueError, match=message):
-        SimConfig(**kw).validate()
+    cfg = SimConfig(**kw)
+    for entry in (SimConfig.validate, trial_plan, run_batch):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(cfg)
 
 
 def test_config_validation_covers_the_adversary():
-    cfg = SimConfig(adversary=AdversarySpec(controlled=frozenset({9})))
+    cfg = SimConfig(controlled=frozenset({9}))
     with pytest.raises(ValueError, match="controlled indices"):
         cfg.validate()
 
@@ -426,7 +437,7 @@ def _reference_decisions(cfg, trial, rep):
         for dist in plan.distributors
     ]
     lists = combined_lists_from_segments(segments)
-    controlled = cfg.adversary.controlled
+    controlled = cfg.controlled
     reference = dict.fromkeys(range(1, cfg.participants + 1))
     if 1 not in controlled:
         reference[1] = Decision(cfg.sender_input)
@@ -438,7 +449,7 @@ def _reference_decisions(cfg, trial, rep):
 
 def _assert_reference_decisions(cfg, trial, rep):
     """Every party's decision in ``rep`` equals :func:`_reference_decisions`."""
-    assert rep.decisions == _reference_decisions(cfg, trial, rep), (cfg.participants, cfg.adversary.controlled, trial)
+    assert rep.decisions == _reference_decisions(cfg, trial, rep), (cfg.participants, cfg.controlled, trial)
 
 
 # (participants, controlled): controlled receivers after the last honest one
@@ -485,10 +496,10 @@ def test_round2_strategies_address_receivers_up_to_the_last_honest_one(monkeypat
     audiences = []
     real = dbasim.harness.adversary_act
 
-    def recording(spec, party, incoming, know, receivers, rng):
+    def recording(cfg, party, incoming, know, receivers, rng):
         if party != 1:
             audiences.append(tuple(receivers))
-        return real(spec, party, incoming, know, receivers, rng)
+        return real(cfg, party, incoming, know, receivers, rng)
 
     monkeypatch.setattr(dbasim.harness, "adversary_act", recording)
     for participants, controlled in _AUDIENCE_SETS:
@@ -526,8 +537,8 @@ def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypa
     unchanged = [run_trial(trial_plan(cfg), trial, capture_transcript=True) for trial in range(16)]
     real = dbasim.harness.adversary_act
 
-    def reshaped(spec, party, incoming, know, receivers, rng):
-        messages, forged = real(spec, party, incoming, know, receivers, rng)
+    def reshaped(cfg, party, incoming, know, receivers, rng):
+        messages, forged = real(cfg, party, incoming, know, receivers, rng)
         if party == 1 and shape == "copies":
             messages = {k: Claim(msg.bit, msg.mask) if isinstance(msg, Claim) else msg for k, msg in messages.items()}
         elif party == 1:
@@ -794,16 +805,16 @@ def test_only_a_batch_with_an_adversary_resolves_bribes(monkeypatch, kw, resolve
     calls = []
     real = dbasim.harness.resolve_bribes
 
-    def counting(spec, rng, segments, lists):
-        calls.append(spec)
-        return real(spec, rng, segments, lists)
+    def counting(cfg, rng, segments, lists):
+        calls.append(cfg)
+        return real(cfg, rng, segments, lists)
 
     monkeypatch.setattr(dbasim.harness, "resolve_bribes", counting)
     cfg = _cfg(trials=6, **kw)
     records = []
     report = run_batch(cfg, on_trial=lambda rep: records.append(rep.to_record()))
     assert len(calls) == resolved_per_trial * cfg.trials
-    if not cfg.adversary.bribed:
+    if not cfg.bribed:
         assert all(rec["disclosed"] == [False] * cfg.distributors for rec in records)
         assert not any(rec["full_knowledge"] for rec in records)
         assert report.full_knowledge_count == 0
@@ -899,7 +910,8 @@ def test_two_controlled_receivers_with_junk_keep_agreement():
     cfg = SimConfig(
         participants=5,
         segment_length=60,
-        adversary=AdversarySpec(controlled=frozenset({4, 5}), receiver_strategy="random-junk"),
+        controlled=frozenset({4, 5}),
+        receiver_strategy="random-junk",
         trials=200,
     )
     rep = run_batch(cfg)
@@ -976,7 +988,7 @@ def _run_redrawn(monkeypatch, cfg, trial, salts):
     wrapper tells which distributor a call is for.
     """
     plan = trial_plan(cfg)
-    honest_receivers = sorted(k for k in plan.receivers if k not in cfg.adversary.controlled)
+    honest_receivers = sorted(k for k in plan.receivers if k not in cfg.controlled)
     dists = iter(plan.distributors)
 
     def redrawn(m, receiver_count, rng):
@@ -1081,8 +1093,8 @@ def test_knowledge_reaches_no_undisclosed_segment_coin_store_or_rng(monkeypatch,
     real = dbasim.harness.resolve_bribes
     handed = []
 
-    def walking(spec, rng, segments, lists):
-        know = real(spec, rng, segments, lists)
+    def walking(cfg, rng, segments, lists):
+        know = real(cfg, rng, segments, lists)
         _check_closed(know)
         handed.append(know)
         return know
@@ -1091,10 +1103,10 @@ def test_knowledge_reaches_no_undisclosed_segment_coin_store_or_rng(monkeypatch,
     cfg = _cfg(trials=12, **kw)
     run_batch(cfg)
     assert len(handed) == 12 and all(isinstance(know, Knowledge) for know in handed)
-    if cfg.adversary.bribed:
+    if cfg.bribed:
         assert any(know.disclosed for know in handed)
     # walked again once the trial's forgers have filled its memo
     for know in handed:
         _check_closed(know)
-    if cfg.adversary.receiver_strategy == "forge":
+    if cfg.receiver_strategy == "forge":
         assert all(know.memo for know in handed)

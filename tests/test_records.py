@@ -2,7 +2,7 @@
 
 import pytest
 
-from dbasim.adversary import AdversarySpec, Knowledge
+from dbasim.adversary import Knowledge
 from dbasim.cli import parse_config
 from dbasim.harness import BatchReport, SimConfig, TrialReport, run_batch, run_trial, trial_plan
 from dbasim.listgen import Segment
@@ -12,7 +12,6 @@ RECORDS = {
     "Segment": lambda: Segment(length=6, sender_zeros=0b11, sender_ones=0b1100, receiver_ones={2: 0b11100}),
     "Claim": lambda: Claim(1, 0b101),
     "Decision": lambda: Decision(0),
-    "AdversarySpec": AdversarySpec,
     "Knowledge": lambda: Knowledge(segment_length=6, distributors=(5,), disclosed={}, own_lists={}),
     "SimConfig": SimConfig,
     "TrialReport": lambda: run_trial(trial_plan(SimConfig(trials=1)), 0),
@@ -34,11 +33,9 @@ def test_every_record_rejects_attribute_assignment(name):
 
 
 def test_keyword_construction_fills_every_default():
-    spec = AdversarySpec(controlled=frozenset({4}), receiver_strategy="forge")
-    assert spec == AdversarySpec(frozenset({4}), frozenset(), 0.5, "honest-mimic", "forge")
-    cfg = SimConfig(trials=5, adversary=spec)
-    assert cfg == SimConfig(4, 2, 12, 1, spec, 5, 42, "literal")
-    assert SimConfig().adversary == AdversarySpec()
+    cfg = SimConfig(controlled=frozenset({4}), receiver_strategy="forge", trials=5)
+    assert cfg == SimConfig(4, 2, 12, 1, frozenset({4}), frozenset(), 0.5, "honest-mimic", "forge", 5, 42, "literal")
+    assert SimConfig()[4:9] == (frozenset(), frozenset(), 0.5, "honest-mimic", "honest-mimic")
     report = TrialReport(
         trial=0,
         plan=trial_plan(SimConfig(participants=3, distributors=1)),
@@ -61,3 +58,9 @@ def test_keyword_construction_fills_every_default():
     with pytest.raises(TypeError):
         Claim(bit=1)
 
+
+
+def test_the_config_record_has_exactly_the_config_fields():
+    assert set(SimConfig._fields) == set(SimConfig().to_record())
+    cfg = SimConfig(participants=6, controlled=frozenset({5, 2}), bribed=frozenset({8, 7}))
+    assert cfg.to_record() == {**cfg._asdict(), "controlled": [2, 5], "bribed": [7, 8]}
