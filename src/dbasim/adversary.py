@@ -44,24 +44,21 @@ class Knowledge(NamedTuple):
     are masks over the combined list, segment i at bits ``i*m`` and up.
     Nothing else is representable: own lists hold only masks and leaked
     segments plain dicts, so no undrawn coin or rng is reachable.
-    ``memo`` is the view every forger of the trial shares (see
-    :func:`forge_claim`); one built without it (None) shares nothing.
+    ``covered`` is the mask of every position inside a leaked segment, and
+    ``known`` maps ``(party, bit)`` to the known positions that every forger
+    of the trial shares (see :func:`forge_claim`).
     """
 
     segment_length: int
     distributors: tuple[int, ...]
     disclosed: dict[int, Segment]
     own_lists: dict[int, CombinedList]
-    memo: Optional[dict] = None
+    covered: int
+    known: dict[tuple[int, int], tuple[int, int]]
 
     @property
     def full_disclosure(self) -> bool:
-        return set(self.disclosed) == set(self.distributors)
-
-    def covered(self) -> int:
-        """The mask of every position inside a leaked segment."""
-        m, leaked = self.segment_length, self.disclosed
-        return concat_masks([(1 << m) - 1 if d in leaked else 0 for d in self.distributors], m) if leaked else 0
+        return len(self.disclosed) == len(self.distributors)
 
     def known_positions(self, party: int, bit: int) -> int:
         """The mask of every position where ``party`` is known to hold ``bit`` (0 or 1)."""
@@ -84,20 +81,22 @@ def resolve_bribes(
     distributors never leak, and ``rng`` may be None when none is bribed.
     Only the controlled parties' lists in ``lists`` go into the Knowledge,
     and a leaked segment goes in with its coins drawn into a plain dict.
-    Each Knowledge gets a fresh ``memo``, shared by the trial's forgers.
+    Each Knowledge gets a fresh ``known``, shared by the trial's forgers.
     """
     distributors = tuple(sorted(segments))
+    m = segments[distributors[0]].length
     disclosed: dict[int, Segment] = {}
     for dist in distributors:
         if dist in cfg.bribed and rng.random() < cfg.disclosure_probability:
             seg = segments[dist]
             disclosed[dist] = Segment(seg.length, seg.sender_zeros, seg.sender_ones, dict(seg.receiver_ones))
     return Knowledge(
-        segment_length=segments[distributors[0]].length,
+        segment_length=m,
         distributors=distributors,
         disclosed=disclosed,
         own_lists={party: lists[party] for party in sorted(cfg.controlled)},
-        memo={},
+        covered=concat_masks([(1 << m) - 1 if d in disclosed else 0 for d in distributors], m) if disclosed else 0,
+        known={},
     )
 
 
@@ -120,8 +119,8 @@ def forge_claim(
     the target's hidden bit half the time; that is the whole exposure.  The
     pool is the same for every target, so it is built once; targets draw
     from it in ascending order, each with its own :func:`~dbasim.listgen.sample`.
-    The known part, capped to ``need`` positions, and the covered mask are the
-    same for every forger of the trial, so they are made once, in ``know.memo``.
+    The known part, capped to ``need`` positions, is the same for every forger
+    of the trial, so it is made once, in ``know.known``.
 
     Always returns well-formed claims (right size, in range).  If the pool
     runs dry, which needs a sender claim overlapping the forger's own
@@ -130,22 +129,20 @@ def forge_claim(
     """
     total = own_list.length
     need = total // 3
-    memo = {} if know.memo is None else know.memo
+    known = know.known
     pool: Optional[list[int]] = None
     out: dict[int, Claim] = {}
     for target in sorted(targets):
-        known = memo.get((target, target_bit))
-        if known is None:
+        hit = known.get((target, target_bit))
+        if hit is None:
             picked = know.known_positions(target, target_bit)
             if picked.bit_count() > need:
                 picked &= (1 << mask_positions(picked)[need]) - 1  # the lowest ``need`` positions
-            known = memo[target, target_bit] = (picked, picked.bit_count())
-        picked, count = known
+            hit = known[target, target_bit] = (picked, picked.bit_count())
+        picked, count = hit
         if count < need:
             if pool is None:
-                if "covered" not in memo:
-                    memo["covered"] = know.covered()
-                excluded = memo["covered"] | (0 if sender_claim is None else sender_claim.mask)
+                excluded = know.covered | (0 if sender_claim is None else sender_claim.mask)
                 pool = mask_positions(own_list.mask(target_bit) & ~excluded)
             fill = need - count
             take = min(fill, len(pool))

@@ -16,10 +16,10 @@ import json
 import sys
 from collections import Counter
 from functools import partial
-from typing import IO, Mapping, NamedTuple, Optional, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import AGREEMENT_SAFE_STRATEGIES, RECEIVER_STRATEGIES, SENDER_STRATEGIES
-from .harness import BatchReport, SimConfig, TrialReport, encode_canonical, is_int, is_real, run_batch
+from .harness import BatchReport, SimConfig, TrialReport, clip, encode_canonical, is_int, is_real, run_batch
 from .listgen import SENDER
 from .protocol import DECIDE_RULES
 
@@ -49,11 +49,23 @@ def _indices(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {clip(repr(text))}") from None
 
 
 def _indices_or_all(text: str) -> list[int] | str:
     return "all" if text == "all" else _indices(text)
+
+
+def _flag_type(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """``convert`` as an argparse type whose error message, argparse's own, echoes a bad value clipped."""
+
+    def parse(text: str) -> object:
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {clip(repr(text))}") from None
+
+    return parse
 
 
 #: each field kind: its type test, its description in error messages, and
@@ -65,6 +77,7 @@ KINDS = {
     "indices-or-all": (lambda v: v == "all" or _is_int_list(v), 'a list of integers or "all"', _indices_or_all),
     "str": (lambda v: isinstance(v, str), "a string", str),
 }
+
 
 #: every scenario field: its default (immutable, since every parse shares
 #: it), its kind, and its flag help (None: no flag).  The flag is ``--``
@@ -89,27 +102,16 @@ FIELDS = {
 DEFAULTS: dict = {**{key: default for key, (default, _, _) in FIELDS.items()}, "sweep": {}, "require": {}}
 
 
-#: the most characters of a bad value that an error message echoes
-ECHO_CHARS = 40
-
-
-def _clip(text: str) -> str:
-    """``text``, or its first :data:`ECHO_CHARS` characters and its full length when longer."""
-    if len(text) <= ECHO_CHARS:
-        return text
-    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
-
-
 def _check_type(key: str, value: object, what: str = "") -> None:
     test, expected, _ = KINDS[FIELDS[key][1]]
     if not test(value):
-        raise ValueError(f"{what or repr(key)} must be {expected}, got {_clip(repr(value))}")
+        raise ValueError(f"{what or repr(key)} must be {expected}, got {clip(repr(value))}")
     if isinstance(value, (list, tuple)):  # an index list: a repeat is an error, not a merge
         repeated = [i for i, count in Counter(value).items() if count > 1]
         if repeated:
             noun = "index" if len(repeated) == 1 else "indices"
-            listed = _clip(", ".join(map(str, sorted(repeated))))
-            raise ValueError(f"{what or repr(key)} repeats {noun} {listed}, got {_clip(repr(value))}")
+            listed = clip(", ".join(map(str, sorted(repeated))))
+            raise ValueError(f"{what or repr(key)} repeats {noun} {listed}, got {clip(repr(value))}")
 
 
 class Scenario(NamedTuple):
@@ -187,18 +189,18 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
     doc.pop("schema_version", None)
     unknown = sorted(set(doc) - set(DEFAULTS))
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}; known keys: {sorted(DEFAULTS)}")
+        raise ValueError(f"unknown config keys {clip(str(unknown))}; known keys: {sorted(DEFAULTS)}")
     merged = {**DEFAULTS, **doc}
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
 
     sweep = merged.pop("sweep")
     if not isinstance(sweep, Mapping):
-        raise ValueError(f"'sweep' must be an object mapping fields to value lists, got {_clip(repr(sweep))}")
+        raise ValueError(f"'sweep' must be an object mapping fields to value lists, got {clip(repr(sweep))}")
     sweep = dict(sweep)
     bad = sorted(set(sweep) - set(SWEEPABLE))
     if bad:
-        raise ValueError(f"cannot sweep over {bad}; sweepable fields: {list(SWEEPABLE)}")
+        raise ValueError(f"cannot sweep over {clip(str(bad))}; sweepable fields: {list(SWEEPABLE)}")
     for key, values in sweep.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"sweep values for {key!r} must be a non-empty list")
@@ -207,21 +209,21 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
 
     require = merged.pop("require")
     if not isinstance(require, Mapping):
-        raise ValueError(f"'require' must be an object mapping rate names to minima, got {_clip(repr(require))}")
+        raise ValueError(f"'require' must be an object mapping rate names to minima, got {clip(repr(require))}")
     require = dict(require)
     bad = sorted(set(require) - set(REQUIRABLE))
     if bad:
-        raise ValueError(f"unknown requirement names {bad}; requirable rates: {list(REQUIRABLE)}")
+        raise ValueError(f"unknown requirement names {clip(str(bad))}; requirable rates: {list(REQUIRABLE)}")
     for rate_name, minimum in require.items():
         if not is_real(minimum) or minimum != minimum:  # NaN: every comparison with it is false
-            raise ValueError(f"required minimum for {rate_name!r} must be a number, got {_clip(repr(minimum))}")
+            raise ValueError(f"required minimum for {rate_name!r} must be a number, got {clip(repr(minimum))}")
 
     for key, value in merged.items():
         _check_type(key, value)
 
     output = merged.pop("output")
     if output not in OUTPUT_MODES:
-        raise ValueError(f"output must be one of {OUTPUT_MODES}, got {_clip(repr(output))}")
+        raise ValueError(f"output must be one of {OUTPUT_MODES}, got {clip(repr(output))}")
     name = merged.pop("name")
 
     scenario = Scenario(name=name, base=merged, sweep=sweep, require=require, output=output)
@@ -230,8 +232,8 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
             _check_trial_size(point)
             build_config(point).validate()
         except ValueError as exc:
-            swept = {k: point[k] for k in sweep}
-            where = f" at sweep point {swept}" if swept else ""
+            swept = ", ".join(f"{k!r}: {clip(repr(point[k]))}" for k in sweep)
+            where = f" at sweep point {{{swept}}}" if swept else ""
             raise ValueError(f"invalid configuration{where}: {exc}") from None
     return scenario
 
@@ -247,7 +249,7 @@ def load_scenario_file(path: str, overrides: Optional[Mapping] = None) -> Scenar
 
 def load_builtin_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
     if name not in BUILTIN_SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; built in: {list(BUILTIN_SCENARIOS)}")
+        raise ValueError(f"unknown scenario {clip(repr(name))}; built in: {list(BUILTIN_SCENARIOS)}")
     from importlib import resources  # on 3.12+ it imports inspect, so only here
 
     text = resources.files("dbasim").joinpath("scenarios", f"{name}.json").read_text(encoding="utf-8")
@@ -362,9 +364,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for key, (_, kind, help_text) in FIELDS.items():
         if help_text is not None:
             flag = "--" + key.replace("_", "-")
-            parser.add_argument(flag, dest=key, type=KINDS[kind][2], help=help_text)
+            parser.add_argument(flag, dest=key, type=_flag_type(KINDS[kind][2]), help=help_text)
     parser.add_argument("--dump-trials", dest="dump_trials", help="write per-trial JSON records to this file")
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        parser.error(f"unrecognized arguments: {clip(' '.join(unknown))}")
 
     if args.list_scenarios:
         for name in BUILTIN_SCENARIOS:
@@ -380,7 +384,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             scenario = parse_config({}, overrides)
         return run_scenario(scenario, dump_trials=args.dump_trials)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # the file's name, as the user gave it
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {clip(repr(exc.filename))}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import random
 from math import sqrt
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .adversary import (
     FORGING_RECEIVER_STRATEGIES,
@@ -76,6 +75,17 @@ def derive_rng(master_seed: int, *labels: object) -> random.Random:
     return random.Random(seed)
 
 
+#: the most characters of a bad value that an error message echoes
+ECHO_CHARS = 40
+
+
+def clip(text: str) -> str:
+    """``text``, or its first :data:`ECHO_CHARS` characters and its full length when longer."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def is_int(value: object) -> bool:
     """An int and not a bool: the type test of every integer field, here and in scenario files."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -120,7 +130,7 @@ class SimConfig(NamedTuple):
             for field in fields:
                 value = getattr(self, field)
                 if not test(value):
-                    raise ValueError(f"{field} must be {expected}, got {value!r}")
+                    raise ValueError(f"{field} must be {expected}, got {clip(repr(value))}")
         if self.participants < 3:
             raise ValueError(f"participants must be at least 3 (one sender, two receivers), got {self.participants}")
         if self.distributors < 1:
@@ -132,27 +142,27 @@ class SimConfig(NamedTuple):
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.decide_rule not in DECIDE_RULES:
-            raise ValueError(f"decide rule must be one of {DECIDE_RULES}, got {self.decide_rule!r}")
+            raise ValueError(f"decide rule must be one of {DECIDE_RULES}, got {clip(repr(self.decide_rule))}")
         p = self.disclosure_probability
         if not 0.0 < p < 1.0:
             raise ValueError(f"disclosure probability must satisfy 0 < p < 1, got {p}")
         n = self.participants
         bad = sorted(i for i in self.controlled if not 1 <= i <= n)
         if bad:
-            raise ValueError(f"controlled indices {bad} fall outside participants 1..{n}")
+            raise ValueError(f"controlled indices {clip(str(bad))} fall outside participants 1..{n}")
         lo, hi = n + 1, n + self.distributors
         bad = sorted(i for i in self.bribed if not lo <= i <= hi)
         if bad:
-            raise ValueError(f"bribed indices {bad} fall outside distributors {lo}..{hi}")
+            raise ValueError(f"bribed indices {clip(str(bad))} fall outside distributors {lo}..{hi}")
         honest = n - len(self.controlled)
         if honest < 3:
             raise ValueError(f"need at least 3 honest participants, have {honest} of {n}")
-        if self.sender_strategy not in SENDER_STRATEGIES:
-            raise ValueError(f"unknown sender strategy {self.sender_strategy!r}; known: {sorted(SENDER_STRATEGIES)}")
-        if self.receiver_strategy not in RECEIVER_STRATEGIES:
-            raise ValueError(
-                f"unknown receiver strategy {self.receiver_strategy!r}; known: {sorted(RECEIVER_STRATEGIES)}"
-            )
+        for role, name, known in (
+            ("sender", self.sender_strategy, SENDER_STRATEGIES),
+            ("receiver", self.receiver_strategy, RECEIVER_STRATEGIES),
+        ):
+            if name not in known:
+                raise ValueError(f"unknown {role} strategy {clip(repr(name))}; known: {sorted(known)}")
 
     def to_record(self) -> dict:
         """The ``config`` record: every field, index sets sorted."""
@@ -160,8 +170,8 @@ class SimConfig(NamedTuple):
 
 
 class TrialReport(NamedTuple):
-    """One trial of ``plan``; :attr:`decisions` lays ``classes``, one ``(members, decision)`` pair per
-    decided class of honest receivers, over the plan's per-party decisions."""
+    """One trial of ``plan``; ``classes`` holds one ``(members, decision)`` pair per decided class of
+    honest receivers, and :attr:`decisions` lays them out per party."""
 
     trial: int
     plan: TrialPlan
@@ -178,14 +188,18 @@ class TrialReport(NamedTuple):
     @property
     def decisions(self) -> dict[int, Optional[Decision]]:
         """Every party's decision: None for a controlled party, each class's for its members."""
-        return {**self.plan.decisions, **{k: decision for members, decision in self.classes for k in members}}
+        cfg = self.plan.config
+        decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
+        if SENDER not in cfg.controlled:
+            decisions[SENDER] = Decision(cfg.sender_input)  # the honest sender outputs its own input
+        return {**decisions, **{k: decision for members, decision in self.classes for k in members}}
 
     def to_record(self) -> dict:
         rec = {
             "schema_version": SCHEMA_VERSION,
             "record": "trial",
             "trial": self.trial,
-            "controlled": list(self.plan.controlled),
+            "controlled": sorted(self.plan.config.controlled),
             "disclosed": list(self.disclosed),
             "decisions": {str(p): render_decision(d) for p, d in sorted(self.decisions.items())},
             "agreement": self.agreement,
@@ -204,8 +218,7 @@ class TrialPlan(NamedTuple):
     """What every trial of a batch takes from its ``config`` alone; :func:`trial_plan` builds it.
 
     ``relayers`` are the controlled receivers, ascending, and ``audience``
-    whom they address without a transcript; ``undisclosed`` is ``disclosed``
-    for an unbribed batch, and None when some distributor is bribed.
+    whom they address without a transcript.
     """
 
     config: SimConfig
@@ -214,9 +227,6 @@ class TrialPlan(NamedTuple):
     honest_receivers: tuple[int, ...]
     relayers: tuple[int, ...]
     audience: tuple[int, ...]
-    controlled: tuple[int, ...]
-    decisions: Mapping[int, Optional[Decision]]
-    undisclosed: Optional[tuple[bool, ...]]
 
 
 def trial_plan(cfg: SimConfig) -> TrialPlan:
@@ -229,9 +239,6 @@ def trial_plan(cfg: SimConfig) -> TrialPlan:
     cfg.validate()
     controlled, receivers = cfg.controlled, tuple(range(2, cfg.participants + 1))
     honest = tuple(k for k in receivers if k not in controlled)
-    decisions: dict[int, Optional[Decision]] = dict.fromkeys(range(1, cfg.participants + 1))
-    if SENDER not in controlled:
-        decisions[SENDER] = Decision(cfg.sender_input)  # the honest sender outputs its own input
     return TrialPlan(
         config=cfg,
         distributors=tuple(range(cfg.participants + 1, cfg.participants + 1 + cfg.distributors)),
@@ -239,9 +246,6 @@ def trial_plan(cfg: SimConfig) -> TrialPlan:
         honest_receivers=honest,
         relayers=tuple(sorted(controlled.difference((SENDER,)))),
         audience=receivers[: receivers.index(honest[-1]) + 1],
-        controlled=tuple(sorted(controlled)),
-        decisions=MappingProxyType(decisions),  # shared by every report of the batch, so read-only
-        undisclosed=None if cfg.bribed else (False,) * cfg.distributors,
     )
 
 
@@ -378,18 +382,19 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
     if SENDER not in controlled:
         values.add(cfg.sender_input)
     valid = values == {cfg.sender_input}
+    disclosed = tuple(d in knowledge.disclosed for d in plan.distributors) if cfg.bribed else (False,) * cfg.distributors
 
     return TrialReport(
         trial=trial,
         plan=plan,
-        disclosed=plan.undisclosed or tuple(dist in knowledge.disclosed for dist in plan.distributors),
+        disclosed=disclosed,
         classes=classes,
         agreement=len(values) <= 1,
         validity=None if controlled else valid,
         honest_success=None if SENDER in controlled else valid,
         forge_attempts=forge_attempts,
         forge_successes=forge_successes,
-        full_knowledge=bool(knowledge and knowledge.disclosed and knowledge.full_disclosure),
+        full_knowledge=all(disclosed),
         transcript=transcript,
     )
 
@@ -479,28 +484,19 @@ class BatchReport(NamedTuple):
 
     def to_record(self) -> dict:
         return {
+            **self._asdict(),
             "schema_version": SCHEMA_VERSION,
             "record": "batch",
             "config": self.config.to_record(),
-            "agreement_count": self.agreement_count,
             "agreement_rate": self.agreement_rate,
             "agreement_ci": wilson_interval(self.agreement_count, self.trials),
-            "all_abort_count": self.all_abort_count,
             "all_abort_rate": self.all_abort_rate,
-            "common_value_count": self.common_value_count,
-            "validity_applicable": self.validity_applicable,
-            "validity_count": self.validity_count,
             "validity_rate": self.validity_rate,
             "validity_ci": wilson_interval(self.validity_count, self.validity_applicable),
-            "honest_success_applicable": self.honest_success_applicable,
-            "honest_success_count": self.honest_success_count,
             "honest_success_rate": self.honest_success_rate,
             "honest_success_ci": wilson_interval(self.honest_success_count, self.honest_success_applicable),
-            "forge_attempts": self.forge_attempts,
-            "forge_successes": self.forge_successes,
             "forge_success_rate": self.forge_success_rate,
             "forge_success_ci": wilson_interval(self.forge_successes, self.forge_attempts),
-            "full_knowledge_count": self.full_knowledge_count,
             "full_knowledge_rate": self.full_knowledge_rate,
             "expected_full_knowledge": self.expected_full_knowledge,
             "forge_oracle": str(self.forge_oracle) if self.forge_oracle is not None else None,

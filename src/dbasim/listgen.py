@@ -246,7 +246,8 @@ class CombinedList(NamedTuple):
 class PartyLists(dict):
     """Every party's combined list, keyed by party: the sender's made at once, a receiver's on first lookup.
 
-    A lookup of a party the segments do not hold raises ``KeyError`` and makes nothing.
+    A lookup of a party the segments do not hold makes nothing: the first
+    segment's store raises ``KeyError`` before it draws.
     """
 
     __slots__ = ("_segments",)
@@ -256,8 +257,6 @@ class PartyLists(dict):
         self._segments = segments
 
     def __missing__(self, party: int) -> CombinedList:
-        if party not in self._segments[0].receiver_ones:
-            raise KeyError(party)
         lst = self[party] = combine_segments(party, self._segments)
         return lst
 

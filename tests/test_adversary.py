@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,19 +33,12 @@ def _setup(m=12, d=2, receivers=3, seed=0):
     return segs, lists
 
 
-def _knowledge(segs, disclosed=(), controlled=(), m=None):
-    distributors = tuple(sorted(segs))
-    m = m if m is not None else segs[distributors[0]].length
-    ordered = [segs[k] for k in distributors]
-    own = {}
-    for party in controlled:
-        own[party] = combined_lists_from_segments(ordered)[party]
-    return Knowledge(
-        segment_length=m,
-        distributors=distributors,
-        disclosed={k: segs[k] for k in disclosed},
-        own_lists=own,
-    )
+def _knowledge(segs, disclosed=(), controlled=()):
+    """The Knowledge :func:`resolve_bribes` builds when exactly the ``disclosed`` distributors leak."""
+    lists = combined_lists_from_segments([segs[k] for k in sorted(segs)])
+    cfg = SimConfig(controlled=frozenset(controlled), bribed=frozenset(segs))
+    coins = SimpleNamespace(random=iter([0.0 if k in disclosed else 1.0 for k in sorted(segs)]).__next__)
+    return resolve_bribes(cfg, coins, segs, lists)
 
 
 # --- the adversary's fields of SimConfig ---------------------------------------
@@ -94,7 +88,10 @@ def test_no_bribes_yields_only_own_data():
     assert list(know.own_lists) == [4]
     assert know.own_lists[4] is lists[4]
     assert know.known_positions(2, 0) == 0 and know.known_positions(2, 1) == 0
-    assert know.covered() == 0
+    assert know.covered == 0
+    # each trial's forgers share a fresh view, never one from another trial
+    again = resolve_bribes(cfg, random.Random(0), segs, lists)
+    assert know.known == {} == again.known and know.known is not again.known
 
 
 def test_unbribed_distributors_never_leak():
@@ -116,7 +113,7 @@ def test_disclosed_segments_reveal_every_party_exactly():
     segs, lists = _setup(m=6, d=2)
     know = _knowledge(segs, disclosed=sorted(segs))
     assert know.full_disclosure
-    assert know.covered() == (1 << 12) - 1
+    assert know.covered == (1 << 12) - 1
     # the 0- and 1-masks pin each party's value everywhere, the sender's
     # discord entries too: they are the positions in neither mask
     for party in (1, 2, 3, 4):
@@ -128,9 +125,9 @@ def test_partial_disclosure_covers_only_that_segment():
     segs, lists = _setup(m=6, d=2)
     first = sorted(segs)[0]
     know = _knowledge(segs, disclosed=[first])
-    assert know.covered() == (1 << 6) - 1
+    assert know.covered == (1 << 6) - 1
     for bit in (0, 1):
-        assert know.known_positions(2, bit) == lists[2].mask(bit) & know.covered()
+        assert know.known_positions(2, bit) == lists[2].mask(bit) & know.covered
 
 
 # --- forging ------------------------------------------------------------------
@@ -257,15 +254,15 @@ def test_forge_draws_cover_all_candidate_subsets():
 
 def test_knowledge_with_nothing_leaked_knows_no_position(monkeypatch):
     segs, lists = _setup(d=3)
-    know = _knowledge(segs, controlled=(4,))
     monkeypatch.setattr("dbasim.adversary.concat_masks", lambda masks, m: pytest.fail("built masks with nothing leaked"))
-    assert know.covered() == 0
+    know = _knowledge(segs, controlled=(4,))
+    assert know.covered == 0
     assert all(know.known_positions(party, bit) == 0 for party in (1, 2, 3, 4) for bit in (0, 1))
 
 
 def test_forge_stays_wellformed_when_candidates_run_dry():
     own = combined((1, 1, 0, 0, 1, 0))
-    nothing_leaked = Knowledge(segment_length=6, distributors=(6,), disclosed={}, own_lists={4: own})
+    nothing_leaked = Knowledge(segment_length=6, distributors=(6,), disclosed={}, own_lists={4: own}, covered=0, known={})
     starving = Claim(0, bits((0, 1, 4)))  # covers every position the forger holds 1 on
     claims = forge_claim(1, own, starving, nothing_leaked, (2, 3), rng=random.Random(3))
     for claim in claims.values():
@@ -336,7 +333,7 @@ def test_forgers_sharing_one_knowledge_forge_as_with_one_each(seed, m, leaked, s
     # the trial's forgers 5-8 aim at 2-4, two of them at the opposite bit
     segs, lists = _setup(m=m, d=2, receivers=7, seed=seed)
     dists = sorted(segs)
-    shared = _knowledge(segs, disclosed=[dists[i] for i in leaked], controlled=(5, 6, 7, 8))._replace(memo={})
+    shared = _knowledge(segs, disclosed=[dists[i] for i in leaked], controlled=(5, 6, 7, 8))
     total = lists[1].length
     junk = random.Random(seed)
     sender_claim = {
@@ -345,42 +342,25 @@ def test_forgers_sharing_one_knowledge_forge_as_with_one_each(seed, m, leaked, s
         "junk": Claim(0, sum(1 << x for x in junk.sample(range(total), total // 3))),
     }[sender]
     for forger, bit in ((5, 1), (6, 0), (7, 1), (8, 0)):
-        alone, together, unshared = (random.Random(seed + forger) for _ in range(3))
-        want = forge_claim(bit, lists[forger], sender_claim, shared._replace(memo={}), (2, 3, 4), alone)
+        alone, together = (random.Random(seed + forger) for _ in range(2))
+        want = forge_claim(bit, lists[forger], sender_claim, shared._replace(known={}), (2, 3, 4), alone)
         assert forge_claim(bit, lists[forger], sender_claim, shared, (2, 3, 4), together) == want
-        assert forge_claim(bit, lists[forger], sender_claim, shared._replace(memo=None), (2, 3, 4), unshared) == want
-        assert together.getstate() == alone.getstate() == unshared.getstate()
-    assert {key for key in shared.memo if key != "covered"} == {(k, bit) for k in (2, 3, 4) for bit in (0, 1)}
-
-
-def test_knowledges_built_without_a_memo_share_none():
-    segs, lists = _setup(m=12, d=2)
-    leaky = _knowledge(segs, disclosed=sorted(segs), controlled=(4,))
-    blind = _knowledge(segs, controlled=(4,))
-    assert leaky.memo is None and blind.memo is None
-    forge_claim(1, lists[4], None, leaky, (2, 3), random.Random(1))
-    # the blind forger must still guess, as with a memo of its own
-    assert forge_claim(1, lists[4], None, blind, (2, 3), random.Random(2)) == forge_claim(
-        1, lists[4], None, blind._replace(memo={}), (2, 3), random.Random(2)
-    )
-    assert leaky.memo is None and blind.memo is None
-    cfg = SimConfig(controlled=frozenset({4}))
-    first, second = (resolve_bribes(cfg, None, segs, lists) for _ in range(2))
-    assert first.memo == {} == second.memo and first.memo is not second.memo
+        assert together.getstate() == alone.getstate()
+    assert set(shared.known) == {(k, bit) for k in (2, 3, 4) for bit in (0, 1)}
 
 
 def test_a_forge_heavy_trial_finds_each_known_part_once(monkeypatch):
     # n=8, forgers 5-8 aim at 2-4, both distributors bribed: 3 distinct
-    # (target, bit) known parts and one covered mask per trial, not 12 and 4
-    calls = {"known_positions": 0, "covered": 0}
-    for name in calls:
-        real = getattr(Knowledge, name)
+    # (target, bit) known parts per trial, not 12
+    calls = 0
+    real = Knowledge.known_positions
 
-        def counted(self, *args, real=real, name=name):
-            calls[name] += 1
-            return real(self, *args)
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return real(self, *args)
 
-        monkeypatch.setattr(Knowledge, name, counted)
+    monkeypatch.setattr(Knowledge, "known_positions", counted)
     cfg = SimConfig(
         participants=8,
         distributors=2,
@@ -393,8 +373,7 @@ def test_a_forge_heavy_trial_finds_each_known_part_once(monkeypatch):
     )
     rep = run_batch(cfg)
     assert rep.forge_attempts == 40 * 4 * 3
-    assert calls["known_positions"] == 40 * 3
-    assert 0 < calls["covered"] <= 40
+    assert calls == 40 * 3
 
 
 # --- strategy dispatch ---------------------------------------------------------

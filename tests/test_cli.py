@@ -27,7 +27,7 @@ from dbasim.cli import (
     run_scenario,
     _check_requirements,
 )
-from dbasim.harness import SimConfig, run_batch, run_trial, trial_plan
+from dbasim.harness import ECHO_CHARS, SimConfig, run_batch, run_trial, trial_plan
 from dbasim.protocol import DECIDE_RULES
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -404,24 +404,80 @@ def test_main_rejects_a_scenario_file_nested_too_deeply(tmp_path, capsys):
     assert captured.err == f"error: {path} nests JSON too deeply to read\n"
 
 
+LONG = "x" * 100000
+
+
 @pytest.mark.parametrize(
-    "text, length",
+    "argv, text, start, length, limit",
     [
-        ('{"controlled": ' + "[" * 900 + "]" * 900 + "}", 1800),
-        ('{"controlled": [' + "0, " * 2999 + '"x"]}', 3 * 2999 + 5),
+        (
+            ["--config", "bad.json"],
+            '{"controlled": ' + "[" * 900 + "]" * 900 + "}",
+            "error: 'controlled' must be a list of integers, got ",
+            1800,
+            200,
+        ),
+        (
+            ["--config", "bad.json"],
+            '{"controlled": [' + "0, " * 2999 + '"x"]}',
+            "error: 'controlled' must be a list of integers, got ",
+            3 * 2999 + 5,
+            200,
+        ),
+        # the known names are listed after the echo
+        (["--config", "bad.json"], json.dumps({LONG: 1}), "error: unknown config keys ['x", 100004, 320),
+        (["--config", "bad.json"], json.dumps({"require": {LONG: 1}}), "error: unknown requirement names ['x", 100004, 200),
+        (["--config", "bad.json"], json.dumps({"sweep": {LONG: [1]}}), "error: cannot sweep over ['x", 100004, 200),
+        (
+            ["--config", "bad.json"],
+            json.dumps({"sweep": {"sender_strategy": [LONG]}}),
+            "error: invalid configuration at sweep point {'sender_strategy': 'x",
+            100002,
+            320,
+        ),
+        (["--config", LONG], None, "error: [Errno ", 100002, 200),
+        (["--scenario", LONG], None, "error: unknown scenario 'x", 100002, 200),
+        (["--sender-strategy", LONG], None, "error: invalid configuration: unknown sender strategy 'x", 100002, 200),
+        (["--decide-rule", LONG], None, "error: invalid configuration: decide rule must be one of", 100002, 200),
+        # argparse's own errors: the usage lines come first
+        (["--controlled", "1," + LONG], None, "dbasim: error: argument --controlled: expected comma-separated", 100004, 200),
+        (["--trials", LONG], None, "dbasim: error: argument --trials: invalid int value: 'x", 100002, 200),
+        ([LONG], None, "dbasim: error: unrecognized arguments: x", 100000, 200),
     ],
-    ids=["nested", "long"],
+    ids=[
+        "nested",
+        "long",
+        "unknown-key",
+        "unknown-require",
+        "unsweepable",
+        "swept-strategy",
+        "config-path",
+        "scenario",
+        "sender-strategy",
+        "decide-rule",
+        "controlled-flag",
+        "int-flag",
+        "unrecognized",
+    ],
 )
-def test_a_long_bad_value_is_echoed_as_a_short_prefix(tmp_path, capsys, text, length):
-    # the error names the key and the full value's length, on one short line
-    path = tmp_path / "bad.json"
-    path.write_text(text)
-    assert main(["--config", str(path)]) == 2
+def test_a_long_bad_value_is_echoed_as_a_short_prefix(tmp_path, monkeypatch, capsys, argv, text, start, length, limit):
+    # the error names what is wrong and the full value's length, on one short line
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "bad.json").write_text(text)
+    try:
+        code = main([*argv, "--trials", "1"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and len(captured.err) < 200
-    assert captured.err.startswith("error: 'controlled' must be a list of integers, got ")
-    assert captured.err.endswith(f"... ({length} characters)\n")
+    lines = captured.err.splitlines()
+    message = lines[-1]
+    assert message.startswith(start) and f"... ({length} characters)" in message
+    assert len(message) < limit and "x" * (ECHO_CHARS + 1) not in captured.err
+    assert len(lines) == 1 or message.startswith("dbasim: error: ")  # argparse prints its usage first
+    assert len(captured.err) < 1000
 
 
 def test_integer_minima_and_float_sweep_values_are_accepted():

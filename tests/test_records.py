@@ -4,7 +4,7 @@ import pytest
 
 from dbasim.adversary import Knowledge
 from dbasim.cli import parse_config
-from dbasim.harness import BatchReport, SimConfig, TrialReport, run_batch, run_trial, trial_plan
+from dbasim.harness import BatchReport, SimConfig, TrialPlan, TrialReport, run_batch, run_trial, trial_plan
 from dbasim.listgen import Segment
 from dbasim.protocol import ABORT, Claim, Decision
 
@@ -12,7 +12,7 @@ RECORDS = {
     "Segment": lambda: Segment(length=6, sender_zeros=0b11, sender_ones=0b1100, receiver_ones={2: 0b11100}),
     "Claim": lambda: Claim(1, 0b101),
     "Decision": lambda: Decision(0),
-    "Knowledge": lambda: Knowledge(segment_length=6, distributors=(5,), disclosed={}, own_lists={}),
+    "Knowledge": lambda: Knowledge(segment_length=6, distributors=(5,), disclosed={}, own_lists={}, covered=0, known={}),
     "SimConfig": SimConfig,
     "TrialReport": lambda: run_trial(trial_plan(SimConfig(trials=1)), 0),
     "BatchReport": lambda: run_batch(SimConfig(trials=2)),
@@ -59,8 +59,14 @@ def test_keyword_construction_fills_every_default():
         Claim(bit=1)
 
 
-
 def test_the_config_record_has_exactly_the_config_fields():
     assert set(SimConfig._fields) == set(SimConfig().to_record())
     cfg = SimConfig(participants=6, controlled=frozenset({5, 2}), bribed=frozenset({8, 7}))
     assert cfg.to_record() == {**cfg._asdict(), "controlled": [2, 5], "bribed": [7, 8]}
+    # the batch record holds every batch field, and adds each count's rate and interval
+    assert set(BatchReport._fields) <= set(run_batch(SimConfig(trials=2)).to_record())
+
+
+def test_the_plan_holds_only_the_party_layout():
+    # the facts the config already holds are read from it, not copied into the plan
+    assert TrialPlan._fields == ("config", "distributors", "receivers", "honest_receivers", "relayers", "audience")
