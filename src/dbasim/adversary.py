@@ -242,8 +242,9 @@ def _sender_equivocate(party: int, bit: int, know: Knowledge, receivers: Sequenc
 
     Each receiver gets the full honest claim for its bit, so every claim is
     individually consistent everywhere and the split only surfaces when
-    receivers compare relays and hit the conflicting-bits criterion.  Each
-    half shares one claim object, as an honest sender's receivers do.
+    receivers compare relays and hit the conflicting-bits criterion.  The
+    harness classes receivers by message value, so each half is one class;
+    that each half also shares one claim object only spares equality tests.
     """
     own = know.own_lists[party]
     half = (len(receivers) + 1) // 2

@@ -19,7 +19,7 @@ from functools import partial
 from typing import IO, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import AGREEMENT_SAFE_STRATEGIES, RECEIVER_STRATEGIES, SENDER_STRATEGIES
-from .harness import BatchReport, SimConfig, TrialReport, clip, encode_canonical, is_int, is_real, run_batch
+from .harness import BatchReport, SimConfig, TrialReport, clip, echo, encode_canonical, is_int, is_real, run_batch
 from .listgen import SENDER
 from .protocol import DECIDE_RULES
 
@@ -49,7 +49,7 @@ def _indices(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {clip(repr(text))}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {echo(text)}") from None
 
 
 def _indices_or_all(text: str) -> list[int] | str:
@@ -63,7 +63,7 @@ def _flag_type(convert: Callable[[str], object]) -> Callable[[str], object]:
         try:
             return convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {clip(repr(text))}") from None
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {echo(text)}") from None
 
     return parse
 
@@ -105,13 +105,13 @@ DEFAULTS: dict = {**{key: default for key, (default, _, _) in FIELDS.items()}, "
 def _check_type(key: str, value: object, what: str = "") -> None:
     test, expected, _ = KINDS[FIELDS[key][1]]
     if not test(value):
-        raise ValueError(f"{what or repr(key)} must be {expected}, got {clip(repr(value))}")
+        raise ValueError(f"{what or repr(key)} must be {expected}, got {echo(value)}")
     if isinstance(value, (list, tuple)):  # an index list: a repeat is an error, not a merge
         repeated = [i for i, count in Counter(value).items() if count > 1]
         if repeated:
             noun = "index" if len(repeated) == 1 else "indices"
             listed = clip(", ".join(map(str, sorted(repeated))))
-            raise ValueError(f"{what or repr(key)} repeats {noun} {listed}, got {clip(repr(value))}")
+            raise ValueError(f"{what or repr(key)} repeats {noun} {listed}, got {echo(value)}")
 
 
 class Scenario(NamedTuple):
@@ -168,8 +168,8 @@ def _check_trial_size(point: Mapping) -> None:
     work = n * n + n * entries
     if work > MAX_TRIAL_WORK:
         raise ValueError(
-            f"one trial is too large: receivers={point['receivers']}, distributors={point['distributors']}, "
-            f"segment_length={point['segment_length']} give n^2 + n*d*m = {work} work units for "
+            f"one trial is too large: receivers={echo(point['receivers'])}, distributors={echo(point['distributors'])}, "
+            f"segment_length={echo(point['segment_length'])} give n^2 + n*d*m = {echo(work)} work units for "
             f"n = receivers + 1, above the limit of {MAX_TRIAL_WORK}"
         )
 
@@ -196,7 +196,7 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
 
     sweep = merged.pop("sweep")
     if not isinstance(sweep, Mapping):
-        raise ValueError(f"'sweep' must be an object mapping fields to value lists, got {clip(repr(sweep))}")
+        raise ValueError(f"'sweep' must be an object mapping fields to value lists, got {echo(sweep)}")
     sweep = dict(sweep)
     bad = sorted(set(sweep) - set(SWEEPABLE))
     if bad:
@@ -209,21 +209,21 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
 
     require = merged.pop("require")
     if not isinstance(require, Mapping):
-        raise ValueError(f"'require' must be an object mapping rate names to minima, got {clip(repr(require))}")
+        raise ValueError(f"'require' must be an object mapping rate names to minima, got {echo(require)}")
     require = dict(require)
     bad = sorted(set(require) - set(REQUIRABLE))
     if bad:
         raise ValueError(f"unknown requirement names {clip(str(bad))}; requirable rates: {list(REQUIRABLE)}")
     for rate_name, minimum in require.items():
         if not is_real(minimum) or minimum != minimum:  # NaN: every comparison with it is false
-            raise ValueError(f"required minimum for {rate_name!r} must be a number, got {clip(repr(minimum))}")
+            raise ValueError(f"required minimum for {rate_name!r} must be a number, got {echo(minimum)}")
 
     for key, value in merged.items():
         _check_type(key, value)
 
     output = merged.pop("output")
     if output not in OUTPUT_MODES:
-        raise ValueError(f"output must be one of {OUTPUT_MODES}, got {clip(repr(output))}")
+        raise ValueError(f"output must be one of {OUTPUT_MODES}, got {echo(output)}")
     name = merged.pop("name")
 
     scenario = Scenario(name=name, base=merged, sweep=sweep, require=require, output=output)
@@ -232,7 +232,7 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
             _check_trial_size(point)
             build_config(point).validate()
         except ValueError as exc:
-            swept = ", ".join(f"{k!r}: {clip(repr(point[k]))}" for k in sweep)
+            swept = ", ".join(f"{k!r}: {echo(point[k])}" for k in sweep)
             where = f" at sweep point {{{swept}}}" if swept else ""
             raise ValueError(f"invalid configuration{where}: {exc}") from None
     return scenario
@@ -244,12 +244,14 @@ def load_scenario_file(path: str, overrides: Optional[Mapping] = None) -> Scenar
             document = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path} nests JSON too deeply to read") from None
+        except ValueError as exc:  # malformed, or an int longer than Python reads
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
     return parse_config(document, overrides)
 
 
 def load_builtin_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
     if name not in BUILTIN_SCENARIOS:
-        raise ValueError(f"unknown scenario {clip(repr(name))}; built in: {list(BUILTIN_SCENARIOS)}")
+        raise ValueError(f"unknown scenario {echo(name)}; built in: {list(BUILTIN_SCENARIOS)}")
     from importlib import resources  # on 3.12+ it imports inspect, so only here
 
     text = resources.files("dbasim").joinpath("scenarios", f"{name}.json").read_text(encoding="utf-8")
@@ -356,6 +358,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dbasim",
         description="Simulate detectable agreement over distributor-issued correlated reference lists.",
+        # argparse prints the usage before each of its errors, so it is short;
+        # flags are spelled in full, as argparse echoes an ambiguous one whole
+        usage="%(prog)s [-h] [--scenario SCENARIO | --config CONFIG] [options]",
+        allow_abbrev=False,
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--scenario", help=f"built-in scenario name: {', '.join(BUILTIN_SCENARIOS)}")
@@ -386,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_scenario(scenario, dump_trials=args.dump_trials)
     except (ValueError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:  # the file's name, as the user gave it
-            exc = f"[Errno {exc.errno}] {exc.strerror}: {clip(repr(exc.filename))}"
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {echo(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,6 +86,14 @@ def clip(text: str) -> str:
     return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
+def echo(value: object) -> str:
+    """How an error message shows a bad value: ``repr(value)`` through :func:`clip`, but an int
+    of more than :data:`ECHO_CHARS` digits by its size, as Python prints no int past 4300 digits."""
+    if is_int(value) and abs(value) >= 10**ECHO_CHARS:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return clip(repr(value))
+
+
 def is_int(value: object) -> bool:
     """An int and not a bool: the type test of every integer field, here and in scenario files."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -130,30 +138,30 @@ class SimConfig(NamedTuple):
             for field in fields:
                 value = getattr(self, field)
                 if not test(value):
-                    raise ValueError(f"{field} must be {expected}, got {clip(repr(value))}")
+                    raise ValueError(f"{field} must be {expected}, got {echo(value)}")
         if self.participants < 3:
-            raise ValueError(f"participants must be at least 3 (one sender, two receivers), got {self.participants}")
+            raise ValueError(f"participants must be at least 3 (one sender, two receivers), got {echo(self.participants)}")
         if self.distributors < 1:
-            raise ValueError(f"distributors must be at least 1, got {self.distributors}")
+            raise ValueError(f"distributors must be at least 1, got {echo(self.distributors)}")
         if self.segment_length <= 0 or self.segment_length % 6 != 0:
-            raise ValueError(f"segment length must be a positive multiple of 6, got {self.segment_length}")
+            raise ValueError(f"segment length must be a positive multiple of 6, got {echo(self.segment_length)}")
         if self.sender_input not in (0, 1):
-            raise ValueError(f"sender input must be 0 or 1, got {self.sender_input}")
+            raise ValueError(f"sender input must be 0 or 1, got {echo(self.sender_input)}")
         if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+            raise ValueError(f"trials must be at least 1, got {echo(self.trials)}")
         if self.decide_rule not in DECIDE_RULES:
-            raise ValueError(f"decide rule must be one of {DECIDE_RULES}, got {clip(repr(self.decide_rule))}")
+            raise ValueError(f"decide rule must be one of {DECIDE_RULES}, got {echo(self.decide_rule)}")
         p = self.disclosure_probability
         if not 0.0 < p < 1.0:
-            raise ValueError(f"disclosure probability must satisfy 0 < p < 1, got {p}")
+            raise ValueError(f"disclosure probability must satisfy 0 < p < 1, got {echo(p)}")
         n = self.participants
         bad = sorted(i for i in self.controlled if not 1 <= i <= n)
         if bad:
-            raise ValueError(f"controlled indices {clip(str(bad))} fall outside participants 1..{n}")
+            raise ValueError(f"controlled indices {echo(bad)} fall outside participants 1..{echo(n)}")
         lo, hi = n + 1, n + self.distributors
         bad = sorted(i for i in self.bribed if not lo <= i <= hi)
         if bad:
-            raise ValueError(f"bribed indices {clip(str(bad))} fall outside distributors {lo}..{hi}")
+            raise ValueError(f"bribed indices {echo(bad)} fall outside distributors {echo(lo)}..{echo(hi)}")
         honest = n - len(self.controlled)
         if honest < 3:
             raise ValueError(f"need at least 3 honest participants, have {honest} of {n}")
@@ -162,7 +170,7 @@ class SimConfig(NamedTuple):
             ("receiver", self.receiver_strategy, RECEIVER_STRATEGIES),
         ):
             if name not in known:
-                raise ValueError(f"unknown {role} strategy {clip(repr(name))}; known: {sorted(known)}")
+                raise ValueError(f"unknown {role} strategy {echo(name)}; known: {sorted(known)}")
 
     def to_record(self) -> dict:
         """The ``config`` record: every field, index sets sorted."""
@@ -196,21 +204,16 @@ class TrialReport(NamedTuple):
 
     def to_record(self) -> dict:
         rec = {
+            **self._asdict(),
             "schema_version": SCHEMA_VERSION,
             "record": "trial",
-            "trial": self.trial,
             "controlled": sorted(self.plan.config.controlled),
             "disclosed": list(self.disclosed),
             "decisions": {str(p): render_decision(d) for p, d in sorted(self.decisions.items())},
-            "agreement": self.agreement,
-            "validity": self.validity,
-            "honest_success": self.honest_success,
-            "forge_attempts": self.forge_attempts,
-            "forge_successes": self.forge_successes,
-            "full_knowledge": self.full_knowledge,
         }
-        if self.transcript is not None:
-            rec["transcript"] = list(self.transcript)
+        del rec["plan"], rec["classes"]  # written as "controlled" and "decisions"
+        if self.transcript is None:
+            del rec["transcript"]
         return rec
 
 
@@ -275,38 +278,23 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
         knowledge = resolve_bribes(cfg, bribe_rng, dict(zip(plan.distributors, ordered)), lists)
 
     # Round 1: the sender announces one claim per receiver.  The honest
-    # receivers that got one object form a class; an honest sender's
+    # receivers that got one message value form a class; an honest sender's
     # receivers are all one class, and every receiver gets ``default``.
-    transcript: Optional[list[str]] = [] if capture_transcript else None
     if SENDER in controlled:
         rng = derive_rng(cfg.master_seed, trial, "adversary", SENDER)
         round1, _ = adversary_act(cfg, SENDER, cfg.sender_input, knowledge, receivers, rng)
         default = None
-        round1_classes: dict[int, tuple[Optional[Message], list[int]]] = {}
+        round1_classes: dict[Optional[Message], list[int]] = {}
         for j in honest_receivers:
-            got = round1.get(j)
-            round1_classes.setdefault(id(got), (got, []))[1].append(j)
+            round1_classes.setdefault(round1.get(j), []).append(j)
     else:
         round1 = {}
         default = make_claim(cfg.sender_input, sender_list)
-        round1_classes = {id(default): (default, honest_receivers)}
-    if transcript is not None:
-        # Each distinct message object is rendered once per trial and keyed
-        # by identity: every message stays alive in round1, default, relays
-        # or targeted until the trial ends, so no id is reused meanwhile.
-        texts: dict[int, str] = {}
-
-        def text(msg: Optional[Message]) -> str:
-            rendered = texts.get(id(msg))
-            if rendered is None:
-                rendered = texts[id(msg)] = render_message(msg)
-            return rendered
-
-        transcript.extend(f"1 1 {k} {text(round1.get(k, default))}" for k in receivers)
+        round1_classes = {default: honest_receivers}
 
     # Round 2: every receiver relays to every receiver, itself included.
     # Honest relays are kept as (members, message) pairs, then as one
-    # [message, count] group per distinct object; a controlled relayer's as
+    # message -> count group per distinct message; a controlled relayer's as
     # per-target messages.  Each class is relayed once, on the sender's list
     # (the sender-list invariant, see dbasim.listgen); only a claim failing
     # there is relayed per member.
@@ -314,7 +302,7 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
     forge_successes = 0
     relays: list[tuple[Sequence[int], Message]] = []
     own_claims = False  # some relayed claim fails against the sender's list
-    for got, members in round1_classes.values():
+    for got, members in round1_classes.items():
         msg = class_relay(got, sender_list)
         if msg is not None:
             relays.append((members, msg))
@@ -323,11 +311,11 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
             msg = relay_step(got, lists[j])
             own_claims |= msg is not BOT
             relays.append(((j,), msg))
-    groups: dict[int, list] = {}
+    groups: dict[Message, int] = {}
     for members, msg in relays:
-        groups.setdefault(id(msg), [msg, 0])[1] += len(members)
+        groups[msg] = groups.get(msg, 0) + len(members)
     targeted: dict[int, dict[int, Optional[Message]]] = {}
-    audience = receivers if transcript is not None else plan.audience
+    audience = receivers if capture_transcript else plan.audience
     for j in plan.relayers:
         rng = derive_rng(cfg.master_seed, trial, "adversary", j)
         targeted[j], forged = adversary_act(cfg, j, round1.get(j, default), knowledge, audience, rng)
@@ -335,22 +323,25 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
             if k not in controlled:
                 forge_attempts += 1
                 forge_successes += check_claim(targeted[j][k], lists[k])
-    if transcript is not None:
-        relayed = {j: text(msg) for members, msg in relays for j in members}
+    transcript: Optional[list[str]] = None
+    if capture_transcript:  # every receiver was addressed; each distinct message is rendered once
+        round2 = (msg for sent in targeted.values() for msg in sent.values())
+        text = {msg: render_message(msg) for msg in {*(round1.values() if round1 else (default,)), *groups, *round2}}
+        relayed = {j: text[msg] for members, msg in relays for j in members}
+        transcript = [f"1 1 {k} {text[round1.get(k, default)]}" for k in receivers]
         for j in receivers:
             if j in controlled:
-                sent = targeted[j]
-                transcript.extend(f"2 {j} {k} {text(sent.get(k))}" for k in receivers)
+                transcript.extend(f"2 {j} {k} {text[targeted[j][k]]}" for k in receivers)
             else:
                 transcript.extend(f"2 {j} {k} {relayed[j]}" for k in receivers)
 
-    # Honest receivers that got the same controlled messages, by identity and
-    # in relayer order, share one inbox: the honest groups with those
-    # messages merged in.  With no controlled relayer every honest receiver
-    # is in the one class ().  An inbox is decided once, on the sender's
-    # list, unless it holds a claim no honest receiver relayed or some honest
-    # relay came from an own list; then each member decides it on its own
-    # list.
+    # Honest receivers that got equal controlled messages, in relayer order,
+    # share one inbox: the honest groups with those messages merged in.
+    # Messages group by value; one shared object only makes a lookup
+    # cheaper.  With no controlled relayer every honest receiver is in the
+    # one class ().  An inbox is decided once, on the sender's list, unless
+    # it holds a claim no honest receiver relayed or some honest relay came
+    # from an own list; then each member decides it on its own list.
     inboxes: dict[tuple, list[int]] = {(): list(honest_receivers)}
     for sent in targeted.values():
         refined: dict[tuple, list[int]] = {}
@@ -359,7 +350,7 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
                 refined[key] = members
                 continue
             for k in members:
-                refined.setdefault((*key, id(sent.get(k))), []).append(k)
+                refined.setdefault((*key, sent.get(k)), []).append(k)
         inboxes = refined
     classes: list[tuple[Sequence[int], Decision]] = []
     for members in inboxes.values():
@@ -367,13 +358,12 @@ def run_trial(plan: TrialPlan, trial: int, capture_transcript: bool = False) -> 
         own = own_claims
         for sent in targeted.values():
             msg = sent.get(members[0])
-            count = inbox.get(id(msg), (msg, 0))[1]
-            own = own or not count and isinstance(msg, Claim)  # a claim no honest receiver relayed
-            inbox[id(msg)] = [msg, count + 1]
+            own = own or msg not in inbox and isinstance(msg, Claim)  # a claim no honest receiver relayed
+            inbox[msg] = inbox.get(msg, 0) + 1
         if own:
-            classes += [((k,), decide(inbox.values(), lists[k], rule=cfg.decide_rule)) for k in members]
+            classes += [((k,), decide(inbox.items(), lists[k], rule=cfg.decide_rule)) for k in members]
         else:
-            classes.append((members, decide(inbox.values(), sender_list, rule=cfg.decide_rule)))
+            classes.append((members, decide(inbox.items(), sender_list, rule=cfg.decide_rule)))
     # The paper's properties over the distinct honest values, None for an
     # abort: agreement, at most one value; validity (nothing controlled) and
     # honest success (an honest sender), the sender's input as the only

@@ -106,10 +106,12 @@ def decide(
     """Decide from the relay round, given as (message, count) pairs.
 
     Each pair stands for ``count`` receivers, self included, that relayed
-    ``message`` to this party; the counts are positive.  Silence (None) is
-    consumed as the inconsistency flag.  Each pair is checked once, so one
-    shared claim relayed by many costs one check, and the pairs after the
-    first consistent claim for a second bit are not read at all.
+    ``message`` to this party; the counts are positive.  Only the message's
+    value counts: two pairs of equal messages decide as one pair with the
+    summed count.  Silence (None) is consumed as the inconsistency flag.
+    Each pair is checked once, so one claim value relayed by many costs one
+    check, and the pairs after the first consistent claim for a second bit
+    are not read at all.
 
     Let H be the receivers whose message is a claim consistent with
     ``own_list``.  With fewer than two members the evidence is too thin and

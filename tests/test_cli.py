@@ -443,6 +443,62 @@ LONG = "x" * 100000
         (["--controlled", "1," + LONG], None, "dbasim: error: argument --controlled: expected comma-separated", 100004, 200),
         (["--trials", LONG], None, "dbasim: error: argument --trials: invalid int value: 'x", 100002, 200),
         ([LONG], None, "dbasim: error: unrecognized arguments: x", 100000, 200),
+        # flags are spelled in full: argparse's ambiguity error would echo the whole argument
+        (["--s=" + "x" * 1000], None, "dbasim: error: unrecognized arguments: --s=x", 1004, 300),
+        # an int past ECHO_CHARS digits is echoed by its size; Python prints none past 4300 digits
+        (
+            ["--config", "bad.json"],
+            json.dumps({"receivers": 10**4000}),
+            "error: invalid configuration: one trial is too large: receivers=an integer of 13288 bits,",
+            None,
+            300,
+        ),
+        (
+            ["--config", "bad.json"],
+            json.dumps({"segment_length": 10**4000}),
+            "error: invalid configuration: one trial is too large: receivers=3, distributors=2, "
+            "segment_length=an integer of 13288 bits give",
+            None,
+            300,
+        ),
+        (
+            ["--config", "bad.json"],
+            json.dumps({"sweep": {"distributors": [10**4000]}}),
+            "error: invalid configuration at sweep point {'distributors': an integer of 13288 bits}: "
+            "one trial is too large: receivers=3, distributors=an integer of 13288 bits,",
+            None,
+            300,
+        ),
+        (
+            ["--config", "bad.json"],
+            json.dumps({"p": 10**4000}),
+            "error: invalid configuration: disclosure probability must satisfy 0 < p < 1, got an integer of 13288 bits",
+            None,
+            300,
+        ),
+        (
+            ["--config", "bad.json"],
+            json.dumps({"sender_input": 10**4000}),
+            "error: invalid configuration: sender input must be 0 or 1, got an integer of 13288 bits",
+            None,
+            300,
+        ),
+        (
+            ["--config", "bad.json"],
+            json.dumps({"distributors": -(10**4000)}),
+            "error: invalid configuration: distributors must be at least 1, got a negative integer of 13288 bits",
+            None,
+            300,
+        ),
+        # a file that is not JSON Python can read is named
+        (["--config", "bad.json"], '{"trials": 1,,}', "error: bad.json is not valid JSON: Expecting", None, 300),
+        (
+            ["--config", "bad.json"],
+            '{"receivers": 1' + "0" * 5000 + "}",
+            "error: bad.json is not valid JSON: Exceeds the limit (4300 digits)",
+            None,
+            300,
+        ),
     ],
     ids=[
         "nested",
@@ -458,6 +514,15 @@ LONG = "x" * 100000
         "controlled-flag",
         "int-flag",
         "unrecognized",
+        "abbreviated-flag",
+        "huge-receivers",
+        "huge-segment-length",
+        "huge-swept-distributors",
+        "huge-p",
+        "huge-sender-input",
+        "huge-negative-distributors",
+        "malformed-json",
+        "json-int-past-the-limit",
     ],
 )
 def test_a_long_bad_value_is_echoed_as_a_short_prefix(tmp_path, monkeypatch, capsys, argv, text, start, length, limit):
@@ -474,10 +539,10 @@ def test_a_long_bad_value_is_echoed_as_a_short_prefix(tmp_path, monkeypatch, cap
     assert captured.out == ""
     lines = captured.err.splitlines()
     message = lines[-1]
-    assert message.startswith(start) and f"... ({length} characters)" in message
+    assert message.startswith(start) and (length is None or f"... ({length} characters)" in message)
     assert len(message) < limit and "x" * (ECHO_CHARS + 1) not in captured.err
     assert len(lines) == 1 or message.startswith("dbasim: error: ")  # argparse prints its usage first
-    assert len(captured.err) < 1000
+    assert len(captured.err.encode()) < max(limit, 300)
 
 
 def test_integer_minima_and_float_sweep_values_are_accepted():

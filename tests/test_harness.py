@@ -131,6 +131,13 @@ def test_the_bribery_stream_is_derived_only_when_a_distributor_is_bribed(monkeyp
         (dict(sender_strategy="x" * 100000), "unknown sender strategy 'xxx"),
         (dict(receiver_strategy="x" * 100000), "unknown receiver strategy 'xxx"),
         (dict(decide_rule="x" * 100000), "decide rule must be one of ('literal', 'merged'), got 'xxx"),
+        # an int past 40 digits is echoed by its size, also one too long for Python to print
+        (dict(participants=-(10**5000)), "participants must be at least 3 (one sender, two receivers), got a negative integer of"),
+        (dict(distributors=-(10**4000)), "distributors must be at least 1, got a negative integer of 13288 bits"),
+        (dict(segment_length=10**4000 + 1), "segment length must be a positive multiple of 6, got an integer of 13288 bits"),
+        (dict(sender_input=10**4000), "sender input must be 0 or 1, got an integer of 13288 bits"),
+        (dict(trials=-(10**4000)), "trials must be at least 1, got a negative integer of 13288 bits"),
+        (dict(disclosure_probability=10**5000), "disclosure probability must satisfy 0 < p < 1, got an integer of 16610 bits"),
     ],
 )
 def test_config_validation_names_the_offending_field(kw, message):
@@ -341,12 +348,11 @@ def _record_renders(monkeypatch):
 
 
 def _renders(rendered, cfg, trial):
-    """How many messages one transcribed trial renders, each object at most once."""
+    """How many messages one transcribed trial renders, each message value at most once."""
     rendered.clear()
     rep = run_trial(trial_plan(cfg), trial, capture_transcript=True)
     assert len(rep.transcript) == (cfg.participants - 1) * cfg.participants
-    # the rendered objects are kept alive in ``rendered``, so equal ids mean one object
-    assert len({id(msg) for msg in rendered}) == len(rendered), "an object was rendered twice"
+    assert len(set(rendered)) == len(rendered), "a message value was rendered twice"
     return len(rendered)
 
 
@@ -383,7 +389,7 @@ def test_a_forging_transcript_renders_each_distinct_object_once(monkeypatch):
         sent.clear()
         count = _renders(rendered, cfg, trial)
         assert len(sent) == len(forgers)
-        assert count == 1 + len({id(msg) for messages in sent for msg in messages.values()}) == 2 + 6 * len(forgers)
+        assert count == 1 + len({msg for messages in sent for msg in messages.values()}) == 2 + 6 * len(forgers)
 
 
 def test_trial_report_serialization_round_trip_fields():
@@ -530,12 +536,12 @@ def test_round2_strategies_address_receivers_up_to_the_last_honest_one(monkeypat
 @pytest.mark.parametrize("controlled", [{1}, {1, 6}])
 @pytest.mark.parametrize("shape", ["copies", "one-object"])
 def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypatch, sender_strategy, controlled, shape):
-    # classes go by object identity.  A controlled sender that sends every
-    # receiver its own copy of a claim makes one class per receiver, which
-    # must not change any decision.  One that sends every receiver the same
-    # object makes one class, which a random-junk claim fails against the
-    # sender's list, so its members relay from their own lists.  Either way
-    # each decision stays the per-receiver reference's.
+    # classes go by message value.  A controlled sender that sends every
+    # receiver its own copy of a claim makes one class per distinct value,
+    # as with shared objects, and no decision changes.  One that sends every
+    # receiver the same object makes one class, which a random-junk claim
+    # fails against the sender's list, so its members relay from their own
+    # lists.  Either way each decision stays the per-receiver reference's.
     cfg = _cfg(
         participants=7,
         distributors=1,
@@ -547,6 +553,7 @@ def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypa
     cfg.validate()
     unchanged = [run_trial(trial_plan(cfg), trial, capture_transcript=True) for trial in range(16)]
     real = dbasim.harness.adversary_act
+    sent = {}  # the sender's round 1 of the trial
 
     def reshaped(cfg, party, incoming, know, receivers, rng):
         messages, forged = real(cfg, party, incoming, know, receivers, rng)
@@ -554,6 +561,8 @@ def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypa
             messages = {k: Claim(msg.bit, msg.mask) if isinstance(msg, Claim) else msg for k, msg in messages.items()}
         elif party == 1:
             messages = dict.fromkeys(messages, messages[receivers[0]])
+        if party == 1:
+            sent.update(messages)
         return messages, forged
 
     classed = []
@@ -572,10 +581,11 @@ def test_equal_but_distinct_round1_objects_give_the_reference_decisions(monkeypa
         rep = run_trial(trial_plan(cfg), trial, capture_transcript=True)
         _assert_reference_decisions(cfg, trial, rep)
         if shape == "copies":
-            # the receivers decide in classes of one, to the same per-party decisions
+            # the copies class by value, to the same per-party decisions
             assert rep._replace(classes=()) == unchanged[trial]._replace(classes=())
             assert rep.decisions == unchanged[trial].decisions
-            assert len(classed) == len(honest_receivers)  # one class per receiver
+            assert len(classed) == len({sent[k] for k in honest_receivers})  # one class per distinct value
+            assert len(set(classed)) == len(classed)
         else:
             assert len(classed) == 1
             relays = {ln.split()[3] for ln in rep.transcript if ln.startswith("2 ") and int(ln.split()[1]) in honest_receivers}
@@ -671,15 +681,31 @@ def test_all_honest_trials_make_no_receiver_list_at_any_size(monkeypatch, built)
     assert per_size[32] == per_size[200] == {"check_claim": 6, "decide": 3}
 
 
-@pytest.mark.parametrize("receiver_strategy", ["honest-mimic", "silent", "flag-always", "omniscient-forge"])
-def test_inboxes_of_relayed_claims_are_decided_on_the_senders_list(built, receiver_strategy):
+@pytest.mark.parametrize(
+    "receiver_strategy, copies",
+    [("honest-mimic", False), ("silent", False), ("flag-always", False), ("omniscient-forge", False), ("honest-mimic", True)],
+    ids=["honest-mimic", "silent", "flag-always", "omniscient-forge", "honest-mimic-copies"],
+)
+def test_inboxes_of_relayed_claims_are_decided_on_the_senders_list(monkeypatch, built, receiver_strategy, copies):
     # the controlled relayer sends each honest receiver nothing but the flag,
     # silence or a claim the honest receivers relay too, so every honest
-    # decision is made on the sender's list: the lists built per trial are
-    # the sender's and the controlled relayer's own
+    # decision is made once per trial, on the sender's list: the lists built
+    # per trial are the sender's and the controlled relayer's own.  A claim
+    # counts as relayed by its value, so an equal copy per target, in place
+    # of the one claim object, changes none of that
+    if copies:
+        real = dbasim.harness.adversary_act
+
+        def copying(cfg, party, incoming, know, receivers, rng):
+            messages, forged = real(cfg, party, incoming, know, receivers, rng)
+            return {k: Claim(*msg) if isinstance(msg, Claim) else msg for k, msg in messages.items()}, forged
+
+        monkeypatch.setattr(dbasim.harness, "adversary_act", copying)
+    sizes = _record_decide_sizes(monkeypatch)
     cfg = _cfg(participants=32, distributors=2, segment_length=12, controlled={2}, receiver_strategy=receiver_strategy, trials=4)
     assert run_batch(cfg).agreement_count == 4
     assert built == [1, 2] * 4
+    assert len(sizes) == 4
 
 
 @pytest.mark.parametrize("rule", ["literal", "merged"])
@@ -712,8 +738,8 @@ def test_inboxes_with_claims_no_honest_receiver_relayed_are_decided_on_own_lists
     ids=["honest-mimic", "silent", "flag-always", "omniscient-honest", "omniscient-forging"],
 )
 def test_controlled_relays_merge_into_the_groups_by_identity(monkeypatch, kw):
-    # a controlled relayer's message counts in the group of the very object
-    # it relays, as an honest one does: each decide gets the sender's claim
+    # a controlled relayer's message counts in the group of the message
+    # value it relays, as an honest one does: each decide gets the sender's claim
     # and at most one other message (the flag, silence, or the forged claim
     # to the victim), where one pair per controlled relayer's message would
     # make three for the first four cases and, for everyone but the victim,
