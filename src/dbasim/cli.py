@@ -19,7 +19,18 @@ from functools import partial
 from typing import IO, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import AGREEMENT_SAFE_STRATEGIES, RECEIVER_STRATEGIES, SENDER_STRATEGIES
-from .harness import BatchReport, SimConfig, TrialReport, clip, echo, encode_canonical, is_int, is_real, run_batch
+from .harness import (
+    BatchReport,
+    SimConfig,
+    TrialReport,
+    clip,
+    echo,
+    encode_canonical,
+    is_int,
+    is_real,
+    run_batch,
+    run_batches,
+)
 from .listgen import SENDER
 from .protocol import DECIDE_RULES
 
@@ -325,21 +336,21 @@ def run_scenario(
 ) -> int:
     """Run every sweep point, emit reports, and enforce requirements.
 
-    Returns 0 when all requirements hold, 1 otherwise.  ``dump_trials``
-    writes per-trial records with full transcripts, one JSON line each, for
-    replay debugging; the file is opened before the first trial runs and
-    each record is written as its trial finishes.
+    Returns 0 when all requirements hold, 1 otherwise.  The trials run
+    through :func:`~dbasim.harness.run_batches`, split across the usable
+    CPUs for a large enough sweep.  ``dump_trials`` writes per-trial records
+    with full transcripts, one JSON line each, for replay debugging; the
+    file is opened before the first trial runs and each record is written
+    as its trial finishes.
     """
     if stream is None:  # bind lazily so stdout redirection is honoured
         stream = sys.stdout
+    configs = [build_config(point) for point in scenario.points()]
     if dump_trials is None:
-        reports = [run_batch(build_config(point)) for point in scenario.points()]
-    else:
+        reports = run_batches(configs)
+    else:  # serial, as the records stream in trial order
         with open(dump_trials, "w", encoding="utf-8") as fh:
-            reports = [
-                run_batch(build_config(point), on_trial=partial(_write_trial, fh, i))
-                for i, point in enumerate(scenario.points())
-            ]
+            reports = [run_batch(cfg, on_trial=partial(_write_trial, fh, i)) for i, cfg in enumerate(configs)]
     if scenario.output in ("human", "both"):
         stream.write(f"scenario {scenario.name}: {len(reports)} batch(es)\n")
         stream.write(emit_table(reports))

@@ -275,6 +275,26 @@ def test_repeated_runs_emit_identical_bytes():
     assert a.getvalue() == b.getvalue()
 
 
+def test_a_split_sweep_prints_the_bytes_of_a_serial_run(tmp_path, monkeypatch, capsys):
+    # 3 x 300 trials reach harness.SPLIT_MIN_TRIALS; a --dump-trials run and
+    # one with one usable CPU run serially
+    argv = ["--scenario", "forge-curve", "--trials", "300", "--output", "both"]
+    cpus = len(os.sched_getaffinity(0))
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outputs = []
+    for extra in ([], ["--dump-trials", str(tmp_path / "trials.jsonl")]):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    split = len(forks)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(argv) == 0
+    outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(forks) == split
+    assert bool(split) == (cpus > 1)
+
+
 def test_dump_trials_writes_replayable_records(tmp_path):
     path = tmp_path / "trials.jsonl"
     s = parse_config({"trials": 4, "output": "machine", "sweep": {"segment_length": [6, 12]}})

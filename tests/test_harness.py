@@ -138,6 +138,11 @@ def test_the_bribery_stream_is_derived_only_when_a_distributor_is_bribed(monkeyp
         (dict(sender_input=10**4000), "sender input must be 0 or 1, got an integer of 13288 bits"),
         (dict(trials=-(10**4000)), "trials must be at least 1, got a negative integer of 13288 bits"),
         (dict(disclosure_probability=10**5000), "disclosure probability must satisfy 0 < p < 1, got an integer of 16610 bits"),
+        # also inside an echoed index list or set
+        (dict(participants=5, controlled=frozenset({10**5000})), "controlled indices [an integer of 16610 bits] fall outside"),
+        (dict(participants=5, bribed=frozenset({6, -(10**5000)})), "bribed indices [a negative integer of 16610 bits] fall"),
+        (dict(participants=5, controlled=frozenset({1.5, 10**5000})), "controlled must be a frozenset of integers, got frozenset({"),
+        (dict(participants=5, bribed=frozenset({"x", 10**5000})), "bribed must be a frozenset of integers, got frozenset({"),
     ],
 )
 def test_config_validation_names_the_offending_field(kw, message):
@@ -988,12 +993,13 @@ def test_importing_the_cli_leaves_out_scipy_dataclasses_and_fractions():
     # importlib.resources is checked because on 3.12+ it imports inspect.
     # fractions loads only for a forge reference, which a forging run
     # still prints; _hashlib (OpenSSL) stays out because derive_rng takes
-    # the interpreter's built-in sha256
+    # the interpreter's built-in sha256; a split sweep forks through os alone
     src = os.path.dirname(os.path.dirname(dbasim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, dbasim.cli\n"
-        "print(sorted(m for m in ('scipy', 'dataclasses', 'inspect', 'importlib.resources', 'fractions', '_hashlib') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy', 'dataclasses', 'inspect', 'importlib.resources', 'fractions', '_hashlib',\n"
+        "    'multiprocessing', 'concurrent.futures', 'subprocess', 'pickle') if m in sys.modules))\n"
         "dbasim.cli.main(['--scenario', 'forging-receiver', '--trials', '20', '--output', 'machine'])\n"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
