@@ -15,7 +15,6 @@ The forging attack and its exact success probability
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from random import Random
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
@@ -161,10 +160,12 @@ def forge_success_closed_form(m: int, d: int) -> Fraction:
     guaranteed-agreement positions plus m/6 discord positions per segment.
     Conditioned on drawing j discord candidates in a segment, the checker's
     balanced hidden bits match all j of them with probability
-    C(m/3 - j, m/6 - j) / C(m/3, m/6).  Summing over the multivariate
-    hypergeometric draw gives the exact rate at any size, far beyond what
-    exhaustive enumeration can reach; the tests pin the two equal on every
-    instance small enough to enumerate.
+    C(m/3 - j, m/6 - j) / C(m/3, m/6).  The segments' weights multiply, so
+    the sum over the multivariate hypergeometric draw is one polynomial
+    P(x) = sum_j C(m/6, j) C(m/3 - j, m/6 - j) x^j raised to the d-th power:
+    its coefficient of x^s weighs the draws of s discord candidates in all,
+    each completed by C(d*m/3, d*m/3 - s) agreement picks.  The tests pin it
+    to the exhaustive enumeration on every instance small enough for that.
     """
     from fractions import Fraction  # only batches with a forge reference need it
 
@@ -173,20 +174,17 @@ def forge_success_closed_form(m: int, d: int) -> Fraction:
     if d < 1:
         raise ValueError(f"need at least one distributor, got {d}")
     third, sixth = m // 3, m // 6
-    need = d * m // 3
-    agreement = d * third
-    acc = Fraction(0)
-    for js in itertools.product(range(sixth + 1), repeat=d):
-        rest = need - sum(js)
-        if rest < 0 or rest > agreement:
-            continue
-        ways = comb(agreement, rest)
-        match = Fraction(1)
-        for j in js:
-            ways *= comb(sixth, j)
-            match *= Fraction(comb(third - j, sixth - j), comb(third, sixth))
-        acc += ways * match
-    return acc / comb(agreement + d * sixth, need)
+    agreement = d * third  # also the number of positions drawn
+    segment = [comb(sixth, j) * comb(third - j, sixth - j) for j in range(sixth + 1)]
+    power = [1]  # P(x)^0, then P(x)^1 ... P(x)^d, lowest coefficient first
+    for _ in range(d):
+        product = [0] * (len(power) + sixth)
+        for i, a in enumerate(power):
+            for j, b in enumerate(segment):
+                product[i + j] += a * b
+        power = product
+    ways = sum(c * comb(agreement, agreement - s) for s, c in enumerate(power))
+    return Fraction(ways, comb(third, sixth) ** d * comb(agreement + d * sixth, agreement))
 
 
 def forge_heuristic(m: int, d: int) -> float:

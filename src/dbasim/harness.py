@@ -576,19 +576,28 @@ SPLIT_MIN_TRIALS = 200
 
 def _split_cpus(trials: int) -> list[int]:
     """The CPUs that :func:`run_batches` splits ``trials`` trials across, one process each: the
-    usable ones, lowest first, but no more than one per half :data:`SPLIT_MIN_TRIALS` trials.
+    usable ones, the one this process runs on first, then lowest first, but no more than one per
+    half :data:`SPLIT_MIN_TRIALS` trials.
 
-    Fewer than two is the serial path: below :data:`SPLIT_MIN_TRIALS`, with
-    one usable CPU, without CPU affinity (and so without ``os.fork``), and
-    while another thread runs, since a forked child gets no copy of it and
-    may find a lock it held still taken.
+    Each worker pins itself to one of the others.  A forked child starts on
+    its parent's CPU, where a 2-vCPU VM's scheduler left both for a whole
+    sweep, so no worker may pin itself there.  Fewer than two is the serial
+    path: below :data:`SPLIT_MIN_TRIALS`, with one usable CPU, without CPU
+    affinity (and so without ``os.fork``), and while another thread runs,
+    since a forked child gets no copy of it and may find a lock it held
+    still taken.
     """
     if trials < SPLIT_MIN_TRIALS or not hasattr(os, "sched_setaffinity"):
         return []
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
         return []
-    return sorted(os.sched_getaffinity(0))[: trials * 2 // SPLIT_MIN_TRIALS]
+    try:  # this process's CPU is field 39 of /proc/self/stat, after the parenthesized command name
+        with open("/proc/self/stat", "rb") as fh:
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:  # no /proc: lowest first
+        here = None
+    return sorted(os.sched_getaffinity(0), key=lambda cpu: (cpu != here, cpu))[: trials * 2 // SPLIT_MIN_TRIALS]
 
 
 def _slice(trials: int, i: int, parts: int) -> range:
@@ -618,12 +627,12 @@ def run_batches(configs: Sequence[SimConfig]) -> list[BatchReport]:
     Every trial draws only from its own (seed, trial) streams and a report
     is built from sums, so any split of the trials gives the same reports.
     One forked worker per further CPU of :func:`_split_cpus` tallies one
-    contiguous slice of every batch's trials, and this process the first;
-    each process is pinned to its own CPU, this one until the call returns.
-    A worker sends its counts through a pipe.  The slices of a worker that
-    failed or could not be started run again here, in trial order, so a
-    trial that raises raises here as it would in a serial run.  No worker
-    outlives the call.
+    contiguous slice of every batch's trials, pinned to its own CPU, and
+    this process the first slice, unpinned.  A worker sends its counts
+    through a pipe.  A slice that has no counts, because its fork was
+    refused, its worker failed or this process's tally raised, runs again
+    here, in trial order, so a trial that raises raises here as it would in
+    a serial run.  No worker outlives the call.
     """
     plans = [trial_plan(cfg) for cfg in configs]  # every config is checked before any trial runs
     cpus = _split_cpus(sum(cfg.trials for cfg in configs))
@@ -631,9 +640,8 @@ def run_batches(configs: Sequence[SimConfig]) -> list[BatchReport]:
         return [run_batch(cfg) for cfg in configs]
 
     parts = len(cpus)
-    mask = os.sched_getaffinity(0)
     workers: dict[int, tuple[int, IO[str]]] = {}  # slice -> pid and pipe of its unreaped worker
-    done: list[Optional[list[list[int]]]] = [None] * parts  # slice -> its counts per batch, or None
+    done: dict[int, list[list[int]]] = {}  # slice -> its counts per batch, once every batch is tallied
     try:
         for i, cpu in enumerate(cpus[1:], 1):
             read, write = os.pipe()
@@ -647,12 +655,8 @@ def run_batches(configs: Sequence[SimConfig]) -> list[BatchReport]:
                 _work(plans, i, parts, cpu, write)
             os.close(write)
             workers[i] = (pid, open(read, encoding="ascii"))
-        os.sched_setaffinity(0, {cpus[0]})
-        own: list[list[int]] = []
-        done[0] = own
         try:
-            for plan in plans:
-                own.append(_tally(plan, _slice(plan.config.trials, 0, parts)))
+            done[0] = [_tally(plan, _slice(plan.config.trials, 0, parts)) for plan in plans]
         except Exception:  # run again below, after every earlier slice in trial order
             pass
         for i, (pid, pipe) in list(workers.items()):
@@ -670,13 +674,9 @@ def run_batches(configs: Sequence[SimConfig]) -> list[BatchReport]:
                 pipe.close()
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-        os.sched_setaffinity(0, mask)
 
     reports = []
     for b, plan in enumerate(plans):
-        counts = [
-            slices[b] if slices is not None and b < len(slices) else _tally(plan, _slice(plan.config.trials, i, parts))
-            for i, slices in enumerate(done)
-        ]
+        counts = [done[i][b] if i in done else _tally(plan, _slice(plan.config.trials, i, parts)) for i in range(parts)]
         reports.append(_batch_report(plan, [sum(column) for column in zip(*counts)]))
     return reports

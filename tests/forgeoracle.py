@@ -1,7 +1,9 @@
-"""The exhaustive forging-rate enumeration, the tests' reference for ``forge_success_closed_form``."""
+"""The tests' two references for ``forge_success_closed_form``: the exhaustive forging-rate
+enumeration and the per-segment sum over every tuple of discord picks."""
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 ORACLE_ENUMERATION_BOUND = 24  # combined length d*m beyond this is impractical to enumerate
@@ -78,3 +80,25 @@ def forge_success_oracle(
             total += 1
             good += all(is_agreement_good(x) or (x % m - 2 * third) in assign[x // m] for x in [*picked, *extra])
     return Fraction(good, total)
+
+
+def forge_success_enumerated(m: int, d: int) -> Fraction:
+    """``forge_success_closed_form(m, d)`` as a sum over every tuple of per-segment discord picks.
+
+    Each of the (m/6 + 1)^d tuples (j_1, ..., j_d) weighs C(m/6, j_i) ways
+    per segment, completed by C(d*m/3, d*m/3 - sum j) agreement picks, and
+    passes with probability prod C(m/3 - j_i, m/6 - j_i) / C(m/3, m/6).
+    The closed form factors this sum into one polynomial power, so the two
+    must agree wherever this loop is small enough to run.
+    """
+    third, sixth = m // 3, m // 6
+    need = agreement = d * third
+    acc = Fraction(0)
+    for js in itertools.product(range(sixth + 1), repeat=d):
+        ways = comb(agreement, need - sum(js))
+        match = Fraction(1)
+        for j in js:
+            ways *= comb(sixth, j)
+            match *= Fraction(comb(third - j, sixth - j), comb(third, sixth))
+        acc += ways * match
+    return acc / comb(agreement + d * sixth, need)

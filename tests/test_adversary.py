@@ -22,7 +22,7 @@ from dbasim.adversary import (
 from dbasim.harness import SimConfig, run_batch
 from dbasim.listgen import combined_lists_from_segments, generate_segment, mask_positions
 from dbasim.protocol import BOT, Claim, check_claim, make_claim
-from forgeoracle import forge_success_oracle
+from forgeoracle import ORACLE_ENUMERATION_BOUND, forge_success_enumerated, forge_success_oracle
 from symbols import bits, claimed, combined, entries
 
 
@@ -154,8 +154,15 @@ def test_forge_success_two_thirds_by_hand_enumeration():
 
 
 def test_oracle_matches_closed_form_on_every_feasible_size():
-    for m, d in [(6, 1), (12, 1), (18, 1), (24, 1), (6, 2), (12, 2), (6, 3), (6, 4)]:
+    sizes = [(m, d) for m in range(6, ORACLE_ENUMERATION_BOUND + 1, 6) for d in range(1, ORACLE_ENUMERATION_BOUND // m + 1)]
+    assert len(sizes) == 8
+    for m, d in sizes:
         assert forge_success_oracle(m, d) == forge_success_closed_form(m, d), (m, d)
+
+
+def test_closed_form_equals_the_sum_over_every_tuple_of_discord_picks():
+    for m, d in [*((m, d) for m in (6, 12, 18, 24) for d in range(1, 7)), (60, 1), (60, 2), (60, 3)]:
+        assert forge_success_closed_form(m, d) == forge_success_enumerated(m, d), (m, d)
 
 
 def test_oracle_success_decays_with_length():

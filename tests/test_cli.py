@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import dbasim
-from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
+from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES, forge_success_closed_form
 from dbasim.cli import (
     BUILTIN_SCENARIOS,
     DEFAULTS,
@@ -571,6 +571,15 @@ def test_integer_minima_and_float_sweep_values_are_accepted():
     assert s.require == {"agreement_rate": 1}
 
 
+def _fresh_cli(*args, timeout):
+    """``dbasim.cli`` run with ``args`` in a fresh interpreter, killed and failed after ``timeout`` seconds."""
+    src = os.path.dirname(os.path.dirname(dbasim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "dbasim.cli", *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -584,16 +593,21 @@ def test_oversized_trials_exit_2_without_running(tmp_path, document):
     # build a billion-element list instead of failing fast
     path = tmp_path / "big.json"
     path.write_text(json.dumps(document))
-    src = os.path.dirname(os.path.dirname(dbasim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-m", "dbasim.cli", "--config", str(path)], env=env, capture_output=True, text=True, timeout=10
-    )
+    out = _fresh_cli("--config", str(path), timeout=10)
     assert out.returncode == 2
     assert out.stdout == ""
     assert "one trial is too large" in out.stderr
     for key in ("receivers", "distributors", "segment_length"):
         assert f"{key}=" in out.stderr
+
+
+def test_a_forge_reference_over_forty_segments_is_computed_at_once():
+    # 1225 work units, far inside the trial-size bound; a sum over all
+    # (m/6 + 1)^d tuples of discord picks would take 2^40 steps
+    shape = "--receivers 4 --controlled 5 --receiver-strategy forge --distributors 40 --segment-length 6 --trials 1"
+    out = _fresh_cli(*shape.split(), "--output", "machine", timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["forge_oracle"] == str(forge_success_closed_form(6, 40))
 
 
 def test_trial_size_limit_sits_between_neighbouring_sizes():

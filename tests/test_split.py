@@ -3,7 +3,7 @@
 Each test compares ``canonical_json`` with ``[run_batch(cfg) for cfg in
 configs]`` and, through the ``forks`` fixture, counts the workers forked and
 checks that none is left unreaped and that this process's CPU affinity is
-restored, also when a trial raises.
+unchanged, also when a trial raises.
 """
 
 import os
@@ -35,7 +35,7 @@ def _workers(trials):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids ``run_batches`` forks; afterwards no child is left and the affinity is as before."""
+    """The pids ``run_batches`` forks; afterwards no child is left and the affinity is unchanged."""
     pids = []
     fork = os.fork
 
@@ -112,6 +112,54 @@ def test_a_running_thread_takes_the_serial_path(forks):
     assert forks == []
 
 
+@needs_two_cpus
+def test_only_the_workers_are_pinned(forks, monkeypatch, tmp_path):
+    parent = os.getpid()
+    mask = os.sched_getaffinity(0)
+    here, pinned, seen = [], [], tmp_path / "workers"
+    run_trial, setaffinity = dbasim.harness.run_trial, os.sched_setaffinity
+
+    def recording(plan, t, capture_transcript=False):
+        if os.getpid() == parent:
+            here.append(os.sched_getaffinity(0))
+        else:  # a worker's list dies with it, so it appends to a file
+            with open(seen, "a") as fh:
+                fh.write(f"{os.getpid()} {' '.join(map(str, os.sched_getaffinity(0)))}\n")
+        return run_trial(plan, t, capture_transcript)
+
+    def counted(pid, cpus):
+        if os.getpid() == parent:
+            pinned.append(cpus)
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(dbasim.harness, "run_trial", recording)
+    monkeypatch.setattr(os, "sched_setaffinity", counted)
+    configs = _scenario_configs("forge-curve", SPLIT_MIN_TRIALS)
+    split = _split(configs)
+    assert here and all(affinity == mask for affinity in here)
+    assert pinned == []
+    workers = {pid: cpus for pid, *cpus in map(str.split, seen.read_text().splitlines())}
+    assert len(workers) == len(forks) == _workers(SPLIT_MIN_TRIALS)
+    worker_cpus = [int(cpu) for cpus in workers.values() for cpu in cpus]
+    assert len(worker_cpus) == len(set(worker_cpus)) == len(workers)  # one CPU each, none shared
+    assert set(worker_cpus) <= mask
+    assert split == _serial(configs)
+
+
+@needs_two_cpus
+def test_no_worker_is_given_the_cpu_this_process_runs_on(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+    for cpu in sorted(mask, reverse=True):
+        os.sched_setaffinity(0, {cpu})  # so this process runs on ``cpu`` when the split is planned
+        try:
+            cpus = dbasim.harness._split_cpus(len(mask) * SPLIT_MIN_TRIALS)
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert cpus[0] == cpu
+        assert sorted(cpus) == sorted(mask)
+
+
 def test_a_failed_fork_runs_its_slice_here(forks, monkeypatch):
     def no_slot():
         raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -170,6 +218,24 @@ def test_a_worker_that_dies_is_recomputed_here(forks, monkeypatch):
     configs = _scenario_configs("forge-curve", SPLIT_MIN_TRIALS)
     assert _split(configs) == _serial(configs)
     assert forks
+
+
+@needs_two_cpus
+def test_a_slice_here_that_raised_once_runs_again_whole(forks, monkeypatch):
+    # this process's slice fails in its second batch, after the first was tallied
+    parent, failed = os.getpid(), []
+
+    def once(plan, t):
+        if os.getpid() == parent and (plan.config.master_seed, t) == (1, 0) and not failed:
+            failed.append(t)
+            return True
+        return False
+
+    configs = [SimConfig(trials=SPLIT_MIN_TRIALS, master_seed=0), SimConfig(trials=SPLIT_MIN_TRIALS, master_seed=1)]
+    serial = _serial(configs)
+    _raising_where(monkeypatch, once)
+    assert _split(configs) == serial
+    assert failed and forks
 
 
 @needs_two_cpus
