@@ -201,9 +201,8 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
     unknown = sorted(set(doc) - set(DEFAULTS))
     if unknown:
         raise ValueError(f"unknown config keys {clip(str(unknown))}; known keys: {sorted(DEFAULTS)}")
-    merged = {**DEFAULTS, **doc}
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
+    flagged = {k: v for k, v in (overrides or {}).items() if v is not None}
+    merged = {**DEFAULTS, **doc, **flagged}
 
     sweep = merged.pop("sweep")
     if not isinstance(sweep, Mapping):
@@ -217,6 +216,7 @@ def parse_config(document: Mapping, overrides: Optional[Mapping] = None) -> Scen
             raise ValueError(f"sweep values for {key!r} must be a non-empty list")
         for value in values:
             _check_type(key, value, f"each sweep value for {key!r}")
+    sweep = {key: values for key, values in sweep.items() if key not in flagged}  # a flag overrides a swept key too
 
     require = merged.pop("require")
     if not isinstance(require, Mapping):

@@ -423,7 +423,9 @@ def wilson_interval(successes: int, total: int) -> Optional[tuple[float, float]]
 class BatchReport(NamedTuple):
     """Aggregated counts over one batch, with the exact references alongside.
 
-    ``forge_oracle`` is the exact per-attempt success rate when the
+    The ten counts from ``agreement_count`` to ``full_knowledge_count`` are
+    each a sum over the batch's trials, in the order :func:`_tally` returns
+    them.  ``forge_oracle`` is the exact per-attempt success rate when the
     configuration matches the oracle's model (plain forging, no bribery);
     ``expected_full_knowledge`` is the exact chance that every segment leaks.
     """
@@ -440,6 +442,7 @@ class BatchReport(NamedTuple):
     forge_successes: int
     full_knowledge_count: int
     forge_oracle: Optional[Fraction] = None
+    expected_full_knowledge: float = 0.0
 
     @property
     def trials(self) -> int:
@@ -470,13 +473,6 @@ class BatchReport(NamedTuple):
         return self.full_knowledge_count / self.trials
 
     @property
-    def expected_full_knowledge(self) -> float:
-        cfg = self.config
-        if len(cfg.bribed) == cfg.distributors:
-            return cfg.disclosure_probability ** cfg.distributors
-        return 0.0
-
-    @property
     def forge_heuristic(self) -> Optional[float]:
         if self.forge_oracle is None:
             return None
@@ -498,7 +494,6 @@ class BatchReport(NamedTuple):
             "forge_success_rate": self.forge_success_rate,
             "forge_success_ci": wilson_interval(self.forge_successes, self.forge_attempts),
             "full_knowledge_rate": self.full_knowledge_rate,
-            "expected_full_knowledge": self.expected_full_knowledge,
             "forge_oracle": str(self.forge_oracle) if self.forge_oracle is not None else None,
             "forge_oracle_float": float(self.forge_oracle) if self.forge_oracle is not None else None,
             "forge_heuristic": self.forge_heuristic,
@@ -509,47 +504,41 @@ class BatchReport(NamedTuple):
 
 
 def _tally(plan: TrialPlan, trials: range, on_trial: Optional[Callable[[TrialReport], object]] = None) -> list[int]:
-    """The counts :func:`_batch_report` takes, over ``trials`` of ``plan``: agreement, all-abort,
-    validity, honest success, forge attempts, forge successes and full knowledge."""
-    agreement = all_abort = validity_ok = honest_ok = 0
-    attempts = successes = 0
-    full_know = 0
+    """:class:`BatchReport`'s ten counts, in its field order, over ``trials`` of ``plan``.
+
+    Each is a sum over the trials, so the counts of consecutive slices add
+    up to those of their union.  A trial counts toward validity or honest
+    success where :func:`run_trial` gave it a value, not None.
+    """
+    agree = all_abort = valid_n = valid_ok = honest_n = honest_ok = attempts = successes = full_know = 0
     for t in trials:
         rep = run_trial(plan, t, capture_transcript=on_trial is not None)
-        agreement += rep.agreement
+        agree += rep.agreement
         if rep.agreement and rep.classes[0][1].aborted:  # every honest party holds the one distinct value
             all_abort += 1
-        validity_ok += rep.validity is True
+        valid_n += rep.validity is not None
+        valid_ok += rep.validity is True
+        honest_n += rep.honest_success is not None
         honest_ok += rep.honest_success is True
         attempts += rep.forge_attempts
         successes += rep.forge_successes
         full_know += rep.full_knowledge
         if on_trial is not None:
             on_trial(rep)
-    return [agreement, all_abort, validity_ok, honest_ok, attempts, successes, full_know]
+    return [agree, all_abort, agree - all_abort, valid_n, valid_ok, honest_n, honest_ok, attempts, successes, full_know]
 
 
 def _batch_report(plan: TrialPlan, counts: Sequence[int]) -> BatchReport:
-    """The report of every trial of ``plan`` from their summed :func:`_tally` counts."""
+    """The report of every trial of ``plan`` from their summed :func:`_tally` counts; every exact
+    reference a batch prints is decided here, from the config alone."""
     cfg = plan.config
-    agreement, all_abort, validity_ok, honest_ok, attempts, successes, full_know = counts
-    oracle: Optional[Fraction] = None
-    if cfg.receiver_strategy in FORGING_RECEIVER_STRATEGIES and plan.relayers and not cfg.bribed:
-        oracle = forge_success_closed_form(cfg.segment_length, cfg.distributors)
-
+    forging = cfg.receiver_strategy in FORGING_RECEIVER_STRATEGIES and plan.relayers and not cfg.bribed
+    every_leak = len(cfg.bribed) == cfg.distributors
     return BatchReport(
-        config=cfg,
-        agreement_count=agreement,
-        all_abort_count=all_abort,
-        common_value_count=agreement - all_abort,
-        validity_applicable=0 if cfg.controlled else cfg.trials,
-        validity_count=validity_ok,
-        honest_success_applicable=0 if SENDER in cfg.controlled else cfg.trials,
-        honest_success_count=honest_ok,
-        forge_attempts=attempts,
-        forge_successes=successes,
-        full_knowledge_count=full_know,
-        forge_oracle=oracle,
+        cfg,
+        *counts,
+        forge_oracle=forge_success_closed_form(cfg.segment_length, cfg.distributors) if forging else None,
+        expected_full_knowledge=cfg.disclosure_probability ** cfg.distributors if every_leak else 0.0,
     )
 
 
@@ -637,7 +626,7 @@ def run_batches(configs: Sequence[SimConfig]) -> list[BatchReport]:
     plans = [trial_plan(cfg) for cfg in configs]  # every config is checked before any trial runs
     cpus = _split_cpus(sum(cfg.trials for cfg in configs))
     if len(cpus) < 2:
-        return [run_batch(cfg) for cfg in configs]
+        return [_batch_report(plan, _tally(plan, range(plan.config.trials))) for plan in plans]
 
     parts = len(cpus)
     workers: dict[int, tuple[int, IO[str]]] = {}  # slice -> pid and pipe of its unreaped worker

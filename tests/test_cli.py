@@ -93,6 +93,19 @@ def test_overrides_replace_file_values():
     assert s.base["seed"] == DEFAULTS["seed"]  # None means flag not given
 
 
+@pytest.mark.parametrize(
+    "scenario, flag, value, key",
+    [("forge-curve", "--segment-length", 18, "segment_length"), ("bribery", "--p", 0.9, "disclosure_probability")],
+)
+def test_a_flag_for_a_swept_key_runs_that_value_alone(capsys, scenario, flag, value, key):
+    code = main(["--scenario", scenario, flag, str(value), "--trials", "50", "--output", "machine"])
+    assert code == 0
+    assert [json.loads(line)["config"][key] for line in capsys.readouterr().out.splitlines()] == [value]
+    # the file's sweep is still checked before the flag replaces it
+    with pytest.raises(ValueError, match="each sweep value for 'p' must be a number"):
+        parse_config({"sweep": {"p": ["high"]}}, overrides={"p": 0.9})
+
+
 def _document(s):
     """A scenario document that parses back to ``s``."""
     return {"schema_version": 1, "name": s.name, **s.base, "sweep": s.sweep, "require": s.require, "output": s.output}

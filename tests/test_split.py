@@ -3,7 +3,8 @@
 Each test compares ``canonical_json`` with ``[run_batch(cfg) for cfg in
 configs]`` and, through the ``forks`` fixture, counts the workers forked and
 checks that none is left unreaped and that this process's CPU affinity is
-unchanged, also when a trial raises.
+unchanged, also when a trial raises.  A property test checks what the split
+rests on: the counts of two slices of a batch add up to the whole batch's.
 """
 
 import os
@@ -11,10 +12,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dbasim.harness
+from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
 from dbasim.cli import BUILTIN_SCENARIOS, build_config, load_builtin_scenario
-from dbasim.harness import SPLIT_MIN_TRIALS, SimConfig, run_batch, run_batches
+from dbasim.harness import SPLIT_MIN_TRIALS, BatchReport, SimConfig, _batch_report, _tally, run_batch, run_batches, trial_plan
+from dbasim.listgen import SENDER
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="a split needs two usable CPUs")
@@ -96,6 +100,61 @@ def test_one_usable_cpu_takes_the_serial_path(forks, monkeypatch):
     configs = _scenario_configs("forge-curve", SPLIT_MIN_TRIALS)
     assert _split(configs) == _serial(configs)
     assert forks == []
+
+
+def test_the_serial_path_checks_each_config_once(forks, monkeypatch):
+    def refused(cfg, on_trial=None):
+        raise AssertionError("run_batches builds its reports from the plans it made")
+
+    configs = _scenario_configs("forge-curve", 10)  # 30 trials in all: under the bound
+    serial = _serial(configs)
+    checked = []
+    validate = SimConfig.validate
+    monkeypatch.setattr(SimConfig, "validate", lambda cfg: checked.append(cfg) or validate(cfg))
+    monkeypatch.setattr(dbasim.harness, "run_batch", refused)
+    assert _split(configs) == serial
+    assert checked == configs
+
+
+@pytest.mark.parametrize("bribery", [False, True])
+@pytest.mark.parametrize("receiver", sorted(RECEIVER_STRATEGIES))
+@pytest.mark.parametrize("sender", sorted(SENDER_STRATEGIES))
+@settings(max_examples=8, deadline=None)
+@given(
+    participants=st.integers(5, 6),
+    distributors=st.integers(1, 2),
+    segment_length=st.sampled_from([6, 12]),
+    sender_acts=st.booleans(),
+    relayer_acts=st.booleans(),
+    trials=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_counts_of_two_slices_add_up_to_the_batch(
+    sender, receiver, bribery, participants, distributors, segment_length, sender_acts, relayer_acts, trials, seed, data
+):
+    cfg = SimConfig(
+        participants=participants,
+        distributors=distributors,
+        segment_length=segment_length,
+        controlled=frozenset([SENDER] * sender_acts + [participants] * relayer_acts),
+        bribed=frozenset(range(participants + 1, participants + 1 + distributors)) if bribery else frozenset(),
+        sender_strategy=sender,
+        receiver_strategy=receiver,
+        trials=trials,
+        master_seed=seed,
+    )
+    cut = data.draw(st.integers(0, trials), label="cut")
+    plan = trial_plan(cfg)
+    head, tail, whole = _tally(plan, range(cut)), _tally(plan, range(cut, trials)), _tally(plan, range(trials))
+    assert [a + b for a, b in zip(head, tail)] == whole
+    records = []
+    report = run_batch(cfg, on_trial=lambda rep: records.append(rep.to_record()))
+    # the ten counts are the report's own fields, in its field order
+    assert whole == list(report[1:11]) and BatchReport._fields[11] == "forge_oracle"
+    assert _batch_report(plan, whole).canonical_json() == report.canonical_json()
+    assert report.validity_applicable == sum(rec["validity"] is not None for rec in records)
+    assert report.honest_success_applicable == sum(rec["honest_success"] is not None for rec in records)
 
 
 def test_a_running_thread_takes_the_serial_path(forks):
