@@ -15,20 +15,17 @@ import itertools
 import json
 import sys
 from collections import Counter
-from functools import partial
+from contextlib import nullcontext
 from typing import IO, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import AGREEMENT_SAFE_STRATEGIES, RECEIVER_STRATEGIES, SENDER_STRATEGIES
 from .harness import (
     BatchReport,
     SimConfig,
-    TrialReport,
     clip,
     echo,
-    encode_canonical,
     is_int,
     is_real,
-    run_batch,
     run_batches,
 )
 from .listgen import SENDER
@@ -324,11 +321,6 @@ def _check_requirements(scenario: Scenario, reports: Sequence[BatchReport]) -> l
     return failures
 
 
-def _write_trial(fh: IO[str], batch: int, report: TrialReport) -> None:
-    record = {"batch": batch, **report.to_record()}
-    fh.write(encode_canonical(record) + "\n")
-
-
 def run_scenario(
     scenario: Scenario,
     stream: Optional[IO[str]] = None,
@@ -339,18 +331,14 @@ def run_scenario(
     Returns 0 when all requirements hold, 1 otherwise.  The trials run
     through :func:`~dbasim.harness.run_batches`, split across the usable
     CPUs for a large enough sweep.  ``dump_trials`` writes per-trial records
-    with full transcripts, one JSON line each, for replay debugging; the
-    file is opened before the first trial runs and each record is written
-    as its trial finishes.
+    with full transcripts, one JSON line each in trial order, for replay
+    debugging; the file is opened before the first trial runs.
     """
     if stream is None:  # bind lazily so stdout redirection is honoured
         stream = sys.stdout
     configs = [build_config(point) for point in scenario.points()]
-    if dump_trials is None:
-        reports = run_batches(configs)
-    else:  # serial, as the records stream in trial order
-        with open(dump_trials, "w", encoding="utf-8") as fh:
-            reports = [run_batch(cfg, on_trial=partial(_write_trial, fh, i)) for i, cfg in enumerate(configs)]
+    with nullcontext() if dump_trials is None else open(dump_trials, "wb") as dump:
+        reports = run_batches(configs, dump)
     if scenario.output in ("human", "both"):
         stream.write(f"scenario {scenario.name}: {len(reports)} batch(es)\n")
         stream.write(emit_table(reports))

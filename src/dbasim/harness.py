@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+from itertools import islice
 from math import sqrt
 from typing import IO, TYPE_CHECKING, Callable, NamedTuple, NoReturn, Optional, Sequence
 
@@ -503,6 +504,14 @@ class BatchReport(NamedTuple):
         return encode_canonical(self.to_record())
 
 
+def _write_trials(out: Optional[IO[bytes]], batch: int) -> Optional[Callable[[TrialReport], object]]:
+    """The ``on_trial`` that writes each trial of batch ``batch`` to ``out`` as one line, its
+    ``--dump-trials`` record; None without ``out``."""
+    if out is None:
+        return None
+    return lambda rep: out.write(encode_canonical({"batch": batch, **rep.to_record()}).encode() + b"\n")
+
+
 def _tally(plan: TrialPlan, trials: range, on_trial: Optional[Callable[[TrialReport], object]] = None) -> list[int]:
     """:class:`BatchReport`'s ten counts, in its field order, over ``trials`` of ``plan``.
 
@@ -594,14 +603,19 @@ def _slice(trials: int, i: int, parts: int) -> range:
     return range(trials * i // parts, trials * (i + 1) // parts)
 
 
-def _work(plans: Sequence[TrialPlan], i: int, parts: int, cpu: int, pipe: int) -> NoReturn:
+def _work(plans: Sequence[TrialPlan], i: int, parts: int, cpu: int, pipe: int, out: Optional[IO[bytes]]) -> NoReturn:
     """A forked worker of :func:`run_batches`: pinned to ``cpu``, it tallies slice ``i`` of every plan,
-    writes each plan's counts to ``pipe`` as one line of decimal integers and exits, with status 1 if
-    anything failed."""
+    writing its trial records to ``out`` when given, writes each plan's counts to ``pipe`` as one line
+    of decimal integers and exits, with status 1 if anything failed."""
     status = 1
     try:
         os.sched_setaffinity(0, {cpu})
-        lines = [" ".join(map(str, _tally(plan, _slice(plan.config.trials, i, parts)))) for plan in plans]
+        lines = [
+            " ".join(map(str, _tally(plan, _slice(plan.config.trials, i, parts), _write_trials(out, b))))
+            for b, plan in enumerate(plans)
+        ]
+        if out is not None:  # every record is in the file before the counts say the slice is done
+            out.flush()
         with open(pipe, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines))
         status = 0
@@ -609,52 +623,81 @@ def _work(plans: Sequence[TrialPlan], i: int, parts: int, cpu: int, pipe: int) -
         os._exit(status)
 
 
-def run_batches(configs: Sequence[SimConfig]) -> list[BatchReport]:
+def run_batches(configs: Sequence[SimConfig], dump: Optional[IO[bytes]] = None) -> list[BatchReport]:
     """``[run_batch(cfg) for cfg in configs]``, run on every usable CPU once the configs hold
-    :data:`SPLIT_MIN_TRIALS` trials in all.
+    :data:`SPLIT_MIN_TRIALS` trials in all; with ``dump``, a binary file opened by path, each
+    trial's record is written to it as one line, batch by batch and in trial order.
 
     Every trial draws only from its own (seed, trial) streams and a report
     is built from sums, so any split of the trials gives the same reports.
     One forked worker per further CPU of :func:`_split_cpus` tallies one
     contiguous slice of every batch's trials, pinned to its own CPU, and
     this process the first slice, unpinned.  A worker sends its counts
-    through a pipe.  A slice that has no counts, because its fork was
-    refused, its worker failed or this process's tally raised, runs again
-    here, in trial order, so a trial that raises raises here as it would in
-    a serial run.  No worker outlives the call.
+    through a pipe.  With a dump, each slice writes its records to its own
+    unlinked file beside the dump, and once every slice is in, this process
+    copies them into the dump, slice by slice within each batch.  A slice
+    that has no counts, because it was not split off, its file could not be
+    made, its fork was refused, its worker failed or this process's tally
+    raised, runs here, in trial order and straight into the dump.  So every
+    record is written once, and a trial that raises raises here as it would
+    in a serial run, after the records a serial run writes before it.  No
+    worker outlives the call.
     """
     plans = [trial_plan(cfg) for cfg in configs]  # every config is checked before any trial runs
     cpus = _split_cpus(sum(cfg.trials for cfg in configs))
-    if len(cpus) < 2:
-        return [_batch_report(plan, _tally(plan, range(plan.config.trials))) for plan in plans]
-
-    parts = len(cpus)
+    parts = max(len(cpus), 1)
     workers: dict[int, tuple[int, IO[str]]] = {}  # slice -> pid and pipe of its unreaped worker
     done: dict[int, list[list[int]]] = {}  # slice -> its counts per batch, once every batch is tallied
+    files: dict[int, IO[bytes]] = {}  # slice -> the file of its records, with a dump
+    if dump is not None and parts > 1:
+        from tempfile import TemporaryFile
+
+        beside = os.path.dirname(dump.name) or "."  # on the dump's filesystem, not a /tmp in memory
     try:
         for i, cpu in enumerate(cpus[1:], 1):
             read, write = os.pipe()
             try:
+                if dump is not None:
+                    files[i] = TemporaryFile(dir=beside)
                 pid = os.fork()
-            except OSError:  # no process slot or memory left: this slice runs here
+            except OSError:  # no file, process slot or memory left: this slice runs here
                 os.close(read)
                 os.close(write)
                 continue
             if pid == 0:
-                _work(plans, i, parts, cpu, write)
+                _work(plans, i, parts, cpu, write, files.get(i))
             os.close(write)
             workers[i] = (pid, open(read, encoding="ascii"))
-        try:
-            done[0] = [_tally(plan, _slice(plan.config.trials, 0, parts)) for plan in plans]
-        except Exception:  # run again below, after every earlier slice in trial order
-            pass
+        if workers:  # else every slice runs below
+            try:
+                if dump is not None:
+                    files[0] = TemporaryFile(dir=beside)
+                done[0] = [
+                    _tally(plan, _slice(plan.config.trials, 0, parts), _write_trials(files.get(0), b))
+                    for b, plan in enumerate(plans)
+                ]
+            except Exception:  # run again below, after every earlier slice in trial order
+                pass
         for i, (pid, pipe) in list(workers.items()):
             with pipe:
                 text = pipe.read()
             _, status = os.waitpid(pid, 0)
             del workers[i]
-            if status == 0:  # the worker wrote every line
+            if status == 0:  # the worker wrote every line, and every record before them
                 done[i] = [[int(count) for count in line.split()] for line in text.splitlines()]
+
+        for out in files.values():
+            out.seek(0)
+        reports = []
+        for b, plan in enumerate(plans):
+            counts = []
+            for i in range(parts):
+                trials = _slice(plan.config.trials, i, parts)
+                if i in done and dump is not None:  # the slice's records, one line each
+                    dump.writelines(islice(files[i], len(trials)))
+                counts.append(done[i][b] if i in done else _tally(plan, trials, _write_trials(dump, b)))
+            reports.append(_batch_report(plan, [sum(column) for column in zip(*counts)]))
+        return reports
     finally:
         if workers:  # interrupted, or this process failed: stop and reap every worker
             from signal import SIGKILL
@@ -663,9 +706,5 @@ def run_batches(configs: Sequence[SimConfig]) -> list[BatchReport]:
                 pipe.close()
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-
-    reports = []
-    for b, plan in enumerate(plans):
-        counts = [done[i][b] if i in done else _tally(plan, _slice(plan.config.trials, i, parts)) for i in range(parts)]
-        reports.append(_batch_report(plan, [sum(column) for column in zip(*counts)]))
-    return reports
+        for out in files.values():
+            out.close()

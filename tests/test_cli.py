@@ -289,23 +289,23 @@ def test_repeated_runs_emit_identical_bytes():
 
 
 def test_a_split_sweep_prints_the_bytes_of_a_serial_run(tmp_path, monkeypatch, capsys):
-    # 3 x 300 trials reach harness.SPLIT_MIN_TRIALS; a --dump-trials run and
-    # one with one usable CPU run serially
+    # 3 x 300 trials reach harness.SPLIT_MIN_TRIALS: with two usable CPUs a
+    # run forks, with or without --dump-trials, and with one it runs serially
     argv = ["--scenario", "forge-curve", "--trials", "300", "--output", "both"]
     cpus = len(os.sched_getaffinity(0))
     fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     outputs = []
-    for extra in ([], ["--dump-trials", str(tmp_path / "trials.jsonl")]):
-        assert main(argv + extra) == 0
-        outputs.append(capsys.readouterr().out)
-    split = len(forks)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert main(argv) == 0
-    outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert len(forks) == split
-    assert bool(split) == (cpus > 1)
+    for where in ("split", "one-cpu"):
+        if where == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        for extra in ([], ["--dump-trials", str(tmp_path / f"{where}.jsonl")]):
+            before = len(forks)
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+            assert (len(forks) > before) == (where == "split" and cpus > 1)
+    assert outputs[1:] == outputs[:1] * 3
+    assert (tmp_path / "split.jsonl").read_bytes() == (tmp_path / "one-cpu.jsonl").read_bytes()
 
 
 def test_dump_trials_writes_replayable_records(tmp_path):

@@ -3,20 +3,24 @@
 Each test compares ``canonical_json`` with ``[run_batch(cfg) for cfg in
 configs]`` and, through the ``forks`` fixture, counts the workers forked and
 checks that none is left unreaped and that this process's CPU affinity is
-unchanged, also when a trial raises.  A property test checks what the split
-rests on: the counts of two slices of a batch add up to the whole batch's.
+unchanged, also when a trial raises.  A split ``--dump-trials`` file must
+hold the one-CPU run's bytes, also when a slice fails.  A property test
+checks what the split rests on: the counts of two slices of a batch add up
+to the whole batch's.
 """
 
+import io
 import os
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dbasim.harness
 from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
-from dbasim.cli import BUILTIN_SCENARIOS, build_config, load_builtin_scenario
+from dbasim.cli import BUILTIN_SCENARIOS, build_config, load_builtin_scenario, run_scenario
 from dbasim.harness import SPLIT_MIN_TRIALS, BatchReport, SimConfig, _batch_report, _tally, run_batch, run_batches, trial_plan
 from dbasim.listgen import SENDER
 
@@ -62,6 +66,42 @@ def _scenario_configs(name, trials):
     return [build_config(point) for point in load_builtin_scenario(name, {"trials": trials}).points()]
 
 
+def _dumped(directory, run):
+    """``run(path)``'s result, or the ValueError it raised, and the bytes it left in ``path``, a dump
+    file alone in ``directory``; afterwards ``directory`` holds only the dump and every file opened
+    meanwhile is closed, none by the garbage collector."""
+    directory.mkdir()
+    path = directory / "trials.jsonl"
+    fds = sorted(os.listdir("/dev/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            outcome = run(path)
+        except ValueError as error:
+            outcome = repr(error)
+    assert sorted(os.listdir("/dev/fd")) == fds
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+    assert os.listdir(directory) == [path.name]
+    return outcome, path.read_bytes()
+
+
+def _batches_into(configs):
+    """``run_batches(configs)`` with a dump at the path it is given, as its reports' bytes."""
+
+    def run(path):
+        with open(path, "wb") as dump:
+            return [rep.canonical_json() for rep in run_batches(configs, dump)]
+
+    return run
+
+
+def _one_cpu(monkeypatch, directory, run):
+    """:func:`_dumped` with one usable CPU, so on the serial path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return _dumped(directory, run)
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
 def test_every_builtin_scenario_splits_to_the_serial_bytes(forks, name, side):
@@ -71,6 +111,74 @@ def test_every_builtin_scenario_splits_to_the_serial_bytes(forks, name, side):
     configs = _scenario_configs(name, trials)
     assert _split(configs) == _serial(configs)
     assert len(forks) == _workers(trials * points)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_every_builtin_scenario_dumps_the_bytes_of_one_cpu(forks, monkeypatch, tmp_path, name):
+    points = len(_scenario_configs(name, 1))
+    trials = SPLIT_MIN_TRIALS // points + 3  # odd, so no batch splits evenly across the processes
+    scenario = load_builtin_scenario(name, {"trials": trials, "output": "both"})
+
+    def run(path):
+        out = io.StringIO()
+        assert run_scenario(scenario, out, dump_trials=str(path)) == 0
+        return out.getvalue()
+
+    split = _dumped(tmp_path / "split", run)
+    assert len(forks) == _workers(trials * points)
+    assert not forks or trials % (len(forks) + 1)
+    assert split == _one_cpu(monkeypatch, tmp_path / "one-cpu", run)
+    assert split[1].count(b"\n") == trials * points
+    assert len(forks) == _workers(trials * points)  # the one-CPU run forked none
+
+
+#: two batches whose 232 trials split across exactly two processes, slices
+#: 0-64 and 65-130 of the first and 0-49 and 50-100 of the second
+DUMPED = [
+    SimConfig(trials=131, master_seed=0),
+    SimConfig(participants=5, controlled=frozenset({5}), receiver_strategy="forge", trials=101, master_seed=1),
+]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failure", ["worker dies", "worker raises", "trial here raises once", "fork refused", "file refused"])
+def test_a_failed_slice_dumps_each_record_once_in_order(forks, monkeypatch, tmp_path, failure):
+    parent, run_trial, failed = os.getpid(), dbasim.harness.run_trial, []
+
+    def failing(plan, t, capture_transcript=False):
+        worker = os.getpid() != parent
+        if (plan.config.master_seed, t) == (1, 100) and failure in ("worker dies", "worker raises") and worker:
+            if failure == "worker dies":  # after its earlier records reached its file
+                os._exit(3)
+            raise ValueError("a worker's trial failed")
+        if (plan.config.master_seed, t) == (1, 30) and failure == "trial here raises once" and not failed:
+            failed.append(t)  # after this slice's records of the first batch
+            raise ValueError("a trial here failed")
+        return run_trial(plan, t, capture_transcript)
+
+    def refused(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    one_cpu = _one_cpu(monkeypatch, tmp_path / "one-cpu", _batches_into(DUMPED))
+    monkeypatch.setattr(dbasim.harness, "run_trial", failing)
+    if failure == "fork refused":
+        monkeypatch.setattr(os, "fork", refused)
+    if failure == "file refused":
+        monkeypatch.setattr("tempfile.TemporaryFile", refused)
+    assert _dumped(tmp_path / "split", _batches_into(DUMPED)) == one_cpu
+    assert len(forks) == (failure not in ("fork refused", "file refused"))
+    assert bool(failed) == (failure == "trial here raises once")
+
+
+@needs_two_cpus
+def test_a_trial_raising_in_a_worker_leaves_the_serial_records_before_it(forks, monkeypatch, tmp_path):
+    # the worker's slice of the first batch fails at its last trial, after its other records reached its file
+    _raising_where(monkeypatch, lambda plan, t: (plan.config.master_seed, t) == (0, 130))
+    split = _dumped(tmp_path / "split", _batches_into(DUMPED))
+    assert split == _one_cpu(monkeypatch, tmp_path / "one-cpu", _batches_into(DUMPED))
+    assert split[0] == repr(ValueError("seed 0 trial 130 failed"))
+    assert split[1].count(b"\n") == 130
+    assert len(forks) == 1
 
 
 @needs_two_cpus
@@ -307,7 +415,8 @@ def test_an_error_here_raises_after_every_worker_is_reaped(forks, monkeypatch):
 
 
 @needs_two_cpus
-def test_an_interrupt_here_kills_every_worker(forks, monkeypatch):
+@pytest.mark.parametrize("dumping", [False, True])
+def test_an_interrupt_here_kills_every_worker(forks, monkeypatch, tmp_path, dumping):
     parent = os.getpid()
     run_trial = dbasim.harness.run_trial
     stalled = []
@@ -320,9 +429,12 @@ def test_an_interrupt_here_kills_every_worker(forks, monkeypatch):
             raise KeyboardInterrupt
         return run_trial(plan, t, capture_transcript)
 
+    def interrupted(path):
+        with pytest.raises(KeyboardInterrupt), open(path, "wb") as dump:
+            run_batches([SimConfig(trials=SPLIT_MIN_TRIALS)], dump if dumping else None)
+
     monkeypatch.setattr(dbasim.harness, "run_trial", stalling)
     start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        run_batches([SimConfig(trials=SPLIT_MIN_TRIALS)])
+    assert _dumped(tmp_path / "interrupted", interrupted) == (None, b"")
     assert time.monotonic() - start < 10  # killed, not waited for
     assert forks
