@@ -13,21 +13,15 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
+from stat import S_ISREG
 from typing import IO, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .adversary import AGREEMENT_SAFE_STRATEGIES, RECEIVER_STRATEGIES, SENDER_STRATEGIES
-from .harness import (
-    BatchReport,
-    SimConfig,
-    clip,
-    echo,
-    is_int,
-    is_real,
-    run_batches,
-)
+from .harness import BatchReport, SimConfig, clip, echo, is_int, is_real, run_batches
 from .listgen import SENDER
 from .protocol import DECIDE_RULES
 
@@ -332,11 +326,18 @@ def run_scenario(
     through :func:`~dbasim.harness.run_batches`, split across the usable
     CPUs for a large enough sweep.  ``dump_trials`` writes per-trial records
     with full transcripts, one JSON line each in trial order, for replay
-    debugging; the file is opened before the first trial runs.
+    debugging; the file is opened before the first trial runs, and not at
+    all when it is the regular file ``stream`` writes to.
     """
     if stream is None:  # bind lazily so stdout redirection is honoured
         stream = sys.stdout
     configs = [build_config(point) for point in scenario.points()]
+    try:  # the batch lines would overwrite the first records
+        clash = dump_trials is not None and os.path.samestat(os.stat(dump_trials), os.fstat(stream.fileno()))
+    except (OSError, ValueError):  # no such file yet, or a stream without a file descriptor
+        clash = False
+    if clash and S_ISREG(os.stat(dump_trials).st_mode):  # a pipe or a terminal is read in order
+        raise ValueError(f"--dump-trials {echo(dump_trials)} is the file stdout writes to; the batch lines would overwrite its records")
     with nullcontext() if dump_trials is None else open(dump_trials, "wb") as dump:
         reports = run_batches(configs, dump)
     if scenario.output in ("human", "both"):

@@ -551,14 +551,10 @@ def _batch_report(plan: TrialPlan, counts: Sequence[int]) -> BatchReport:
     )
 
 
-def run_batch(cfg: SimConfig, on_trial: Optional[Callable[[TrialReport], object]] = None) -> BatchReport:
-    """Run every trial of a batch, in order and in this process, and aggregate; trials share nothing but the seed.
-
-    ``on_trial``, when given, receives each trial's report, transcript
-    included, as soon as the trial finishes; the batch keeps only counts.
-    """
-    plan = trial_plan(cfg)
-    return _batch_report(plan, _tally(plan, range(cfg.trials), on_trial))
+def run_batch(cfg: SimConfig) -> BatchReport:
+    """Run every trial of a batch and aggregate, split across CPUs by :func:`run_batches` from
+    :data:`SPLIT_MIN_TRIALS` trials on; trials share nothing but the seed."""
+    return run_batches([cfg])[0]
 
 
 #: the trials at which splitting a :func:`run_batches` call across two
@@ -624,9 +620,9 @@ def _work(plans: Sequence[TrialPlan], i: int, parts: int, cpu: int, pipe: int, o
 
 
 def run_batches(configs: Sequence[SimConfig], dump: Optional[IO[bytes]] = None) -> list[BatchReport]:
-    """``[run_batch(cfg) for cfg in configs]``, run on every usable CPU once the configs hold
-    :data:`SPLIT_MIN_TRIALS` trials in all; with ``dump``, a binary file opened by path, each
-    trial's record is written to it as one line, batch by batch and in trial order.
+    """Run every trial of each config and aggregate each into its report, on every usable CPU once
+    the configs hold :data:`SPLIT_MIN_TRIALS` trials in all; with ``dump``, a binary file opened by
+    path, each trial's record is written to it as one line, batch by batch and in trial order.
 
     Every trial draws only from its own (seed, trial) streams and a report
     is built from sums, so any split of the trials gives the same reports.

@@ -11,11 +11,11 @@ Two sets, each hashed on its own:
   equivocate, participants 33, d=2, m=60, 6 trials, master seed = case
   index: 18 configurations, each with a controlled relayer at n >= 32.
 
-Per configuration the hash takes ``run_batch``'s canonical JSON without
-``on_trial``, then with it, then every transcribed trial record
-(``json.dumps`` of ``to_record``, sorted keys), concatenated without
-separators.  This is the recipe of the byte-equality record in
-``BENCH_pr16.json``, and it prints the digests recorded there.  A change
+Per configuration the hash takes ``run_batch``'s canonical JSON, then that
+of the report summed from every trial in order in this process, then every
+transcribed trial record (``json.dumps`` of ``to_record``, sorted keys),
+concatenated without separators.  This is the recipe of the byte-equality
+record in ``BENCH_pr16.json``, and it prints the digests recorded there.  A change
 meant to move no output byte must leave both digests as they are;
 ``tests/test_bytesweep.py`` pins them.
 
@@ -29,7 +29,7 @@ import json
 from typing import Iterator
 
 from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
-from dbasim.harness import SimConfig, run_batch
+from dbasim.harness import SimConfig, _batch_report, _tally, run_batch, run_trial, trial_plan
 from dbasim.protocol import DECIDE_RULES
 
 SWEEP_CONTROLLED = ((), (1,), (2,), (9,), (1, 4), (2, 9), (3, 5, 7), (1, 6, 7, 8, 9))
@@ -76,11 +76,11 @@ def digest(configs: Iterator[SimConfig]) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
     for cfg in configs:
-        records: list[dict] = []
+        plan = trial_plan(cfg)
         h.update(run_batch(cfg).canonical_json().encode())
-        h.update(run_batch(cfg, on_trial=lambda rep: records.append(rep.to_record())).canonical_json().encode())
-        for rec in records:
-            h.update(json.dumps(rec, sort_keys=True).encode())
+        h.update(_batch_report(plan, _tally(plan, range(cfg.trials))).canonical_json().encode())
+        for t in range(cfg.trials):
+            h.update(json.dumps(run_trial(plan, t, capture_transcript=True).to_record(), sort_keys=True).encode())
         count += 1
     return count, h.hexdigest()
 

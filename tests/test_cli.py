@@ -27,7 +27,7 @@ from dbasim.cli import (
     run_scenario,
     _check_requirements,
 )
-from dbasim.harness import ECHO_CHARS, SimConfig, run_batch, run_trial, trial_plan
+from dbasim.harness import ECHO_CHARS, SimConfig, echo, run_batch, run_trial, trial_plan
 from dbasim.protocol import DECIDE_RULES
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -349,6 +349,30 @@ def test_unwritable_dump_path_fails_before_any_output(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("redirect", ["truncate", "append"])
+def test_a_dump_into_the_file_stdout_writes_to_exits_2_untouched(tmp_path, redirect):
+    # the dump writes from its own offset 0, so the batch line would land on
+    # its first record; a ``>>`` log must keep what it held
+    log = tmp_path / "log"
+    log.write_bytes(b"kept\n")
+    dump = "/dev/stdout" if redirect == "truncate" else str(log)
+    argv = ["--scenario", "all-honest", "--trials", "40", "--output", "machine", "--dump-trials", dump]
+    with open(log, "wb" if redirect == "truncate" else "ab") as out:
+        done = _fresh_cli(*argv, timeout=60, stdout=out)
+    assert done.returncode == 2
+    assert done.stderr == f"error: --dump-trials {echo(dump)} is the file stdout writes to; the batch lines would overwrite its records\n"
+    assert log.read_bytes() == (b"" if redirect == "truncate" else b"kept\n")
+
+
+def test_a_dump_to_stdout_through_a_pipe_keeps_every_line():
+    out = _fresh_cli("--scenario", "all-honest", "--trials", "40", "--output", "machine", "--dump-trials", "/dev/stdout", timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 41
+    assert [json.loads(line)["trial"] for line in lines[:40]] == list(range(40))
+    assert json.loads(lines[40])["record"] == "batch"
+
+
 # --- the executable ----------------------------------------------------------
 
 
@@ -584,12 +608,13 @@ def test_integer_minima_and_float_sweep_values_are_accepted():
     assert s.require == {"agreement_rate": 1}
 
 
-def _fresh_cli(*args, timeout):
-    """``dbasim.cli`` run with ``args`` in a fresh interpreter, killed and failed after ``timeout`` seconds."""
+def _fresh_cli(*args, timeout, stdout=subprocess.PIPE):
+    """``dbasim.cli`` run with ``args`` in a fresh interpreter, killed and failed after ``timeout`` seconds;
+    its stdout goes to ``stdout``, captured by default."""
     src = os.path.dirname(os.path.dirname(dbasim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "dbasim.cli", *args], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-m", "dbasim.cli", *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout
     )
 
 

@@ -325,8 +325,8 @@ def test_trials_are_deterministic_and_self_contained():
     a = run_trial(trial_plan(cfg), 7, capture_transcript=True)
     b = run_trial(trial_plan(cfg), 7, capture_transcript=True)
     assert a == b
-    kept = []
-    run_batch(cfg, on_trial=kept.append)
+    plan = trial_plan(cfg)  # one plan for every trial, as in a batch
+    kept = [run_trial(plan, t, capture_transcript=True) for t in range(cfg.trials)]
     assert kept[7] == run_trial(trial_plan(cfg), 7, capture_transcript=True)
 
 
@@ -533,7 +533,8 @@ def test_round2_strategies_address_receivers_up_to_the_last_honest_one(monkeypat
         run_batch(cfg._replace(trials=4))
         assert audiences == [tuple(range(2, last_honest + 1))] * (4 * relayers)
         audiences.clear()
-        run_batch(cfg._replace(trials=4), on_trial=lambda rep: None)
+        for t in range(4):  # a transcript records every receiver
+            run_trial(trial_plan(cfg), t, capture_transcript=True)
         assert audiences == [receivers] * (4 * relayers)
 
 
@@ -752,8 +753,7 @@ def test_controlled_relays_merge_into_the_groups_by_identity(monkeypatch, kw):
     # makes one call, plus one for the victim when there is one
     sizes = _record_decide_sizes(monkeypatch)
     cfg = _cfg(participants=7, trials=8, **{"controlled": {6, 7}, **kw})
-    reports = []
-    run_batch(cfg, on_trial=reports.append)
+    reports = [run_trial(trial_plan(cfg), t, capture_transcript=True) for t in range(cfg.trials)]
     assert len(sizes) == sum(1 + bool(rep.forge_attempts) for rep in reports)
     assert max(sizes) <= 2
     if "bribed" in kw:
@@ -793,7 +793,7 @@ def test_one_decide_per_distinct_honest_inbox_at_any_size(monkeypatch, controlle
 @pytest.mark.parametrize("receiver_strategy", sorted(RECEIVER_STRATEGIES))
 @pytest.mark.parametrize("sender_strategy", sorted(SENDER_STRATEGIES))
 def test_a_trial_run_alone_equals_the_record_its_batch_streams(sender_strategy, receiver_strategy, bribed):
-    # run_batch builds the plan once and hands it to every trial; a trial
+    # a batch builds the plan once and hands it to every trial; a trial
     # run alone builds its own, with or without a transcript
     for seed, controlled in enumerate([{1, 5, 7}, {8}, {1}]):
         cfg = _cfg(
@@ -806,8 +806,8 @@ def test_a_trial_run_alone_equals_the_record_its_batch_streams(sender_strategy, 
             trials=4,
             master_seed=seed,
         )
-        streamed = []
-        run_batch(cfg, on_trial=lambda rep: streamed.append(rep.to_record()))
+        plan = trial_plan(cfg)
+        streamed = [run_trial(plan, t, capture_transcript=True).to_record() for t in range(cfg.trials)]
         reports = [run_trial(trial_plan(cfg), t, capture_transcript=True) for t in range(cfg.trials)]
         assert [rep.to_record() for rep in reports] == streamed
         assert all(rep.plan.config == cfg for rep in reports)
@@ -851,9 +851,9 @@ def test_only_a_batch_with_an_adversary_resolves_bribes(monkeypatch, kw, resolve
 
     monkeypatch.setattr(dbasim.harness, "resolve_bribes", counting)
     cfg = _cfg(trials=6, **kw)
-    records = []
-    report = run_batch(cfg, on_trial=lambda rep: records.append(rep.to_record()))
+    report = run_batch(cfg)
     assert len(calls) == resolved_per_trial * cfg.trials
+    records = [run_trial(trial_plan(cfg), t, capture_transcript=True).to_record() for t in range(cfg.trials)]
     if not cfg.bribed:
         assert all(rec["disclosed"] == [False] * cfg.distributors for rec in records)
         assert not any(rec["full_knowledge"] for rec in records)
@@ -910,9 +910,8 @@ def test_batch_counts_add_up_and_intervals_attach():
 
 def test_single_trial_batch_matches_the_trial_report():
     cfg = SimConfig(trials=1)
-    kept = []
-    batch = run_batch(cfg, on_trial=kept.append)
-    [trial] = kept
+    batch = run_batch(cfg)
+    trial = run_trial(trial_plan(cfg), 0, capture_transcript=True)
     assert batch.agreement_count == int(trial.agreement)
     assert batch.validity_applicable == 1
     assert batch.validity_count == int(trial.validity)

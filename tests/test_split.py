@@ -1,12 +1,14 @@
-"""``run_batches``: a sweep's trials split across CPUs give the serial run's reports, byte for byte.
+"""``run_batches`` and ``run_batch``: trials split across CPUs give the serial run's reports, byte for byte.
 
-Each test compares ``canonical_json`` with ``[run_batch(cfg) for cfg in
-configs]`` and, through the ``forks`` fixture, counts the workers forked and
-checks that none is left unreaped and that this process's CPU affinity is
-unchanged, also when a trial raises.  A split ``--dump-trials`` file must
-hold the one-CPU run's bytes, also when a slice fails.  A property test
-checks what the split rests on: the counts of two slices of a batch add up
-to the whole batch's.
+Each test compares ``canonical_json`` with the serial reference, each
+config's report built from every trial in order in this process, and,
+through the ``forks`` fixture, counts the workers forked and checks that
+none is left unreaped and that this process's CPU affinity is unchanged,
+also when a trial raises.  ``run_batch(cfg)`` is ``run_batches([cfg])[0]``,
+so a library batch splits by the same rules.  A split ``--dump-trials``
+file must hold the one-CPU run's bytes, also when a slice fails.  A
+property test checks what the split rests on: the counts of two slices of
+a batch add up to the whole batch's.
 """
 
 import io
@@ -21,7 +23,17 @@ from hypothesis import given, settings, strategies as st
 import dbasim.harness
 from dbasim.adversary import RECEIVER_STRATEGIES, SENDER_STRATEGIES
 from dbasim.cli import BUILTIN_SCENARIOS, build_config, load_builtin_scenario, run_scenario
-from dbasim.harness import SPLIT_MIN_TRIALS, BatchReport, SimConfig, _batch_report, _tally, run_batch, run_batches, trial_plan
+from dbasim.harness import (
+    SPLIT_MIN_TRIALS,
+    BatchReport,
+    SimConfig,
+    _batch_report,
+    _tally,
+    run_batch,
+    run_batches,
+    run_trial,
+    trial_plan,
+)
 from dbasim.listgen import SENDER
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -29,7 +41,9 @@ needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="a split needs two usable C
 
 
 def _serial(configs):
-    return [run_batch(cfg).canonical_json() for cfg in configs]
+    """Each config's report from every trial in order, in this process: the reference of a split."""
+    plans = [trial_plan(cfg) for cfg in configs]
+    return [_batch_report(plan, _tally(plan, range(plan.config.trials))).canonical_json() for plan in plans]
 
 
 def _split(configs):
@@ -111,6 +125,15 @@ def test_every_builtin_scenario_splits_to_the_serial_bytes(forks, name, side):
     configs = _scenario_configs(name, trials)
     assert _split(configs) == _serial(configs)
     assert len(forks) == _workers(trials * points)
+
+
+@pytest.mark.parametrize("trials", [SPLIT_MIN_TRIALS - 1, SPLIT_MIN_TRIALS])
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_run_batch_splits_each_builtin_point_from_the_bound_on(forks, name, trials):
+    for cfg in _scenario_configs(name, trials):
+        before = len(forks)
+        assert run_batch(cfg).canonical_json() == _serial([cfg])[0]
+        assert len(forks) - before == _workers(trials)
 
 
 @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
@@ -211,7 +234,7 @@ def test_one_usable_cpu_takes_the_serial_path(forks, monkeypatch):
 
 
 def test_the_serial_path_checks_each_config_once(forks, monkeypatch):
-    def refused(cfg, on_trial=None):
+    def refused(cfg):
         raise AssertionError("run_batches builds its reports from the plans it made")
 
     configs = _scenario_configs("forge-curve", 10)  # 30 trials in all: under the bound
@@ -256,8 +279,8 @@ def test_counts_of_two_slices_add_up_to_the_batch(
     plan = trial_plan(cfg)
     head, tail, whole = _tally(plan, range(cut)), _tally(plan, range(cut, trials)), _tally(plan, range(trials))
     assert [a + b for a, b in zip(head, tail)] == whole
-    records = []
-    report = run_batch(cfg, on_trial=lambda rep: records.append(rep.to_record()))
+    report = run_batch(cfg)
+    records = [run_trial(plan, t, capture_transcript=True).to_record() for t in range(trials)]
     # the ten counts are the report's own fields, in its field order
     assert whole == list(report[1:11]) and BatchReport._fields[11] == "forge_oracle"
     assert _batch_report(plan, whole).canonical_json() == report.canonical_json()
@@ -353,7 +376,7 @@ def test_a_trial_raising_in_a_worker_raises_here(forks, monkeypatch):
     trials = 2 * SPLIT_MIN_TRIALS
     _raising_where(monkeypatch, lambda plan, t: t == trials - 1)  # the last slice's, a worker's
     with pytest.raises(ValueError) as serial:
-        run_batch(SimConfig(trials=trials, master_seed=0))
+        _serial([SimConfig(trials=trials, master_seed=0)])
     with pytest.raises(ValueError) as split:
         run_batches([SimConfig(trials=trials, master_seed=0)])
     assert str(split.value) == str(serial.value) == f"seed 0 trial {trials - 1} failed"
