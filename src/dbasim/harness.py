@@ -14,9 +14,8 @@ import json
 import os
 import random
 import sys
-from itertools import islice
 from math import sqrt
-from typing import IO, TYPE_CHECKING, Callable, NamedTuple, NoReturn, Optional, Sequence
+from typing import IO, TYPE_CHECKING, NamedTuple, NoReturn, Optional, Sequence
 
 from .adversary import (
     FORGING_RECEIVER_STRATEGIES,
@@ -504,16 +503,10 @@ class BatchReport(NamedTuple):
         return encode_canonical(self.to_record())
 
 
-def _write_trials(out: Optional[IO[bytes]], batch: int) -> Optional[Callable[[TrialReport], object]]:
-    """The ``on_trial`` that writes each trial of batch ``batch`` to ``out`` as one line, its
-    ``--dump-trials`` record; None without ``out``."""
-    if out is None:
-        return None
-    return lambda rep: out.write(encode_canonical({"batch": batch, **rep.to_record()}).encode() + b"\n")
-
-
-def _tally(plan: TrialPlan, trials: range, on_trial: Optional[Callable[[TrialReport], object]] = None) -> list[int]:
-    """:class:`BatchReport`'s ten counts, in its field order, over ``trials`` of ``plan``.
+def _tally(plan: TrialPlan, trials: range, out: Optional[IO[bytes]] = None, batch: int = 0) -> list[int]:
+    """:class:`BatchReport`'s ten counts, in its field order, over ``trials`` of ``plan``; with
+    ``out``, each trial's ``--dump-trials`` record, of batch ``batch``, is written to it as one line
+    as soon as the trial finishes.
 
     Each is a sum over the trials, so the counts of consecutive slices add
     up to those of their union.  A trial counts toward validity or honest
@@ -521,7 +514,7 @@ def _tally(plan: TrialPlan, trials: range, on_trial: Optional[Callable[[TrialRep
     """
     agree = all_abort = valid_n = valid_ok = honest_n = honest_ok = attempts = successes = full_know = 0
     for t in trials:
-        rep = run_trial(plan, t, capture_transcript=on_trial is not None)
+        rep = run_trial(plan, t, capture_transcript=out is not None)
         agree += rep.agreement
         if rep.agreement and rep.classes[0][1].aborted:  # every honest party holds the one distinct value
             all_abort += 1
@@ -532,8 +525,8 @@ def _tally(plan: TrialPlan, trials: range, on_trial: Optional[Callable[[TrialRep
         attempts += rep.forge_attempts
         successes += rep.forge_successes
         full_know += rep.full_knowledge
-        if on_trial is not None:
-            on_trial(rep)
+        if out is not None:
+            out.write(encode_canonical({"batch": batch, **rep.to_record()}).encode() + b"\n")
     return [agree, all_abort, agree - all_abort, valid_n, valid_ok, honest_n, honest_ok, attempts, successes, full_know]
 
 
@@ -600,55 +593,57 @@ def _slice(trials: int, i: int, parts: int) -> range:
 
 
 def _work(plans: Sequence[TrialPlan], i: int, parts: int, cpu: int, pipe: int, out: Optional[IO[bytes]]) -> NoReturn:
-    """A forked worker of :func:`run_batches`: pinned to ``cpu``, it tallies slice ``i`` of every plan,
-    writing its trial records to ``out`` when given, writes each plan's counts to ``pipe`` as one line
-    of decimal integers and exits, with status 1 if anything failed."""
-    status = 1
+    """A forked worker of :func:`run_batches`: pinned to ``cpu``, it tallies slice ``i`` of each plan
+    in turn, writing its trial records to ``out`` when given, and reports each batch as soon as it is
+    tallied, as one line on ``pipe`` of decimal integers: the ten counts, then the start and end
+    offsets of that batch's records in ``out``, flushed before the line is sent.  It then exits; a
+    line that never comes is the one sign that something failed."""
     try:
         os.sched_setaffinity(0, {cpu})
-        lines = [
-            " ".join(map(str, _tally(plan, _slice(plan.config.trials, i, parts), _write_trials(out, b))))
-            for b, plan in enumerate(plans)
-        ]
-        if out is not None:  # every record is in the file before the counts say the slice is done
-            out.flush()
-        with open(pipe, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines))
-        status = 0
+        lines = open(pipe, "w", encoding="ascii", buffering=1)  # each line is sent whole, at its end
+        end = 0
+        for b, plan in enumerate(plans):
+            start = end
+            counts = _tally(plan, _slice(plan.config.trials, i, parts), out, b)
+            if out is not None:
+                out.flush()
+                end = out.tell()
+            lines.write(" ".join(map(str, [*counts, start, end])) + "\n")
     finally:  # never return into the caller's stack, nor flush buffers it shares with the parent
-        os._exit(status)
+        os._exit(0)
 
 
 def run_batches(configs: Sequence[SimConfig], dump: Optional[IO[bytes]] = None) -> list[BatchReport]:
     """Run every trial of each config and aggregate each into its report, on every usable CPU once
-    the configs hold :data:`SPLIT_MIN_TRIALS` trials in all; with ``dump``, a binary file opened by
-    path, each trial's record is written to it as one line, batch by batch and in trial order.
+    the configs hold :data:`SPLIT_MIN_TRIALS` trials in all; with ``dump``, a writable binary file,
+    each trial's record is written to it as one line, batch by batch and in trial order.
 
     Every trial draws only from its own (seed, trial) streams and a report
     is built from sums, so any split of the trials gives the same reports.
     One forked worker per further CPU of :func:`_split_cpus` tallies one
     contiguous slice of every batch's trials, pinned to its own CPU, and
-    this process the first slice, unpinned.  A worker sends its counts
-    through a pipe.  With a dump, each slice writes its records to its own
-    unlinked file beside the dump, and once every slice is in, this process
-    copies them into the dump, slice by slice within each batch.  A slice
-    that has no counts, because it was not split off, its file could not be
-    made, its fork was refused, its worker failed or this process's tally
-    raised, runs here, in trial order and straight into the dump.  So every
-    record is written once, and a trial that raises raises here as it would
-    in a serial run, after the records a serial run writes before it.  No
-    worker outlives the call.
+    reports each batch through a pipe as it finishes it (see :func:`_work`).
+    With a dump, a worker writes its records to its own unlinked file,
+    beside the dump when the dump has a path.  This process takes the
+    batches in order, and each batch's slices in order.  A slice whose
+    worker's line came is summed, and its records are copied into the dump.
+    Any other slice runs here, straight into the dump: the first slice
+    always, and a slice whose file or fork was refused or whose worker
+    failed or died.  So every record is written once, and a trial that
+    raises, raises here as it would in a serial run, after the records a
+    serial run writes before it.  No worker outlives the call.
     """
     plans = [trial_plan(cfg) for cfg in configs]  # every config is checked before any trial runs
     cpus = _split_cpus(sum(cfg.trials for cfg in configs))
     parts = max(len(cpus), 1)
-    workers: dict[int, tuple[int, IO[str]]] = {}  # slice -> pid and pipe of its unreaped worker
-    done: dict[int, list[list[int]]] = {}  # slice -> its counts per batch, once every batch is tallied
-    files: dict[int, IO[bytes]] = {}  # slice -> the file of its records, with a dump
+    pids: list[int] = []
+    pipes: dict[int, IO[str]] = {}  # slice -> the pipe its worker reports on
+    files: dict[int, IO[bytes]] = {}  # slice -> the file of its worker's records, with a dump
     if dump is not None and parts > 1:
         from tempfile import TemporaryFile
 
-        beside = os.path.dirname(dump.name) or "."  # on the dump's filesystem, not a /tmp in memory
+        name = getattr(dump, "name", None)  # a path, a descriptor's number, or none
+        beside = (os.path.dirname(name) or ".") if isinstance(name, str) else None  # not a /tmp in memory
     try:
         for i, cpu in enumerate(cpus[1:], 1):
             read, write = os.pipe()
@@ -663,44 +658,28 @@ def run_batches(configs: Sequence[SimConfig], dump: Optional[IO[bytes]] = None) 
             if pid == 0:
                 _work(plans, i, parts, cpu, write, files.get(i))
             os.close(write)
-            workers[i] = (pid, open(read, encoding="ascii"))
-        if workers:  # else every slice runs below
-            try:
-                if dump is not None:
-                    files[0] = TemporaryFile(dir=beside)
-                done[0] = [
-                    _tally(plan, _slice(plan.config.trials, 0, parts), _write_trials(files.get(0), b))
-                    for b, plan in enumerate(plans)
-                ]
-            except Exception:  # run again below, after every earlier slice in trial order
-                pass
-        for i, (pid, pipe) in list(workers.items()):
-            with pipe:
-                text = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del workers[i]
-            if status == 0:  # the worker wrote every line, and every record before them
-                done[i] = [[int(count) for count in line.split()] for line in text.splitlines()]
-
-        for out in files.values():
-            out.seek(0)
+            pids.append(pid)
+            pipes[i] = open(read, encoding="ascii")
         reports = []
         for b, plan in enumerate(plans):
             counts = []
             for i in range(parts):
-                trials = _slice(plan.config.trials, i, parts)
-                if i in done and dump is not None:  # the slice's records, one line each
-                    dump.writelines(islice(files[i], len(trials)))
-                counts.append(done[i][b] if i in done else _tally(plan, trials, _write_trials(dump, b)))
+                line = pipes[i].readline() if i in pipes else ""  # after a worker stops, "" for good
+                if line.endswith("\n"):
+                    *tally, start, end = map(int, line.split())
+                    for at in range(start, end, 1 << 20):  # its records, at most 1 MB at a time
+                        dump.write(os.pread(files[i].fileno(), min(end - at, 1 << 20), at))
+                else:
+                    tally = _tally(plan, _slice(plan.config.trials, i, parts), dump, b)
+                counts.append(tally)
             reports.append(_batch_report(plan, [sum(column) for column in zip(*counts)]))
         return reports
     finally:
-        if workers:  # interrupted, or this process failed: stop and reap every worker
-            from signal import SIGKILL
+        if pids:  # ``signal``'s built-in half, loaded at start-up; ``signal`` takes ~0.6 ms to build its enums
+            from _signal import SIGKILL
 
-            for pid, pipe in workers.values():
-                pipe.close()
+            for pid in pids:
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-        for out in files.values():
-            out.close()
+        for fh in [*pipes.values(), *files.values()]:
+            fh.close()

@@ -6,13 +6,14 @@ through the ``forks`` fixture, counts the workers forked and checks that
 none is left unreaped and that this process's CPU affinity is unchanged,
 also when a trial raises.  ``run_batch(cfg)`` is ``run_batches([cfg])[0]``,
 so a library batch splits by the same rules.  A split ``--dump-trials``
-file must hold the one-CPU run's bytes, also when a slice fails.  A
-property test checks what the split rests on: the counts of two slices of
-a batch add up to the whole batch's.
+file must hold the one-CPU run's bytes, also when a slice fails or the
+dump has no path.  A property test checks what the split rests on: the
+counts of two slices of a batch add up to the whole batch's.
 """
 
 import io
 import os
+import tempfile
 import threading
 import time
 import warnings
@@ -182,8 +183,11 @@ def test_a_failed_slice_dumps_each_record_once_in_order(forks, monkeypatch, tmp_
     def refused(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
-    one_cpu = _one_cpu(monkeypatch, tmp_path / "one-cpu", _batches_into(DUMPED))
     monkeypatch.setattr(dbasim.harness, "run_trial", failing)
+    # the reference under the same failures: only a worker dies or raises, but a trial here raises on one CPU too
+    one_cpu = _one_cpu(monkeypatch, tmp_path / "one-cpu", _batches_into(DUMPED))
+    assert (one_cpu[0] == repr(ValueError("a trial here failed"))) == bool(failed)
+    failed.clear()
     if failure == "fork refused":
         monkeypatch.setattr(os, "fork", refused)
     if failure == "file refused":
@@ -191,6 +195,59 @@ def test_a_failed_slice_dumps_each_record_once_in_order(forks, monkeypatch, tmp_
     assert _dumped(tmp_path / "split", _batches_into(DUMPED)) == one_cpu
     assert len(forks) == (failure not in ("fork refused", "file refused"))
     assert bool(failed) == (failure == "trial here raises once")
+
+
+@needs_two_cpus
+def test_a_worker_that_dies_after_its_first_batch_keeps_that_batch(forks, monkeypatch, tmp_path):
+    parent, run_trial, here = os.getpid(), dbasim.harness.run_trial, []
+
+    def dying(plan, t, capture_transcript=False):
+        if os.getpid() == parent:
+            here.append((plan.config.master_seed, t))
+        elif (plan.config.master_seed, t) == (1, 50):  # the first trial of its slice of the second batch
+            os._exit(3)
+        return run_trial(plan, t, capture_transcript)
+
+    one_cpu = _one_cpu(monkeypatch, tmp_path / "one-cpu", _batches_into(DUMPED))
+    monkeypatch.setattr(dbasim.harness, "run_trial", dying)
+    assert _dumped(tmp_path / "split", _batches_into(DUMPED)) == one_cpu
+    # this process ran its own slices and the worker's second, never the worker's first
+    assert here == [(0, t) for t in range(65)] + [(1, t) for t in range(101)]
+    assert len(forks) == 1
+
+
+@needs_two_cpus
+def test_a_split_dump_makes_one_file_per_worker(forks, monkeypatch, tmp_path):
+    made, make = [], tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        made.append(os.getpid())
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    one_cpu = _one_cpu(monkeypatch, tmp_path / "one-cpu", _batches_into(DUMPED))
+    assert made == []
+    assert _dumped(tmp_path / "split", _batches_into(DUMPED)) == one_cpu
+    assert made == [os.getpid()] * len(forks) and len(forks) == 1
+
+
+@pytest.mark.parametrize("dump", ["descriptor", "memory"])
+def test_a_dump_without_a_path_splits_to_the_bytes_of_one_cpu(forks, monkeypatch, tmp_path, dump):
+    configs = [SimConfig(trials=2 * SPLIT_MIN_TRIALS)]
+
+    def run(path):
+        if dump == "memory":
+            out = io.BytesIO()
+            reports = [rep.canonical_json() for rep in run_batches(configs, out)]
+            path.write_bytes(out.getvalue())
+            return reports
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT), "wb") as out:  # its name is the descriptor's number
+            return [rep.canonical_json() for rep in run_batches(configs, out)]
+
+    split = _dumped(tmp_path / "split", run)
+    assert len(forks) == _workers(2 * SPLIT_MIN_TRIALS)
+    assert split == _one_cpu(monkeypatch, tmp_path / "one-cpu", run)
+    assert split[1].count(b"\n") == 2 * SPLIT_MIN_TRIALS
 
 
 @needs_two_cpus
@@ -411,8 +468,8 @@ def test_a_worker_that_dies_is_recomputed_here(forks, monkeypatch):
 
 
 @needs_two_cpus
-def test_a_slice_here_that_raised_once_runs_again_whole(forks, monkeypatch):
-    # this process's slice fails in its second batch, after the first was tallied
+def test_a_trial_here_that_raises_once_raises_as_in_a_serial_run(forks, monkeypatch):
+    # this process's slice fails in its second batch, after the first was tallied, and is not run again
     parent, failed = os.getpid(), []
 
     def once(plan, t):
@@ -422,9 +479,13 @@ def test_a_slice_here_that_raised_once_runs_again_whole(forks, monkeypatch):
         return False
 
     configs = [SimConfig(trials=SPLIT_MIN_TRIALS, master_seed=0), SimConfig(trials=SPLIT_MIN_TRIALS, master_seed=1)]
-    serial = _serial(configs)
     _raising_where(monkeypatch, once)
-    assert _split(configs) == serial
+    with pytest.raises(ValueError) as serial:
+        _serial(configs)
+    failed.clear()
+    with pytest.raises(ValueError) as split:
+        _split(configs)
+    assert str(split.value) == str(serial.value) == "seed 1 trial 0 failed"
     assert failed and forks
 
 
